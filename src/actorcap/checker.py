@@ -171,19 +171,12 @@ class DroppedBinding:
 
 
 @dataclass
-class NodeInfo:
-    type: TypeExpr
-    env_out: TypeEnv
-    effect: LangExpr
-
-
-@dataclass
 class TypedProgram:
     """A checked program plus the facts the runtime monitor needs."""
 
     program: Program
     root_type: TypeExpr
-    info: dict[int, NodeInfo] = field(default_factory=dict)
+    root_effect: LangExpr = EPS
     case_effects: dict[int, dict[MsgType, LangExpr]] = field(default_factory=dict)
     warnings: list[DroppedBinding] = field(default_factory=list)
 
@@ -387,11 +380,6 @@ class Checker:
     # -- expressions
 
     def infer(self, env: TypeEnv, e: Expr) -> tuple[TypeExpr, TypeEnv, LangExpr]:
-        t, out, eff = self._infer(env, e)
-        self.typed.info[id(e)] = NodeInfo(t, out, eff)
-        return t, out, eff
-
-    def _infer(self, env: TypeEnv, e: Expr) -> tuple[TypeExpr, TypeEnv, LangExpr]:
         match e:
             case NatLit():
                 return NAT, env, EPS
@@ -619,7 +607,7 @@ def check_program(p: Program, warn_dropped: bool = False) -> TypedProgram:
     its protocol must allow the initial unit message.
     """
     checker = Checker(p, warn_dropped=warn_dropped)
-    t, _, _ = checker.infer(TypeEnv.empty(), p.root)
+    t, _, eff = checker.infer(TypeEnv.empty(), p.root)
     if not isinstance(t, BehT):
         raise TypeCheckError(
             ErrorCode.TypeMismatch, p.root.loc,
@@ -633,6 +621,7 @@ def check_program(p: Program, warn_dropped: bool = False) -> TypedProgram:
             declared_language=t.lang,
         )
     checker.typed.root_type = t
+    checker.typed.root_effect = eff
     return checker.typed
 
 

@@ -8,13 +8,17 @@ statically:
   remaining tag, which then shrinks accordingly;
 * per-turn conservation: the capabilities an actor holds toward a target,
   after a handler turn, shuffled with those it transferred inside outgoing
-  messages, must equal the derivative of what it held before the turn by
-  the messages it sent there (plus, toward itself, the self-capabilities it
-  created during the turn);
+  messages, must stay within the derivative of what it held before the
+  turn by the messages it sent there (plus, toward itself, the
+  self-capabilities it created during the turn); capabilities are affine,
+  so dropping part of one is allowed and conjuring one is not;
 * global consistency between turns: for every actor, the shuffle of all
   live tags targeting it must stay within what its installed behaviour
   still promises after any delivery order of the in-flight messages that
-  respects per-sender queue order.
+  respects per-sender queue order.  Those orders are not listed one by
+  one: a walk over queue positions (`fifo_residuals`) yields each distinct
+  residual of the behaviour's annotation once, with the first order that
+  reaches it as its witness, and inclusion is tested once per residual.
 
 Violations never affect execution; they are reported as trace events.
 Checked programs raise none of them, and programs run with checking
@@ -26,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import lang as lng
-from .lang import EPS, LangExpr, MsgType, lang_to_text
+from .lang import EPS, LangExpr, MsgType, Word, lang_to_text
 from .values import Value, iter_refs
 
 
@@ -120,7 +124,11 @@ def effect_conformance(
 
 
 def fifo_merges(seqs: list[tuple[MsgType, ...]], cap: int = 20_000):
-    """All interleavings of the per-sender sequences, preserving each order."""
+    """All interleavings of the per-sender sequences, preserving each order.
+
+    The reference enumeration for `fifo_residuals`, kept for its tests; the
+    monitor itself never lists the interleavings.
+    """
     seqs = [s for s in seqs if s]
     out: list[tuple[MsgType, ...]] = []
 
@@ -142,12 +150,56 @@ def fifo_merges(seqs: list[tuple[MsgType, ...]], cap: int = 20_000):
     return out
 
 
+def fifo_residuals(
+    seqs: list[tuple[MsgType, ...]], annot: LangExpr
+) -> list[tuple[LangExpr, Word]]:
+    """Each distinct residual of `annot` after a FIFO merge of `seqs`.
+
+    Equal, pair for pair and in order, to the residuals
+    `word_derivative(w, annot)` for `w` in `fifo_merges(seqs)`, each kept
+    with the first `w` that yields it.  The merges are walked one delivery
+    at a time: a state is the position reached in each sender's queue plus
+    the residual so far, and merges that reach the same state cannot be
+    told apart afterwards, so each state is kept once, with the first merge
+    that reaches it (as a cons list, newest message first).  Expanding a
+    layer's states in order, senders in index order, keeps every layer in
+    `fifo_merges` order, so the last one lists the residuals as the
+    enumeration first produces them.
+    """
+    seqs = [s for s in seqs if s]
+    layer: dict = {((0,) * len(seqs), lng.normalize(annot)): None}
+    for _ in range(sum(map(len, seqs))):
+        nxt: dict = {}
+        for (pos, residual), merged in layer.items():
+            for i, s in enumerate(seqs):
+                if pos[i] < len(s):
+                    m = s[pos[i]]
+                    state = (
+                        pos[:i] + (pos[i] + 1,) + pos[i + 1 :],
+                        lng.derivative(m, residual),
+                    )
+                    if state not in nxt:
+                        nxt[state] = (m, merged)
+        layer = nxt
+    out = []
+    for (_, residual), merged in layer.items():
+        word: list[MsgType] = []
+        while merged is not None:
+            m, merged = merged
+            word.append(m)
+        out.append((residual, tuple(reversed(word))))
+    return out
+
+
 def global_invariant(config) -> list[Violation]:
     """Check global consistency at a quiescent point (between deliveries).
 
     For every actor, every FIFO-consistent interleaving of the messages in
     flight to it must leave a residual of its behaviour's protocol that
-    covers the shuffle of all live tags targeting it.
+    covers the shuffle of all live tags targeting it.  The interleavings are
+    walked by queue position (`fifo_residuals`), so inclusion runs once per
+    distinct residual; a report names the first interleaving, in
+    `fifo_merges` order, whose residual fails.
     """
     roots: list[Value] = []
     for behv in config.store.values():
@@ -180,8 +232,7 @@ def global_invariant(config) -> list[Violation]:
             for (_, dst), q in sorted(config.queues.items())
             if dst == actor and q
         ]
-        for w in fifo_merges(inbound):
-            residual = lng.word_derivative(w, behv.annot)
+        for residual, w in fifo_residuals(inbound, behv.annot):
             if not lng.includes(combined, residual):
                 word = "".join(m.name for m in w) or "eps"
                 violations.append(
@@ -209,7 +260,10 @@ def conservation(
 ) -> list[Violation]:
     """Per-turn capability conservation.
 
-    Only actors that existed before the turn participate: capabilities to a
+    What the actor retains, shuffled with what it transferred, must be
+    included in what the turn may leave; inclusion rather than equivalence,
+    because a capability may be dropped (the checker is affine).  Only
+    actors that existed before the turn participate: capabilities to a
     freshly spawned actor are created from nothing by the spawn itself.
     """
     targets = (
@@ -225,7 +279,7 @@ def conservation(
         right = lng.word_derivative(sent.get(target, ()), pre.combined(target))
         if target == acting:
             right = lng.shuffle(right, observed)
-        if not lng.equiv(left, right):
+        if not lng.includes(left, right):
             violations.append(
                 Violation(
                     GLOBAL_INVARIANT_BROKEN,

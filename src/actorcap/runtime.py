@@ -409,8 +409,7 @@ def init_config(
         config.queues.setdefault((0, target), []).append((value, m))
     if monitor:
         if typed is not None:
-            static_eff = typed.info[id(program.root)].effect
-            viol = mon.effect_conformance(static_eff, ev.observed)
+            viol = mon.effect_conformance(typed.root_effect, ev.observed)
             if viol is not None:
                 trace.emit(
                     "violation", src=0, dst=0,
@@ -543,10 +542,17 @@ def run(
     """
     trace = trace if trace is not None else Trace(seed=seed)
     rng = random.Random(seed)
+    scanned = 0  # trace events already searched for a violation
+
+    def new_violation() -> TraceEvent | None:
+        nonlocal scanned
+        fresh, scanned = trace.events[scanned:], len(trace.events)
+        return next((e for e in fresh if e.kind == "violation"), None)
+
     outcome = "budget"
     for _ in range(max_deliveries):
-        if strict and trace.violations():
-            outcome = f"violation:{trace.violations()[0].violation}"
+        if strict and (hit := new_violation()):
+            outcome = f"violation:{hit.violation}"
             break
         enabled = enabled_deliveries(config)
         if not enabled:
@@ -561,8 +567,8 @@ def run(
             outcome = f"stuck:{res.kind}"
             break
     else:
-        if strict and trace.violations():
-            outcome = f"violation:{trace.violations()[0].violation}"
+        if strict and (hit := new_violation()):
+            outcome = f"violation:{hit.violation}"
     if outcome == "budget":
         enabled = enabled_deliveries(config)
         if not enabled:

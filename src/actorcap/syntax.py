@@ -13,7 +13,6 @@ so a pretty-printed program re-parses to an equal `Program`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .lang import (
     EPS,
@@ -118,7 +117,18 @@ class Path:
 
 
 class Expr:
+    """Base of expression nodes.
+
+    Every node carries `free`, its free variables, computed once when the
+    node is built.  Children are built first, so this takes constant stack
+    depth however deep the tree; it is not a dataclass field, so equality,
+    hashing and repr ignore it.
+    """
+
     __slots__ = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "free", _free(self))
 
 
 @dataclass(frozen=True)
@@ -270,10 +280,9 @@ class Program:
 
 
 def free_vars(e: Expr) -> frozenset[str]:
-    return _free(e)
+    return e.free
 
 
-@lru_cache(maxsize=None)
 def _free(e: Expr) -> frozenset[str]:
     match e:
         case NatLit() | BoolLit() | UnitLit() | SelfCap():
@@ -281,24 +290,24 @@ def _free(e: Expr) -> frozenset[str]:
         case Var(path):
             return frozenset({path.base})
         case Pair(a, b) | BinOp(_, a, b) | App(a, b):
-            return _free(a) | _free(b)
+            return a.free | b.free
         case Not(x) | Spawn(_, x):
-            return _free(x)
+            return x.free
         case If(c, t, f):
-            return _free(c) | _free(t) | _free(f)
+            return c.free | t.free | f.free
         case Fun(self_name, param, _, _, _, body):
-            return _free(body) - {self_name, param}
+            return body.free - {self_name, param}
         case Beh(_, cases):
             out = frozenset()
             for c in cases:
-                out |= _free(c.body) - {c.binder}
+                out |= c.body.free - {c.binder}
             return out
         case Send(_, target, payload):
-            return frozenset({target.base}) | _free(payload)
+            return frozenset({target.base}) | payload.free
         case Split(path, n1, _, n2, _, body):
-            return frozenset({path.base}) | (_free(body) - {n1, n2})
+            return frozenset({path.base}) | (body.free - {n1, n2})
         case Let(name, value, body):
-            return _free(value) | (_free(body) - {name})
+            return value.free | (body.free - {name})
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -319,6 +319,25 @@ class TestProgramChecking:
         )
         assert lng.equiv(typed.root_type.lang, star(sym("Unit")))
 
+    def test_root_effect_drives_setup_conformance(self):
+        from actorcap.runtime import Trace, init_config
+
+        prog = parse_program(
+            "msg hum : Unit "
+            "let s = self[<hum>] in let u = send[hum](s, ()) in "
+            "beh[<Unit>#<hum>]{ Unit(m) => beh[<hum>]{ hum(x) => beh[eps]{ } }"
+            " | hum(x) => beh[<Unit>]{ Unit(m) => beh[eps]{ } } }"
+        )
+        typed = check_program(prog)
+        assert lng.equiv(typed.root_effect, sym("hum"))
+        tr = Trace()
+        init_config(prog, typed=typed, trace=tr)
+        assert tr.violations() == []
+        typed.root_effect = EPS
+        tr = Trace()
+        init_config(prog, typed=typed, trace=tr)
+        assert [e.violation for e in tr.violations()] == ["EffectExceeded"]
+
     def test_non_behaviour_root(self):
         with pytest.raises(TypeCheckError) as exc:
             check_program(parse_program("42"))

@@ -1,10 +1,13 @@
 import pathlib
+import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from actorcap import lang as lng
 from actorcap.checker import check_program
-from actorcap.lang import EPS, MsgType, cat, shuffle, star, sym
+from actorcap.lang import EPS, MsgType, alt, cat, shuffle, star, sym
 from actorcap.monitor import (
     CapSummary,
     Violation,
@@ -12,6 +15,7 @@ from actorcap.monitor import (
     conservation,
     effect_conformance,
     fifo_merges,
+    fifo_residuals,
     global_invariant,
     split_tag,
     summarize,
@@ -19,6 +23,8 @@ from actorcap.monitor import (
 from actorcap.runtime import Config, Trace, deliver, enabled_deliveries, init_config, run
 from actorcap.syntax import Beh, parse_program
 from actorcap.values import BehValue, PairV, RefValue, UNIT_V
+
+from langgen import ALPHABET, random_expr
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 A, B = MsgType("a"), MsgType("b")
@@ -88,6 +94,34 @@ def test_fifo_merges():
     merged = fifo_merges([(A, B), (ACT,)])
     assert len(merged) == 3
     assert all(m.index(A) < m.index(B) for m in merged)
+
+
+queues = st.lists(
+    st.lists(st.sampled_from(ALPHABET), max_size=3).map(tuple), max_size=3
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(queues, st.integers(0, 2**32))
+def test_fifo_residuals_match_enumerated_merges(seqs, annot_seed):
+    # Reference: the first merge, in enumeration order, for each residual.
+    annot = random_expr(random.Random(annot_seed), depth=3)
+    first = {}
+    for w in fifo_merges(seqs):
+        first.setdefault(lng.word_derivative(w, annot), w)
+    assert fifo_residuals(seqs, annot) == list(first.items())
+
+
+class TestFifoResiduals:
+    def test_long_single_queue(self):
+        out = fifo_residuals([(NOP,) * 400 + (ACT,)], NOP_ACT_NOP)
+        assert out == [(star(sym("nop")), (NOP,) * 400 + (ACT,))]
+
+    def test_no_cap_on_interleavings(self):
+        # 18!/(3!)**6, about 1.4e8 merges, but a handful of states per layer.
+        seqs = [(A, B, A)] * 6
+        out = fifo_residuals(seqs, star(alt(sym("a"), sym("b"))))
+        assert out == [(star(alt(sym("a"), sym("b"))), (A, B, A) * 6)]
 
 
 class TestGlobalInvariant:
@@ -188,6 +222,79 @@ class TestConservation:
             0, CapSummary(), {5: [A]}, EPS, post, CapSummary(), pre_existing={0}
         )
         assert out == []
+
+    def test_dropping_a_star_residual_allowed(self):
+        pre = CapSummary({1: [star(sym("a"))]})
+        out = conservation(
+            0, pre, {1: [A]}, EPS, CapSummary(), CapSummary(), pre_existing={0, 1}
+        )
+        assert out == []
+
+    def test_conjured_capability_detected(self):
+        pre = CapSummary({1: [sym("a")]})
+        post = CapSummary({1: [sym("a"), sym("a")]})
+        out = conservation(
+            0, pre, {}, EPS, post, CapSummary(), pre_existing={0, 1}
+        )
+        assert [v.kind for v in out] == ["GlobalInvariantBroken"]
+
+
+# A forwarder holds <d>* to an actor that already exists, sends one <d> and
+# drops the rest, which the affine checker accepts.
+STAR_FORWARDER = """msg d : Unit
+msg go : Unit
+beh[<Unit>]{ Unit(m) =>
+  let t = spawn((fun mk(s: Nat): Beh[<d>*] ! eps => beh[<d>*]{ d(x) => mk s }) 0)
+  in let f = spawn((fun mf(r: ActorRef[<d>*]): Beh[<go>] ! eps =>
+       beh[<go>]{ go(x) => let v = send[d](r, ()) in beh[eps]{ } }) t)
+  in let g = send[go](f, ())
+  in beh[eps]{ }
+}
+"""
+
+
+def fanin_source(k: int, m: int) -> str:
+    """k forwarders, each holding exactly <di>^m to one receiver, send it all."""
+    syms = [f"d{i}" for i in range(1, k + 1)]
+    any_order = "(" + "|".join(f"<{s}>" for s in syms) + ")*"
+    cases = " | ".join(f"{s}(x) => mk n" for s in syms)
+    parts = ["(" + ".".join([f"<{s}>"] * m) + ")" for s in syms]
+    lines = [
+        f"let r0 = spawn[{'#'.join(parts)}]((fun mk(n: Nat): Beh[{any_order}]"
+        f" ! eps => beh[{any_order}]{{ {cases} }}) 0)"
+    ]
+    for i in range(1, k):
+        lines.append(
+            f"in split r{i - 1} as h{i}: ActorRef[{parts[i - 1]}], "
+            f"r{i}: ActorRef[{'#'.join(parts[i:])}]"
+        )
+    handles = [f"h{i}" for i in range(1, k)] + [f"r{k - 1}"]
+    for i, (s, h) in enumerate(zip(syms, handles), 1):
+        sends = " in ".join(f"let v{j} = send[{s}](r, ())" for j in range(m))
+        lines.append(
+            f"in let f{i} = spawn((fun mf{i}(r: ActorRef[{parts[i - 1]}]): "
+            f"Beh[<go>] ! eps => beh[<go>]{{ go(x) => {sends} in beh[eps]{{ }} }})"
+            f" {h})"
+        )
+    lines += [f"in let g{i} = send[go](f{i}, ())" for i in range(1, k + 1)]
+    decls = "".join(f"msg {s} : Unit\n" for s in syms + ["go"])
+    body = "\n  ".join(lines)
+    return f"{decls}beh[<Unit>]{{ Unit(m) =>\n  {body}\n  in beh[eps]{{ }}\n}}\n"
+
+
+class TestMonitoredRuns:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "source", [STAR_FORWARDER, fanin_source(4, 3)], ids=["star", "fanin-4x3"]
+    )
+    def test_well_typed_run_is_clean(self, source, seed):
+        prog = parse_program(source)
+        typed = check_program(prog)
+        tr = Trace(seed=seed)
+        cfg = init_config(prog, typed=typed, trace=tr)
+        trace, outcome = run(cfg, typed=typed, seed=seed, trace=tr)
+        assert outcome == "quiescent"
+        assert trace.violations() == []
 
 
 class TestTagDenotationAgreement:

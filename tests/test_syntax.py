@@ -133,6 +133,14 @@ class TestFreeVars:
         )
         assert free_vars(e) == {"p", "q"}
 
+    def test_same_long_chain_parses_twice(self):
+        # Free variables live on each node, so two equal 400-deep trees are
+        # never compared against each other.
+        lets = "".join(f"let x{i} = {i} in " for i in range(400))
+        src = "beh[<Unit>]{ Unit(m) => " + lets + "beh[eps]{ } }"
+        for _ in range(2):
+            assert free_vars(parse_program(src).root) == frozenset()
+
 
 class TestProgramHelpers:
     def test_alphabet_includes_builtin_unit(self):
