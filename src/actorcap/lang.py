@@ -6,16 +6,19 @@ operations here: nullability, Brzozowski derivatives, the shuffle product
 (all interleavings of two languages), intersection, emptiness, inclusion and
 equivalence.
 
-Expressions are immutable and kept in a canonical form by the smart
-constructors (`alt`, `cat`, `shuffle`, `conj`, `star`): unions are flattened,
-sorted and deduplicated, unit and annihilator laws are applied, and the
-commutative operators have sorted operands.  Canonical forms matter because
-inclusion is decided by exploring pairs of derivatives and only terminates
-when the set of derivatives is finite modulo these identities.
+Expressions are hash-consed (see `LangExpr`): every constructor, raw or
+smart, returns the one interned node for its operands, so equality is
+identity.  The smart constructors (`alt`, `cat`, `shuffle`, `conj`, `star`)
+keep a canonical form: unions are flattened, sorted and deduplicated, unit
+and annihilator laws are applied, and the commutative operators have sorted
+operands.  Canonical forms matter because inclusion is decided by exploring
+pairs of derivatives and only terminates when the set of derivatives is
+finite modulo these identities.
 
-All operations are pure; the memo tables behind them are append-only caches
-keyed by immutable values, so concurrent callers never observe shared
-mutable state.
+All operations are pure.  The node table and the memo tables that remain
+(the `lru_cache`s of `derivative`, `partial_derivatives` and the
+`_words_upto` oracle) are append-only and keyed by immutable values, so
+concurrent callers never observe shared mutable state.
 """
 
 from __future__ import annotations
@@ -56,76 +59,126 @@ UNIT_MSG = MsgType("Unit")
 
 
 class LangExpr:
-    """Base class for language expressions."""
+    """Base class for language expressions: interned, immutable nodes.
 
-    __slots__ = ()
+    Construction looks up (class, operands) in one module-level table, so
+    structurally equal expressions are one object.  A new node computes its
+    facts once, from its operands': the hash a frozen dataclass of the same
+    fields would have (never a memory address, so set order, and with it
+    every printed result, depends on PYTHONHASHSEED alone), the structural
+    order key, nullability and the symbol set.
+    """
+
+    __slots__ = ("_hash", "_order", "_nullable", "_symbols")
+    __match_args__: tuple[str, ...] = ()
+
+    def __new__(cls, *operands):
+        key = (cls, *operands)
+        node = _NODES.get(key)
+        if node is not None:
+            return node
+        if len(operands) != len(cls.__match_args__):
+            raise TypeError(f"{cls.__name__} takes {len(cls.__match_args__)} operands")
+        node = object.__new__(cls)
+        for name, value in zip(cls.__match_args__, operands):
+            object.__setattr__(node, name, value)
+        for name, value in zip(LangExpr.__slots__, (hash(operands), *_facts(node))):
+            object.__setattr__(node, name, value)
+        # setdefault keeps one node per key even if two callers race here.
+        return _NODES.setdefault(key, node)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self) -> str:
+        ops = [getattr(self, f) for f in self.__match_args__]
+        if not ops:
+            return type(self).__name__
+        shown = (x.name if isinstance(x, MsgType) else repr(x) for x in ops)
+        return f"{type(self).__name__}({', '.join(shown)})"
 
     def __str__(self) -> str:
         return lang_to_text(self)
 
 
-@dataclass(frozen=True, repr=False)
+_NODES: dict[tuple, LangExpr] = {}
+
+
 class Empty(LangExpr):
-    def __repr__(self) -> str:
-        return "Empty"
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Eps(LangExpr):
-    def __repr__(self) -> str:
-        return "Eps"
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Sym(LangExpr):
+    __slots__ = __match_args__ = ("sym",)
     sym: MsgType
 
-    def __repr__(self) -> str:
-        return f"Sym({self.sym.name})"
 
-
-@dataclass(frozen=True, repr=False)
-class Cat(LangExpr):
+class _Binary(LangExpr):
+    # Subclasses set _rank, their place in the structural order (_facts).
+    __slots__ = __match_args__ = ("left", "right")
     left: LangExpr
     right: LangExpr
 
-    def __repr__(self) -> str:
-        return f"Cat({self.left!r}, {self.right!r})"
 
-
-@dataclass(frozen=True, repr=False)
-class Alt(LangExpr):
-    left: LangExpr
-    right: LangExpr
-
-    def __repr__(self) -> str:
-        return f"Alt({self.left!r}, {self.right!r})"
-
-
-@dataclass(frozen=True, repr=False)
 class Star(LangExpr):
+    __slots__ = __match_args__ = ("inner",)
     inner: LangExpr
 
-    def __repr__(self) -> str:
-        return f"Star({self.inner!r})"
+
+class Cat(_Binary):
+    __slots__ = ()
+    _rank = 4
 
 
-@dataclass(frozen=True, repr=False)
-class Shuffle(LangExpr):
-    left: LangExpr
-    right: LangExpr
-
-    def __repr__(self) -> str:
-        return f"Shuffle({self.left!r}, {self.right!r})"
+class Alt(_Binary):
+    __slots__ = ()
+    _rank = 7
 
 
-@dataclass(frozen=True, repr=False)
-class And(LangExpr):
-    left: LangExpr
-    right: LangExpr
+class Shuffle(_Binary):
+    __slots__ = ()
+    _rank = 5
 
-    def __repr__(self) -> str:
-        return f"And({self.left!r}, {self.right!r})"
+
+class And(_Binary):
+    __slots__ = ()
+    _rank = 6
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    return a if b <= a else b if a <= b else a | b
+
+
+def _facts(e: LangExpr):
+    """Order key, nullability and symbols of a new node, from its operands'."""
+    match e:
+        case Empty():
+            return (0,), False, frozenset()
+        case Eps():
+            return (1,), True, frozenset()
+        case Sym(s):
+            return (2, s.name), False, frozenset({s})
+        case Star(i):
+            return (3, i._order), True, i._symbols
+        case Alt(l, r):
+            null = l._nullable or r._nullable
+        case Cat(l, r) | Shuffle(l, r) | And(l, r):
+            null = l._nullable and r._nullable
+        case _:
+            raise TypeError(f"not a language expression: {e!r}")
+    return (e._rank, l._order, r._order), null, _union(l._symbols, r._symbols)
 
 
 EMPTY = Empty()
@@ -138,27 +191,9 @@ def sym(name: str | MsgType) -> Sym:
     return Sym(MsgType(name))
 
 
-@lru_cache(maxsize=None)
 def _key(e: LangExpr):
     """Total structural order used to sort operands of commutative nodes."""
-    match e:
-        case Empty():
-            return (0,)
-        case Eps():
-            return (1,)
-        case Sym(s):
-            return (2, s.name)
-        case Star(i):
-            return (3, _key(i))
-        case Cat(l, r):
-            return (4, _key(l), _key(r))
-        case Shuffle(l, r):
-            return (5, _key(l), _key(r))
-        case And(l, r):
-            return (6, _key(l), _key(r))
-        case Alt(l, r):
-            return (7, _key(l), _key(r))
-    raise TypeError(f"not a language expression: {e!r}")
+    return e._order
 
 
 def _chain(cls, e: LangExpr) -> list[LangExpr]:
@@ -187,13 +222,6 @@ def alt(a: LangExpr, b: LangExpr) -> LangExpr:
         return EMPTY
     ordered = sorted(items, key=_key)
     return _fold_right(Alt, ordered)
-
-
-def alt_all(items) -> LangExpr:
-    acc: LangExpr = EMPTY
-    for x in items:
-        acc = alt(acc, x)
-    return acc
 
 
 def cat(a: LangExpr, b: LangExpr) -> LangExpr:
@@ -260,41 +288,13 @@ def normalize(l: LangExpr) -> LangExpr:
     raise TypeError(f"not a language expression: {l!r}")
 
 
-@lru_cache(maxsize=None)
 def nullable(l: LangExpr) -> bool:
     """True iff the empty word belongs to the language."""
-    match l:
-        case Empty():
-            return False
-        case Eps():
-            return True
-        case Sym(_):
-            return False
-        case Cat(a, b):
-            return nullable(a) and nullable(b)
-        case Alt(a, b):
-            return nullable(a) or nullable(b)
-        case Star(_):
-            return True
-        case Shuffle(a, b):
-            return nullable(a) and nullable(b)
-        case And(a, b):
-            return nullable(a) and nullable(b)
-    raise TypeError(f"not a language expression: {l!r}")
+    return l._nullable
 
 
-@lru_cache(maxsize=None)
 def symbols(l: LangExpr) -> frozenset[MsgType]:
-    match l:
-        case Empty() | Eps():
-            return frozenset()
-        case Sym(s):
-            return frozenset({s})
-        case Star(a):
-            return symbols(a)
-        case Cat(a, b) | Alt(a, b) | Shuffle(a, b) | And(a, b):
-            return symbols(a) | symbols(b)
-    raise TypeError(f"not a language expression: {l!r}")
+    return l._symbols
 
 
 @lru_cache(maxsize=None)

@@ -401,6 +401,10 @@ def init_config(
         root_val = ev.eval({}, program.root)
     except BudgetExhausted as ex:
         raise RootEvaluationDiverged(str(ex)) from None
+    except RecursionError:
+        raise RootEvaluationDiverged(
+            "root expression exceeded the maximum evaluation depth"
+        ) from None
     if not isinstance(root_val, BehValue):
         raise DynamicTypeError("root expression did not evaluate to a behaviour")
     config.store[0] = root_val
@@ -479,6 +483,11 @@ def deliver(
         result = ev.eval(env, case.body)
     except BudgetExhausted:
         return Stuck("HandlerDiverged", f"actor {dst} exceeded {local_budget} steps")
+    except RecursionError:
+        # Nested calls can outrun Python's stack before the step budget.
+        return Stuck(
+            "HandlerDiverged", f"actor {dst} exceeded the maximum evaluation depth"
+        )
     except DynamicTypeError as ex:
         return Stuck("DynamicTypeError", str(ex))
     if not isinstance(result, BehValue):

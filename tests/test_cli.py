@@ -114,6 +114,27 @@ class TestRun:
         assert "violation:" in capsys.readouterr().out
 
 
+    def test_diverging_handler_is_stuck(self, tmp_path, capsys):
+        f = tmp_path / "div.acap"
+        f.write_text(
+            "beh[<Unit>]{ Unit(m) =>"
+            " let y = (fun f(x: Nat): Nat ! eps => f x) 0 in beh[eps]{ } }"
+        )
+        assert main(["run", str(f)]) == 2
+        assert "stuck:HandlerDiverged" in capsys.readouterr().out
+        assert main(["explore", str(f)]) == 2
+        assert "stuck:HandlerDiverged" in capsys.readouterr().out
+
+    def test_diverging_root_is_a_setup_error(self, tmp_path, capsys):
+        f = tmp_path / "divroot.acap"
+        f.write_text(
+            "let y = (fun f(x: Nat): Nat ! eps => f x) 0"
+            " in beh[<Unit>]{ Unit(m) => beh[eps]{ } }"
+        )
+        assert main(["run", str(f)]) == 2
+        assert "runtime error during setup" in capsys.readouterr().err
+
+
 class TestExplore:
     def test_positive_program(self, capsys):
         assert main(["explore", FANIN, "--depth", "8"]) == 0

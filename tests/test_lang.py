@@ -1,6 +1,14 @@
+import copy
 import itertools
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
 
 import pytest
+
+import actorcap
 
 from actorcap.lang import (
     Alt,
@@ -30,6 +38,7 @@ from actorcap.lang import (
     shuffle,
     star,
     sym,
+    symbols,
     word_derivative,
 )
 
@@ -188,6 +197,59 @@ class TestNormalize:
         # a # a is {aa}, not {a}
         e = normalize(Shuffle(Sym(A), Sym(A)))
         assert enumerate_words(e, 2) == {w("a", "a")}
+
+
+class TestInterning:
+    def test_raw_constructors_share_nodes(self):
+        assert Cat(Sym(A), Star(Sym(B))) is Cat(Sym(MsgType("a")), Star(sym("b")))
+        assert parse_lang("<a>.<b>*") is cat(sym("a"), star(sym("b")))
+
+    def test_nodes_are_immutable_values(self):
+        e = parse_lang("(<a>|<b>)*.<c>")
+        with pytest.raises(AttributeError):
+            e.left = EPS
+        assert copy.deepcopy(e) is e
+        assert pickle.loads(pickle.dumps(e)) is e
+
+    def test_deep_chain_needs_no_recursion(self):
+        # Facts come from the operands' cached ones, so depth costs no stack.
+        chain = Sym(A)
+        for i in range(5000):
+            chain = Cat(Sym((A, B)[i % 2]), chain)
+        assert hash(chain) == hash((chain.left, chain.right))
+        assert {chain: 1}[chain] == 1
+        assert not nullable(chain)
+        assert symbols(chain) == {A, B}
+        assert derivative(B, chain) is chain.right
+        assert derivative(A, chain) is EMPTY
+
+    def test_iteration_order_ignores_allocation_history(self):
+        # Set order follows the hash; a hash derived from memory addresses
+        # would let unrelated allocations reorder partial derivatives.
+        script = (
+            "import sys\n"
+            "junk = [object() for _ in range(int(sys.argv[1]))]\n"
+            "from actorcap.lang import MsgType, lang_to_text, parse_lang, "
+            "partial_derivatives\n"
+            "e = parse_lang('<a>.<b> # <a>.<c> # <a>*.<d> # <a>.(<b>|<c>)"
+            " # <a>.<b>.<c> # <a>.<d>*')\n"
+            "print([lang_to_text(t) for t in "
+            "partial_derivatives(MsgType('a'), e)])\n"
+        )
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED="7",
+            PYTHONPATH=str(pathlib.Path(actorcap.__file__).parents[1]),
+        )
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", script, str(n)],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            for n in (0, 1_000, 50_000, 200_000)
+        ]
+        assert outs == outs[:1] * 4
+        assert outs[0].count(",") == 5
 
 
 class TestTextSyntax:

@@ -1,3 +1,5 @@
+import random
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
@@ -22,7 +24,7 @@ from actorcap.lang import (
     word_derivative,
 )
 
-from langgen import ALPHABET
+from langgen import ALPHABET, random_expr
 
 A, B, C = ALPHABET
 
@@ -138,3 +140,13 @@ def test_shuffle_derivative_rule(s, e1, e2):
         shuffle(derivative(s, e1), e2), shuffle(e1, derivative(s, e2))
     )
     assert equiv(derivative(s, shuffle(e1, e2)), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**16), st.integers(0, 2**16))
+def test_equality_is_identity(seed1, seed2):
+    e1 = random_expr(random.Random(seed1))
+    e2 = random_expr(random.Random(seed2))
+    assert (e1 == e2) == (e1 is e2) == (repr(e1) == repr(e2))
+    assert random_expr(random.Random(seed1)) is e1
+    assert normalize(e1) is normalize(e1)

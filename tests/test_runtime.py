@@ -229,6 +229,22 @@ class TestRun:
         _, outcome = run(cfg, seed=0, trace=tr, local_budget=300)
         assert outcome == "stuck:HandlerDiverged"
 
+    def test_handler_deeper_than_the_stack_diverges(self):
+        # Each call nests the evaluator, so the default step budget is
+        # deeper than Python's stack; running out of stack is divergence too.
+        prog = parse_program(
+            "beh[<Unit>]{ Unit(m) =>"
+            " let y = (fun f(x: Nat): Nat ! eps => f x) 0 in beh[eps]{ } }"
+        )
+        typed = check_program(prog)
+        tr = Trace(seed=0)
+        cfg = init_config(prog, typed=typed, trace=tr)
+        _, outcome = run(cfg, typed=typed, seed=0, trace=tr)
+        assert outcome == "stuck:HandlerDiverged"
+        res = deliver(init_config(prog, typed=typed), (0, 0), typed=typed)
+        assert isinstance(res, Stuck) and res.kind == "HandlerDiverged"
+        assert "evaluation depth" in res.detail
+
     def test_store_monotone_and_ids_sequential(self):
         prog, typed = load("positive/fanin.acap")
         cfg = init_config(prog, typed=typed)
