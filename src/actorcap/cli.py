@@ -1,9 +1,11 @@
 """Command line interface.
 
 Exit codes: 0 ok (also budget/depth-bounded with no findings), 1 type
-error, 2 stuck execution, 3 monitor violation, 4 parse error.  For the
-algebra subcommands `includes` and `equiv`, exit 0 means the relation holds
-and 1 that it does not, so they compose in shell scripts.
+error, 2 stuck execution, 3 monitor violation, 4 parse error, 5 a resource
+budget refused the input: the inclusion engine's state budget on any
+subcommand, or explore's schedule cap.  For the algebra subcommands
+`includes` and `equiv`, exit 0 means the relation holds and 1 that it does
+not, so they compose in shell scripts.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ EXIT_TYPE_ERROR = 1
 EXIT_STUCK = 2
 EXIT_VIOLATION = 3
 EXIT_PARSE_ERROR = 4
+EXIT_BUDGET = 5
 
 
 def _write(text: str, out_path: str | None):
@@ -156,8 +159,8 @@ def cmd_explore(args) -> int:
             base_trace=base,
         )
     except ScheduleBudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_STUCK
+        print(f"error: schedule budget exceeded: {e}", file=sys.stderr)
+        return EXIT_BUDGET
     if args.format == "json":
         lines = [json.dumps({"schedules": report.schedules}, separators=(",", ":"))]
         for label in sorted(report.outcomes):
@@ -222,7 +225,7 @@ def cmd_alg(args) -> int:
             out = "true" if verdict else "false"
         elif args.op == "enumerate":
             expr, max_len = args.args
-            words = lng.enumerate_words(parse(expr), int(max_len), alphabet)
+            words = lng.enumerate_words(parse(expr), int(max_len))
             ordered = sorted(words, key=lambda w: (len(w), tuple(s.name for s in w)))
             out = " ".join("".join(s.name for s in w) or "eps" for w in ordered)
         else:
@@ -305,7 +308,7 @@ def main(argv=None) -> int:
     except lng.StateBudgetExceeded as e:
         # The inclusion engine refused the input, so neither verdict applies.
         print(f"error: state budget exceeded: {e}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -66,10 +66,11 @@ class LangExpr:
     facts once, from its operands': the hash a frozen dataclass of the same
     fields would have (never a memory address, so set order, and with it
     every printed result, depends on PYTHONHASHSEED alone), the structural
-    order key, nullability and the symbol set.
+    order key, nullability, the symbol set and whether it is normal (what
+    `normalize` returns unchanged).
     """
 
-    __slots__ = ("_hash", "_order", "_nullable", "_symbols")
+    __slots__ = ("_hash", "_order", "_nullable", "_symbols", "_normal")
     __match_args__: tuple[str, ...] = ()
 
     def __new__(cls, *operands):
@@ -162,23 +163,44 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
 
 
 def _facts(e: LangExpr):
-    """Order key, nullability and symbols of a new node, from its operands'."""
+    """Order key, nullability, symbols and normality of a new node.
+
+    All four come from the operands' facts.  A binary node is normal when
+    it is what its class's smart constructor builds from its chain (see
+    `_SMART`): right-nested, both sides normal, no unit or annihilator of
+    the class in the chain, and the operands of the commutative classes in
+    order (strictly, where duplicates are merged).
+    """
     match e:
         case Empty():
-            return (0,), False, frozenset()
+            return (0,), False, frozenset(), True
         case Eps():
-            return (1,), True, frozenset()
+            return (1,), True, frozenset(), True
         case Sym(s):
-            return (2, s.name), False, frozenset({s})
+            return (2, s.name), False, frozenset({s}), True
         case Star(i):
-            return (3, i._order), True, i._symbols
+            normal = i._normal and not isinstance(i, (Empty, Eps, Star))
+            return (3, i._order), True, i._symbols, normal
         case Alt(l, r):
             null = l._nullable or r._nullable
+            units = (Empty,)
         case Cat(l, r) | Shuffle(l, r) | And(l, r):
             null = l._nullable and r._nullable
+            units = (Empty, Eps)
         case _:
             raise TypeError(f"not a language expression: {e!r}")
-    return (e._rank, l._order, r._order), null, _union(l._symbols, r._symbols)
+    cls = type(e)
+    normal = (
+        l._normal and r._normal
+        and not isinstance(l, (cls, *units)) and not isinstance(r, units)
+    )
+    if normal and cls is not Cat:
+        first = r.left if isinstance(r, cls) else r
+        normal = l._order < first._order or (
+            cls is Shuffle and l._order == first._order
+        )
+    facts = (e._rank, l._order, r._order), null, _union(l._symbols, r._symbols)
+    return (*facts, normal)
 
 
 EMPTY = Empty()
@@ -216,16 +238,20 @@ def _fold_right(cls, items: list[LangExpr]) -> LangExpr:
     return acc
 
 
-def alt(a: LangExpr, b: LangExpr) -> LangExpr:
-    items = {x for x in _chain(Alt, a) + _chain(Alt, b) if x != EMPTY}
-    if not items:
+# The smart constructors take the operands of a whole same-class chain at
+# once.  Each is associative in that list, so `_rebuild` can flatten any
+# nesting of the class into one list and build the chain once.
+
+
+def _alt(items: list[LangExpr]) -> LangExpr:
+    kept = {x for x in items if x != EMPTY}
+    if not kept:
         return EMPTY
-    ordered = sorted(items, key=_key)
-    return _fold_right(Alt, ordered)
+    return _fold_right(Alt, sorted(kept, key=_key))
 
 
-def cat(a: LangExpr, b: LangExpr) -> LangExpr:
-    items = [x for x in _chain(Cat, a) + _chain(Cat, b) if x != EPS]
+def _cat(items: list[LangExpr]) -> LangExpr:
+    items = [x for x in items if x != EPS]
     if any(x == EMPTY for x in items):
         return EMPTY
     if not items:
@@ -233,8 +259,8 @@ def cat(a: LangExpr, b: LangExpr) -> LangExpr:
     return _fold_right(Cat, items)
 
 
-def shuffle(a: LangExpr, b: LangExpr) -> LangExpr:
-    items = [x for x in _chain(Shuffle, a) + _chain(Shuffle, b) if x != EPS]
+def _shuffle(items: list[LangExpr]) -> LangExpr:
+    items = [x for x in items if x != EPS]
     if any(x == EMPTY for x in items):
         return EMPTY
     if not items:
@@ -244,18 +270,44 @@ def shuffle(a: LangExpr, b: LangExpr) -> LangExpr:
     return _fold_right(Shuffle, sorted(items, key=_key))
 
 
+def _conj(items: list[LangExpr]) -> LangExpr:
+    kept = set(items)
+    if EMPTY in kept:
+        return EMPTY
+    if EPS in kept:
+        return EPS if all(nullable(x) for x in kept) else EMPTY
+    return _fold_right(And, sorted(kept, key=_key))
+
+
+_SMART = {Alt: _alt, Cat: _cat, Shuffle: _shuffle, And: _conj}
+_UNIT = {Alt: EMPTY, Cat: EPS, Shuffle: EPS}
+
+
+def _rebuild(cls, parts: list[LangExpr]) -> LangExpr:
+    """The smart constructor of `cls` over the chains of all `parts`."""
+    # A unit of the class adds nothing to the chain, and a lone normal part
+    # is already the result: so a derivative step that leaves eps before a
+    # long chain returns the chain instead of rebuilding it.
+    rest = [p for p in parts if p is not _UNIT.get(cls)]
+    if len(rest) == 1 and rest[0]._normal:
+        return rest[0]
+    return _SMART[cls]([x for p in parts for x in _chain(cls, p)])
+
+
+def alt(a: LangExpr, b: LangExpr) -> LangExpr:
+    return _rebuild(Alt, [a, b])
+
+
+def cat(a: LangExpr, b: LangExpr) -> LangExpr:
+    return _rebuild(Cat, [a, b])
+
+
+def shuffle(a: LangExpr, b: LangExpr) -> LangExpr:
+    return _rebuild(Shuffle, [a, b])
+
+
 def conj(a: LangExpr, b: LangExpr) -> LangExpr:
-    items = {x for x in _chain(And, a) + _chain(And, b)}
-    if EMPTY in items:
-        return EMPTY
-    if EPS in items:
-        return EPS if all(nullable(x) for x in items) else EMPTY
-    if not items:
-        return EMPTY
-    ordered = sorted(items, key=_key)
-    if len(ordered) == 1:
-        return ordered[0]
-    return _fold_right(And, ordered)
+    return _rebuild(And, [a, b])
 
 
 def star(a: LangExpr) -> LangExpr:
@@ -271,20 +323,17 @@ def normalize(l: LangExpr) -> LangExpr:
 
     Idempotent and denotation-preserving; expressions produced by this
     module are already normal, so this is mainly for externally built trees.
+    A same-class chain is walked without recursion and built once, so only
+    a change of class costs stack depth.
     """
+    if l._normal:
+        return l
     match l:
-        case Empty() | Eps() | Sym(_):
-            return l
-        case Cat(a, b):
-            return cat(normalize(a), normalize(b))
-        case Alt(a, b):
-            return alt(normalize(a), normalize(b))
         case Star(a):
             return star(normalize(a))
-        case Shuffle(a, b):
-            return shuffle(normalize(a), normalize(b))
-        case And(a, b):
-            return conj(normalize(a), normalize(b))
+        case _Binary():
+            cls = type(l)
+            return _rebuild(cls, [normalize(x) for x in _chain(cls, l)])
     raise TypeError(f"not a language expression: {l!r}")
 
 
@@ -404,18 +453,15 @@ def _words_upto(e: LangExpr, k: int) -> frozenset[Word]:
     raise TypeError(f"not a language expression: {e!r}")
 
 
-def enumerate_words(l: LangExpr, max_len: int, alphabet=None) -> set[Word]:
+def enumerate_words(l: LangExpr, max_len: int) -> set[Word]:
     """All words of the language up to `max_len`.
 
     Computed by a denotational evaluator over length-bounded word sets,
     independently of the derivative engine, so the result can serve as an
-    oracle for `member`, `includes` and `equiv`.  The optional alphabet is
-    accepted for interface symmetry; words of a language can only use the
-    symbols that occur in it.
+    oracle for `member`, `includes` and `equiv`.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    del alphabet
     return set(_words_upto(l, max_len))
 
 
@@ -541,7 +587,7 @@ def lang_to_text(e: LangExpr) -> str:
     return _print(e, 0)
 
 
-_LEVEL = {Alt: 1, And: 2, Shuffle: 3, Cat: 4}
+_LEVEL = {Alt: (1, "|"), And: (2, "&"), Shuffle: (3, "#"), Cat: (4, ".")}
 
 
 def _print(e: LangExpr, ctx: int) -> str:
@@ -554,18 +600,19 @@ def _print(e: LangExpr, ctx: int) -> str:
             return f"<{s.name}>"
         case Star(i):
             return _print(i, 5) + "*"
-        case Alt(a, b):
-            lvl, op = 1, "|"
-        case And(a, b):
-            lvl, op = 2, "&"
-        case Shuffle(a, b):
-            lvl, op = 3, "#"
-        case Cat(a, b):
-            lvl, op = 4, "."
+        case _Binary():
+            lvl, op = _LEVEL[type(e)]
         case _:
             raise TypeError(f"not a language expression: {e!r}")
-    # Chains are right-nested in canonical form; keep them flat in print.
-    body = f"{_print(a, lvl + 1)}{op}{_print(b, lvl)}"
+    # Chains are right-nested in canonical form; keep them flat in print,
+    # walking the right spine without recursion.
+    parts = []
+    cls = type(e)
+    while isinstance(e, cls):
+        parts.append(_print(e.left, lvl + 1))
+        e = e.right
+    parts.append(_print(e, lvl))
+    body = op.join(parts)
     return f"({body})" if ctx > lvl else body
 
 
@@ -606,32 +653,28 @@ def parse_lang(text: str, alphabet=None) -> LangExpr:
     return e
 
 
+def _parse_chain(cur, alphabet, cls, op: str, operand) -> LangExpr:
+    """`operand (op operand)*`, built once by the smart constructor of cls."""
+    parts = [operand(cur, alphabet)]
+    while cur.take(op):
+        parts.append(operand(cur, alphabet))
+    return parts[0] if len(parts) == 1 else _rebuild(cls, parts)
+
+
 def _parse_alt(cur, alphabet) -> LangExpr:
-    e = _parse_and(cur, alphabet)
-    while cur.take("|"):
-        e = alt(e, _parse_and(cur, alphabet))
-    return e
+    return _parse_chain(cur, alphabet, Alt, "|", _parse_and)
 
 
 def _parse_and(cur, alphabet) -> LangExpr:
-    e = _parse_shuffle(cur, alphabet)
-    while cur.take("&"):
-        e = conj(e, _parse_shuffle(cur, alphabet))
-    return e
+    return _parse_chain(cur, alphabet, And, "&", _parse_shuffle)
 
 
 def _parse_shuffle(cur, alphabet) -> LangExpr:
-    e = _parse_cat(cur, alphabet)
-    while cur.take("#"):
-        e = shuffle(e, _parse_cat(cur, alphabet))
-    return e
+    return _parse_chain(cur, alphabet, Shuffle, "#", _parse_cat)
 
 
 def _parse_cat(cur, alphabet) -> LangExpr:
-    e = _parse_post(cur, alphabet)
-    while cur.take("."):
-        e = cat(e, _parse_post(cur, alphabet))
-    return e
+    return _parse_chain(cur, alphabet, Cat, ".", _parse_post)
 
 
 def _parse_post(cur, alphabet) -> LangExpr:

@@ -1,11 +1,13 @@
 """Dynamic capability monitoring.
 
-Every actor reference carries a protocol tag.  The monitor checks three
-disciplines on concrete executions, mirroring what the checker guarantees
-statically:
+Every actor reference carries a protocol tag.  What sends have left of it
+lives in the configuration's tag table (`runtime.Config.tags`), keyed by
+reference identity; a reference missing from the table still holds its
+birth tag.  The monitor checks three disciplines on concrete executions,
+mirroring what the checker guarantees statically:
 
 * per-send permission: a send must be the derivative of the reference's
-  remaining tag, which then shrinks accordingly;
+  remaining tag, which then shrinks accordingly in the table;
 * per-turn conservation: the capabilities an actor holds toward a target,
   after a handler turn, shuffled with those it transferred inside outgoing
   messages, must stay within the derivative of what it held before the
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 from . import lang as lng
 from .lang import EPS, LangExpr, MsgType, Word, lang_to_text
-from .values import Value, iter_refs
+from .values import RefValue, Value, iter_refs
 
 
 SEND_NOT_PERMITTED = "SendNotPermitted"
@@ -74,11 +76,15 @@ class CapSummary:
         return self.entries.keys()
 
 
-def summarize(roots, seen_ids: set[int] | None = None) -> CapSummary:
-    """Walk values and collect every live tag, one entry per reference."""
+def summarize(roots, tags: dict[RefValue, LangExpr]) -> CapSummary:
+    """Walk values and collect every live tag, one entry per reference.
+
+    `tags` holds what sends have left of each reference's tag; a reference
+    it does not list holds its birth tag.
+    """
     summary = CapSummary()
-    for ref in iter_refs(roots, seen_ids):
-        summary.add(ref.target, ref.tag)
+    for ref in iter_refs(roots):
+        summary.add(ref.target, tags.get(ref, ref.tag))
     return summary
 
 
@@ -206,7 +212,7 @@ def global_invariant(config) -> list[Violation]:
         roots.extend(behv.env.values())
     for q in config.queues.values():
         roots.extend(v for v, _ in q)
-    summary = summarize(roots)
+    summary = summarize(roots, config.tags)
 
     violations: list[Violation] = []
     for actor, behv in sorted(config.store.items()):

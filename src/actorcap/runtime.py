@@ -60,7 +60,6 @@ from .values import (
     RefValue,
     UNIT_V,
     Value,
-    copy_value,
 )
 
 DEFAULT_LOCAL_STEPS = 100_000
@@ -166,21 +165,30 @@ class Stuck:
 
 @dataclass
 class Config:
+    """Installed behaviours, in-flight messages and remaining tags.
+
+    Values are immutable and may be shared between configurations.  `tags`
+    maps a reference, by identity, to what monitored sends have left of its
+    tag; a reference not in it holds its birth tag (`RefValue.tag`).  So a
+    reference reachable from several places, say under two names or inside
+    a closure, is one capability with one remaining tag.
+    """
+
     store: dict[int, BehValue] = field(default_factory=dict)
     queues: dict[tuple[int, int], list[tuple[Value, MsgType]]] = field(
         default_factory=dict
     )
     next_id: int = 0
     step_count: int = 0
+    tags: dict[RefValue, LangExpr] = field(default_factory=dict)
 
     def copy(self) -> "Config":
-        memo: dict[int, Value] = {}
-        store = {a: copy_value(b, memo) for a, b in self.store.items()}
-        queues = {
-            k: [(copy_value(v, memo), m) for v, m in q]
-            for k, q in self.queues.items()
-        }
-        return Config(store, queues, self.next_id, self.step_count)
+        """An independent branch: fresh containers, shared values."""
+        queues = {k: list(q) for k, q in self.queues.items()}
+        return Config(
+            dict(self.store), queues, self.next_id, self.step_count,
+            dict(self.tags),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +235,11 @@ class _Eval:
 
     def _split_value(self, v: Value, t1, t2) -> tuple[Value, Value]:
         if isinstance(v, RefValue):
-            l1 = t1.lang if isinstance(t1, ActorRefT) else v.tag
-            l2 = t2.lang if isinstance(t2, ActorRefT) else v.tag
+            tag = self.config.tags.get(v, v.tag)
+            l1 = t1.lang if isinstance(t1, ActorRefT) else tag
+            l2 = t2.lang if isinstance(t2, ActorRefT) else tag
             if self.monitor:
-                res = mon.split_tag(v.tag, l1, l2)
+                res = mon.split_tag(tag, l1, l2)
                 if isinstance(res, mon.Violation):
                     self._violation(res, actor=v.target)
             return RefValue(v.target, l1), RefValue(v.target, l2)
@@ -310,12 +319,13 @@ class _Eval:
                     raise DynamicTypeError(f"send target {target} is not a reference")
                 pv = self.eval(env, payload)
                 if self.monitor:
-                    res = mon.check_send_tag(tv.tag, msg)
+                    tag = self.config.tags.get(tv, tv.tag)
+                    res = mon.check_send_tag(tag, msg)
                     if isinstance(res, mon.Violation):
                         self._violation(res, actor=tv.target)
                     # The tag always tracks the derivative, so after k sends
                     # it equals the word derivative of the birth tag.
-                    tv.tag = lng.derivative(msg, tv.tag)
+                    self.config.tags[tv] = lng.derivative(msg, tag)
                 self.outq.append((pv, msg, tv.target))
                 self.trace.emit(
                     "send", src=self.self_id, dst=tv.target, msg=msg.name
@@ -474,7 +484,10 @@ def deliver(
             f"actor {dst} has no case for <{msg.name}>",
         )
     pre_existing = set(config.store.keys())
-    pre = mon.summarize(list(behv.env.values()) + [payload]) if monitor else None
+    pre = (
+        mon.summarize(list(behv.env.values()) + [payload], config.tags)
+        if monitor else None
+    )
 
     env = dict(behv.env)
     env[case.binder] = payload
@@ -512,8 +525,8 @@ def deliver(
         post_roots: list[Value] = list(result.env.values())
         for child in ev.spawned.values():
             post_roots.extend(child.env.values())
-        post = mon.summarize(post_roots)
-        transferred = mon.summarize([value for value, _, _ in ev.outq])
+        post = mon.summarize(post_roots, config.tags)
+        transferred = mon.summarize([value for value, _, _ in ev.outq], config.tags)
         sent: dict[int, list[MsgType]] = {}
         for _, m, target in ev.outq:
             sent.setdefault(target, []).append(m)
@@ -615,7 +628,7 @@ def explore(
 ) -> ExplorationReport:
     """Depth-first enumeration of every delivery order up to `max_depth`.
 
-    Branches run on independent config copies (monitor tags included), so
+    Branches run on independent config copies (tag tables included), so
     outcome classes merge associatively and the report is order-independent.
     One witness trace is kept per outcome class.
     """

@@ -1,8 +1,10 @@
 """Runtime values.
 
-All values are immutable except the protocol tag on an actor reference,
-which the monitor rewrites as sends consume it.  Tags are instrumentation
-only and never influence evaluation.
+All values are immutable.  An actor reference carries the protocol tag it
+was created with; what sends have left of that tag is run state, kept per
+reference in the configuration (`runtime.Config.tags`), so a reference
+reachable from several places is still one capability.  Tags are
+instrumentation only and never influence evaluation.
 """
 
 from __future__ import annotations
@@ -61,9 +63,13 @@ class BehValue(Value):
         return None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class RefValue(Value):
-    """Reference to an actor, tagged with its remaining protocol."""
+    """Reference to an actor, tagged with the protocol it was created with.
+
+    Equality and hashing are by identity: two references to one actor are
+    two capabilities, each with its own remaining tag in the configuration.
+    """
 
     target: int
     tag: LangExpr
@@ -72,39 +78,9 @@ class RefValue(Value):
         return f"RefValue({self.target}, {lang_to_text(self.tag)})"
 
 
-def copy_value(v: Value, memo: dict[int, Value]) -> Value:
-    """Deep copy that clones mutable tags but shares AST nodes.
-
-    The memo preserves aliasing: a reference reachable twice stays one
-    object in the copy, so exploration branches agree with the original on
-    which capabilities are distinct.
-    """
-    got = memo.get(id(v))
-    if got is not None:
-        return got
-    match v:
-        case Num() | BoolV() | UnitV():
-            return v
-        case PairV(a, b):
-            out = PairV(copy_value(a, memo), copy_value(b, memo))
-        case Closure(fun, env):
-            out = Closure(fun, {k: copy_value(x, memo) for k, x in env.items()})
-        case BehValue(annot, cases, env, node):
-            out = BehValue(
-                annot, cases, {k: copy_value(x, memo) for k, x in env.items()}, node
-            )
-        case RefValue(target, tag):
-            out = RefValue(target, tag)
-        case _:
-            raise TypeError(f"not a value: {v!r}")
-    memo[id(v)] = out
-    return out
-
-
-def iter_refs(roots, seen_ids: set[int] | None = None):
+def iter_refs(roots):
     """Yield each reachable RefValue once (deduplicated by identity)."""
-    if seen_ids is None:
-        seen_ids = set()
+    seen_ids: set[int] = set()
     stack = list(roots)
     while stack:
         v = stack.pop()

@@ -61,7 +61,7 @@ def test_criterion_1_algebra_oracle_suite():
     ]
     disagreements = 0
     for e in population:
-        oracle = lng.enumerate_words(e, WORD_BOUND, ALPHABET)
+        oracle = lng.enumerate_words(e, WORD_BOUND)
         for w in all_words:
             if lng.member(w, e) != (w in oracle):
                 disagreements += 1

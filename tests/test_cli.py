@@ -1,3 +1,4 @@
+import functools
 import json
 import pathlib
 
@@ -158,6 +159,18 @@ class TestExplore:
         assert main(["explore", COUNTER, "--depth", "0"]) == 0
         assert "depth: 1" in capsys.readouterr().out
 
+    def test_schedule_cap_exit_5(self, capsys, monkeypatch):
+        # fanin.acap has 6 schedules; a cap of 2 refuses it as a budget.
+        from actorcap import cli, runtime
+
+        monkeypatch.setattr(
+            cli, "explore", functools.partial(runtime.explore, schedule_cap=2)
+        )
+        assert main(["explore", FANIN]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "schedule budget exceeded: more than 2 schedules" in captured.err
+
 
 class TestAlg:
     def test_includes_true_exit_0(self, capsys):
@@ -209,8 +222,22 @@ class TestAlg:
     def test_state_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ACTORCAP_STATE_BUDGET", "1")
         code = main(["alg", "includes", "<a>.<b>.<c>", "(<a>|<b>|<c>)*"])
-        assert code == 4
+        assert code == 5
         assert "state" in capsys.readouterr().err.lower()
+
+    def test_state_budget_during_run_exit_5(self, capsys, monkeypatch):
+        monkeypatch.setenv("ACTORCAP_STATE_BUDGET", "1")
+        # The monitor's inclusions on pipeline.acap need more than one pair.
+        pipeline = str(CORPUS / "positive/pipeline.acap")
+        assert main(["run", pipeline, "--unchecked"]) == 5
+        assert "state budget exceeded" in capsys.readouterr().err
+
+    def test_deep_chain_without_traceback(self, capsys):
+        chain = ".".join(["<a>"] * 3000)
+        assert main(["alg", "includes", chain, "<a>*"]) == 0
+        assert capsys.readouterr().out.strip() == "true"
+        assert main(["alg", "derivative", "a", chain]) == 0
+        assert capsys.readouterr().out.strip() == ".".join(["<a>"] * 2999)
 
 
 class TestExitCodeContract:

@@ -252,6 +252,41 @@ class TestInterning:
         assert outs[0].count(",") == 5
 
 
+class TestDeepChains:
+    """5,000-deep chains are walked without recursion and built once."""
+
+    N = 5000
+    TEXT = ".".join(["<a>"] * N)
+
+    def raw_chain(self):
+        # Left-nested, with an eps between every two symbols: not normal.
+        chain = Sym(A)
+        for _ in range(self.N - 1):
+            chain = Cat(Cat(chain, EPS), Sym(A))
+        return chain
+
+    def test_normalize(self):
+        n = normalize(self.raw_chain())
+        assert n is parse_lang(self.TEXT)
+        assert normalize(n) is n
+        assert n.left is Sym(A) and n.right.left is Sym(A)
+
+    def test_includes(self):
+        assert includes(self.raw_chain(), star(sym("a")))
+        assert includes(parse_lang(self.TEXT), self.raw_chain())
+        assert not includes(parse_lang(self.TEXT + ".<a>"), self.raw_chain())
+
+    def test_lang_to_text(self):
+        assert lang_to_text(parse_lang(self.TEXT)) == self.TEXT
+        shuffled = shuffle(parse_lang(self.TEXT), sym("b"))
+        assert lang_to_text(shuffled) == f"<b>#{self.TEXT}"
+        assert lang_to_text(star(parse_lang(self.TEXT))) == f"({self.TEXT})*"
+
+    def test_left_nested_raw_trees_print_as_before(self):
+        assert lang_to_text(Cat(Cat(Sym(A), Sym(B)), Sym(C))) == "(<a>.<b>).<c>"
+        assert lang_to_text(Alt(Sym(A), Alt(Sym(B), EPS))) == "<a>|<b>|eps"
+
+
 class TestTextSyntax:
     @pytest.mark.parametrize(
         "text",

@@ -3,6 +3,7 @@ import random
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from actorcap import lang
 from actorcap.lang import (
     Alt,
     And,
@@ -21,6 +22,7 @@ from actorcap.lang import (
     member,
     normalize,
     shuffle,
+    star,
     word_derivative,
 )
 
@@ -47,7 +49,7 @@ words = st.lists(symbols, max_size=4).map(tuple)
 @settings(max_examples=120, deadline=None)
 @given(exprs)
 def test_member_agrees_with_enumeration_oracle(e):
-    words_of_e = enumerate_words(e, 3, ALPHABET)
+    words_of_e = enumerate_words(e, 3)
     import itertools
 
     for n in range(4):
@@ -121,15 +123,15 @@ def test_includes_antisymmetric_up_to_equiv(e1, e2):
 def test_normalize_idempotent_and_denotation_preserving(e):
     n = normalize(e)
     assert normalize(n) == n
-    assert enumerate_words(e, 3, ALPHABET) == enumerate_words(n, 3, ALPHABET)
+    assert enumerate_words(e, 3) == enumerate_words(n, 3)
 
 
 @settings(max_examples=120, deadline=None)
 @given(exprs)
 def test_is_empty_consistent_with_enumeration(e):
     if is_empty(e):
-        assert enumerate_words(e, 5, ALPHABET) == set()
-    if enumerate_words(e, 3, ALPHABET):
+        assert enumerate_words(e, 5) == set()
+    if enumerate_words(e, 3):
         assert not is_empty(e)
 
 
@@ -140,6 +142,28 @@ def test_shuffle_derivative_rule(s, e1, e2):
         shuffle(derivative(s, e1), e2), shuffle(e1, derivative(s, e2))
     )
     assert equiv(derivative(s, shuffle(e1, e2)), expected)
+
+
+def reference_normalize(e):
+    """The recursive rebuild, one smart constructor per node, no shortcuts."""
+    match e:
+        case Star(a):
+            return star(reference_normalize(a))
+        case Cat(a, b) | Alt(a, b) | Shuffle(a, b) | And(a, b):
+            cls = type(e)
+            parts = [reference_normalize(a), reference_normalize(b)]
+            return lang._SMART[cls]([x for p in parts for x in lang._chain(cls, p)])
+    return e
+
+
+@settings(max_examples=300, deadline=None)
+@given(exprs)
+def test_normal_fact_matches_rebuild(e):
+    # A node knows, from its construction, whether rebuilding changes it.
+    rebuilt = reference_normalize(e)
+    assert normalize(e) is rebuilt
+    assert e._normal == (rebuilt is e)
+    assert rebuilt._normal
 
 
 @settings(max_examples=200, deadline=None)

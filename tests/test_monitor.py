@@ -20,7 +20,15 @@ from actorcap.monitor import (
     split_tag,
     summarize,
 )
-from actorcap.runtime import Config, Trace, deliver, enabled_deliveries, init_config, run
+from actorcap.runtime import (
+    Config,
+    Trace,
+    deliver,
+    enabled_deliveries,
+    init_config,
+    local_eval,
+    run,
+)
 from actorcap.syntax import Beh, parse_program
 from actorcap.values import BehValue, PairV, RefValue, UNIT_V
 
@@ -79,7 +87,7 @@ class TestEffectConformance:
 class TestSummarize:
     def test_aliased_reference_counted_once(self):
         r = RefValue(3, sym("a"))
-        summary = summarize([PairV(r, r), r])
+        summary = summarize([PairV(r, r), r], {})
         assert summary.entries == {3: [sym("a")]}
 
     def test_combined_is_shuffle(self):
@@ -309,8 +317,9 @@ class TestTagDenotationAgreement:
         from actorcap.runtime import local_eval
 
         r = RefValue(4, NOP_ACT_NOP)
-        local_eval(0, {"r": r}, expr)
-        assert lng.equiv(r.tag, lng.word_derivative((NOP, ACT), NOP_ACT_NOP))
+        cfg = Config(next_id=5)
+        local_eval(0, {"r": r}, expr, config=cfg)
+        assert lng.equiv(cfg.tags[r], lng.word_derivative((NOP, ACT), NOP_ACT_NOP))
 
     def test_tags_untouched_when_monitoring_off(self):
         from actorcap.syntax import _Parser, tokenize
@@ -321,8 +330,64 @@ class TestTagDenotationAgreement:
         from actorcap.runtime import local_eval
 
         r = RefValue(4, NOP_ACT_NOP)
-        local_eval(0, {"r": r}, expr, monitor=False)
-        assert r.tag == NOP_ACT_NOP
+        cfg = Config(next_id=5)
+        local_eval(0, {"r": r}, expr, config=cfg, monitor=False)
+        assert cfg.tags.get(r, r.tag) == NOP_ACT_NOP
+
+
+def parse_expr(text, *msgs):
+    from actorcap.syntax import _Parser, tokenize
+
+    parser = _Parser(tokenize(text))
+    parser.alphabet.update(MsgType(m) for m in msgs)
+    return parser.expr()
+
+
+class TestAliasedTags:
+    """A reference reachable from several places is one capability."""
+
+    def test_copy_shares_aliases_within_a_branch_only(self):
+        r = RefValue(1, cat(sym("nop"), sym("act")))
+        env = {"r": r, "p": PairV(r, UNIT_V)}
+        cfg = Config(store={0: BehValue(EPS, (), env, Beh(EPS, ()))}, next_id=2)
+        branch = cfg.copy()
+        tr = Trace()
+        local_eval(0, env, parse_expr("send[nop](r, ())", "nop"), config=branch, trace=tr)
+        # The send through `r` is seen through the pair in the branch ...
+        assert summarize([env["p"]], branch.tags).entries == {1: [sym("act")]}
+        assert summarize(env.values(), branch.tags).entries == {1: [sym("act")]}
+        # ... and not in the original.
+        assert summarize(env.values(), cfg.tags).entries == {1: [r.tag]}
+        # A second <nop> through the other alias is refused in the branch
+        # only.
+        second = parse_expr("send[nop](p.1, ())", "nop")
+        local_eval(0, env, second, config=branch, trace=tr)
+        assert [e.violation for e in tr.violations()] == ["SendNotPermitted"]
+        tr = Trace()
+        local_eval(0, env, second, config=cfg, trace=tr)
+        assert tr.violations() == []
+
+    def test_closure_called_twice_shares_one_tag(self):
+        r = RefValue(1, sym("hit"))
+        e = parse_expr(
+            "let f = fun g(z: Nat): Unit ! eps => send[hit](r, ())"
+            " in let u1 = f 1 in f 2",
+            "hit",
+        )
+        cfg, tr = Config(next_id=2), Trace()
+        local_eval(0, {"r": r}, e, config=cfg, trace=tr)
+        assert [e.violation for e in tr.violations()] == ["SendNotPermitted"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "name", ["closure_capture", "use_after_consume", "split_behaviour"]
+    )
+    def test_unchecked_aliasing_programs_send_unpermitted(self, name, seed):
+        prog = parse_program((CORPUS / "negative" / f"{name}.acap").read_text())
+        tr = Trace(seed=seed)
+        cfg = init_config(prog, trace=tr)
+        trace, _ = run(cfg, seed=seed, trace=tr)
+        assert "SendNotPermitted" in {e.violation for e in trace.violations()}
 
 
 class TestMonitorOnCorpus:
