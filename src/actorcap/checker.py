@@ -525,17 +525,15 @@ class Checker:
                     f"duplicate case for <{c.label.name}>",
                 )
             seen_labels.add(c.label)
-        # Every message the declared protocol may deliver first must have a
-        # case, otherwise a permitted send could arrive unhandled.
-        for s in sorted(lng.symbols(e.annot)):
-            if s not in seen_labels and not lng.is_empty(lng.derivative(s, e.annot)):
-                raise TypeCheckError(
-                    ErrorCode.BehaviourConformance, e.loc,
-                    f"declared protocol admits <{s.name}> first but the "
-                    "behaviour has no case for it",
-                    required_language=lng.derivative(s, e.annot),
-                    declared_language=e.annot,
-                )
+        s = lng.first_unhandled(e.annot, seen_labels)
+        if s is not None:
+            raise TypeCheckError(
+                ErrorCode.BehaviourConformance, e.loc,
+                f"declared protocol admits <{s.name}> first but the "
+                "behaviour has no case for it",
+                required_language=lng.derivative(s, e.annot),
+                declared_language=e.annot,
+            )
         effects: dict[MsgType, LangExpr] = {}
         for c in e.cases:
             payload = self.program.payload_type(c.label)

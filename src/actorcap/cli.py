@@ -6,12 +6,17 @@ budget refused the input: the inclusion engine's state budget on any
 subcommand, or explore's schedule cap.  For the algebra subcommands
 `includes` and `equiv`, exit 0 means the relation holds and 1 that it does
 not, so they compose in shell scripts.
+
+ACTORCAP_STATE_BUDGET, when set and not empty, overrides the inclusion
+engine's state budget; any value that is not a positive integer is
+refused with exit 4 on every subcommand, before any work is done.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import lang as lng
@@ -301,8 +306,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _budget_env_ok(raw: str) -> bool:
+    try:
+        return int(raw) > 0
+    except ValueError:
+        return False
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    raw = os.environ.get(lng.STATE_BUDGET_ENV)
+    if raw and not _budget_env_ok(raw):
+        print(
+            f"error: {lng.STATE_BUDGET_ENV} must be a positive integer, "
+            f"got {raw!r}",
+            file=sys.stderr,
+        )
+        return EXIT_PARSE_ERROR
     try:
         return args.fn(args)
     except lng.StateBudgetExceeded as e:

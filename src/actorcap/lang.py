@@ -2,9 +2,10 @@
 
 Languages over message types describe which message sequences may be sent
 through an actor reference.  Everything else in the package reduces to the
-operations here: nullability, Brzozowski derivatives, the shuffle product
-(all interleavings of two languages), intersection, emptiness, inclusion and
-equivalence.
+operations here: nullability, derivatives (Antimirov's partial derivatives,
+whose canonical union is `derivative`), the shuffle product (all
+interleavings of two languages), intersection, emptiness and inclusion (one
+derivative-pair search, `_pair_search`), and equivalence.
 
 Expressions are hash-consed (see `LangExpr`): every constructor, raw or
 smart, returns the one interned node for its operands, so equality is
@@ -348,26 +349,23 @@ def symbols(l: LangExpr) -> frozenset[MsgType]:
 
 @lru_cache(maxsize=None)
 def derivative(s: MsgType, l: LangExpr) -> LangExpr:
-    """The language of completions: words w with s.w in the language."""
-    match l:
-        case Empty() | Eps():
-            return EMPTY
-        case Sym(t):
-            return EPS if t == s else EMPTY
-        case Cat(a, b):
-            d = cat(derivative(s, a), b)
-            if nullable(a):
-                d = alt(d, derivative(s, b))
-            return d
-        case Alt(a, b):
-            return alt(derivative(s, a), derivative(s, b))
-        case Star(a):
-            return cat(derivative(s, a), l)
-        case Shuffle(a, b):
-            return alt(shuffle(derivative(s, a), b), shuffle(a, derivative(s, b)))
-        case And(a, b):
-            return conj(derivative(s, a), derivative(s, b))
-    raise TypeError(f"not a language expression: {l!r}")
+    """The language of completions: words w with s.w in the language.
+
+    The canonical union of the partial derivatives.
+    """
+    return _rebuild(Alt, list(partial_derivatives(s, l)))
+
+
+def first_unhandled(l: LangExpr, handled) -> MsgType | None:
+    """The first symbol, in order, that `l` admits first and `handled` lacks.
+
+    A behaviour must have a case for every message its protocol may deliver
+    first, otherwise a permitted send could arrive unhandled.
+    """
+    for s in sorted(symbols(l)):
+        if s not in handled and not is_empty(derivative(s, l)):
+            return s
+    return None
 
 
 def word_derivative(w, l: LangExpr) -> LangExpr:
@@ -510,21 +508,10 @@ def is_empty(l: LangExpr) -> bool:
     """True iff the language denotes no words.
 
     Decided by searching the partial-derivative closure for a nullable
-    term; plain syntactic checks are not enough once intersection is in the
-    mix.
+    term (the pair search against no right terms, without a state budget);
+    plain syntactic checks are not enough once intersection is in the mix.
     """
-    stack = list(_terms(normalize(l)))
-    seen: set[LangExpr] = set()
-    while stack:
-        t = stack.pop()
-        if t in seen:
-            continue
-        if nullable(t):
-            return False
-        seen.add(t)
-        for s in symbols(t):
-            stack.extend(partial_derivatives(s, t))
-    return True
+    return _pair_search(_terms(normalize(l)), frozenset())
 
 
 def _state_budget(budget: int | None) -> int:
@@ -539,18 +526,29 @@ def _state_budget(budget: int | None) -> int:
 def includes(sub: LangExpr, sup: LangExpr, budget: int | None = None) -> bool:
     """Decide language inclusion by derivative-pair coinduction.
 
+    Raises StateBudgetExceeded when the pair closure (`_pair_search`)
+    outgrows the budget (default 10**5 pairs, overridable via
+    ACTORCAP_STATE_BUDGET).
+    """
+    return _pair_search(
+        _terms(normalize(sub)), _terms(normalize(sup)), _state_budget(budget)
+    )
+
+
+def _pair_search(
+    lefts, right0: frozenset[LangExpr], cap: int | None = None
+) -> bool:
+    """True iff every word of the `lefts` terms is a word of `right0`'s.
+
     States pair one partial-derivative term of the left language with the
     set of terms the right language has reached; a pair is a counterexample
     witness when the left term is nullable and no right term is.  Pairs
     whose left term literally occurs on the right hold reflexively.  The
     memoized hypothesis set is per call, so concurrent callers share
-    nothing.  Raises StateBudgetExceeded when the pair closure outgrows the
-    budget (default 10**5 pairs, overridable via ACTORCAP_STATE_BUDGET).
+    nothing.  Raises StateBudgetExceeded past `cap` pairs, if one is given.
     """
-    cap = _state_budget(budget)
-    right0 = _terms(normalize(sup))
     seen: set[tuple[LangExpr, frozenset[LangExpr]]] = set()
-    stack = [(t, right0) for t in _terms(normalize(sub))]
+    stack = [(t, right0) for t in lefts]
     while stack:
         t, rights = stack.pop()
         if t in rights or (t, rights) in seen:
@@ -558,7 +556,7 @@ def includes(sub: LangExpr, sup: LangExpr, budget: int | None = None) -> bool:
         if nullable(t) and not any(nullable(r) for r in rights):
             return False
         seen.add((t, rights))
-        if len(seen) > cap:
+        if cap is not None and len(seen) > cap:
             raise StateBudgetExceeded(
                 f"inclusion check exceeded {cap} derivative pairs"
             )

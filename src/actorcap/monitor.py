@@ -212,26 +212,26 @@ def global_invariant(config) -> list[Violation]:
         roots.extend(behv.env.values())
     for q in config.queues.values():
         roots.extend(v for v, _ in q)
-    summary = summarize(roots, config.tags)
+    live = list(iter_refs(roots))
+    # Values are immutable, so a reference nothing reaches now stays
+    # unreachable: what sends have left of its tag is dropped here.
+    for ref in config.tags.keys() - set(live):
+        del config.tags[ref]
+    summary = summarize(live, config.tags)
 
     violations: list[Violation] = []
     for actor, behv in sorted(config.store.items()):
-        # An installed behaviour must have a case for every message its
-        # annotation admits first, or a permitted send arrives unhandled.
-        for s in sorted(lng.symbols(behv.annot)):
-            if behv.case_for(s) is None and not lng.is_empty(
-                lng.derivative(s, behv.annot)
-            ):
-                violations.append(
-                    Violation(
-                        GLOBAL_INVARIANT_BROKEN,
-                        actor,
-                        f"installed behaviour promises "
-                        f"{lang_to_text(behv.annot)} but has no case for "
-                        f"<{s.name}>",
-                    )
+        s = lng.first_unhandled(behv.annot, {c.label for c in behv.cases})
+        if s is not None:
+            violations.append(
+                Violation(
+                    GLOBAL_INVARIANT_BROKEN,
+                    actor,
+                    f"installed behaviour promises "
+                    f"{lang_to_text(behv.annot)} but has no case for "
+                    f"<{s.name}>",
                 )
-                break
+            )
         combined = summary.combined(actor)
         inbound = [
             tuple(m for _, m in q)

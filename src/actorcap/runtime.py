@@ -171,7 +171,8 @@ class Config:
     maps a reference, by identity, to what monitored sends have left of its
     tag; a reference not in it holds its birth tag (`RefValue.tag`).  So a
     reference reachable from several places, say under two names or inside
-    a closure, is one capability with one remaining tag.
+    a closure, is one capability with one remaining tag.  The monitor's
+    global check drops the entries of references nothing reaches any more.
     """
 
     store: dict[int, BehValue] = field(default_factory=dict)

@@ -547,13 +547,20 @@ class _Parser:
         )
 
     def let_expr(self) -> Expr:
-        loc = self.expect("let").loc
-        name = self.expect("NAME").text
-        self.expect("=")
-        value = self.expr()
-        self.expect("in")
+        # A chain `let x = v in let y = w in ...` is read head by head and
+        # built right to left, so its length costs no stack depth.
+        heads = []
+        while self.at("let"):
+            loc = self.next().loc
+            name = self.expect("NAME").text
+            self.expect("=")
+            value = self.expr()
+            self.expect("in")
+            heads.append((name, value, loc))
         body = self.expr()
-        return Let(name, value, body, loc)
+        for name, value, loc in reversed(heads):
+            body = Let(name, value, body, loc)
+        return body
 
     def split_expr(self) -> Expr:
         loc = self.expect("split").loc

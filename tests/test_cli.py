@@ -232,6 +232,24 @@ class TestAlg:
         assert main(["run", pipeline, "--unchecked"]) == 5
         assert "state budget exceeded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", COUNTER], ["run", COUNTER], ["explore", COUNTER],
+         ["alg", "includes", "<a>.<b>", "<a>*"]],
+        ids=["check", "run", "explore", "alg"],
+    )
+    def test_malformed_state_budget_env_exit_4(self, argv, value, capsys,
+                                               monkeypatch):
+        monkeypatch.setenv("ACTORCAP_STATE_BUDGET", value)
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: ACTORCAP_STATE_BUDGET must be a positive integer, "
+            f"got {value!r}\n"
+        )
+
     def test_deep_chain_without_traceback(self, capsys):
         chain = ".".join(["<a>"] * 3000)
         assert main(["alg", "includes", chain, "<a>*"]) == 0

@@ -28,6 +28,7 @@ from actorcap.lang import (
     derivative,
     enumerate_words,
     equiv,
+    first_unhandled,
     includes,
     is_empty,
     lang_to_text,
@@ -79,6 +80,12 @@ class TestDerivative:
         e = shuffle(cat(Sym(A), Sym(B)), Sym(B))
         assert enumerate_words(e, 3) == {w("a", "b", "b"), w("b", "a", "b")}
         assert equiv(derivative(B, e), cat(Sym(A), Sym(B)))
+
+    def test_union_of_partial_derivatives_prints_distributed(self):
+        # derivative is the union of partial derivatives, so the residual of
+        # (a.b|a.c).d prints as a union of terms, not as a factored concat.
+        e = parse_lang("(<a>.<b>|<a>.<c>).<d>")
+        assert lang_to_text(derivative(A, e)) == "<b>.<d>|<c>.<d>"
 
 
 class TestWordDerivative:
@@ -139,6 +146,27 @@ class TestIsEmpty:
 
     def test_nonempty(self):
         assert not is_empty(NOP_ACT_NOP)
+
+    def test_takes_no_state_budget(self, monkeypatch):
+        # Finding <c> in a.b.c needs more than one search state; with the
+        # same budget, inclusion is refused.
+        chain = cat(Sym(A), cat(Sym(B), Sym(C)))
+        monkeypatch.setenv("ACTORCAP_STATE_BUDGET", "1")
+        assert not is_empty(chain)
+        assert is_empty(And(chain, cat(Sym(A), Sym(B))))
+        with pytest.raises(StateBudgetExceeded):
+            includes(chain, star(alt(Sym(A), alt(Sym(B), Sym(C)))))
+
+
+class TestFirstUnhandled:
+    def test_first_missing_symbol_in_order(self):
+        e = parse_lang("<c>|<b>.<a>")
+        assert first_unhandled(e, set()) == B
+        assert first_unhandled(e, {B}) == C
+        assert first_unhandled(e, {B, C}) is None
+
+    def test_symbols_no_word_starts_with_need_no_case(self):
+        assert first_unhandled(parse_lang("<a>&<b>|<c>"), {C}) is None
 
 
 class TestIncludes:

@@ -1,7 +1,7 @@
 import random
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from actorcap import lang
 from actorcap.lang import (
@@ -61,6 +61,17 @@ def test_member_agrees_with_enumeration_oracle(e):
 @given(symbols, exprs, words)
 def test_derivative_soundness(s, e, rest):
     assert member(rest, derivative(s, e)) == member((s,) + rest, e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symbols, exprs)
+# A partial derivative that is itself a union: <a>|<b> next to <c>.
+@example(A, Alt(Cat(Sym(A), Alt(Sym(A), Sym(B))), Cat(Sym(A), Sym(C))))
+def test_derivative_matches_enumeration_oracle(s, e):
+    d = derivative(s, normalize(e))
+    expected = {w[1:] for w in enumerate_words(e, 5) if w[:1] == (s,)}
+    assert enumerate_words(d, 4) == expected
+    assert d._normal  # the union of the partial derivatives is canonical
 
 
 @settings(max_examples=100, deadline=None)

@@ -30,7 +30,7 @@ from actorcap.runtime import (
     run,
 )
 from actorcap.syntax import Beh, parse_program
-from actorcap.values import BehValue, PairV, RefValue, UNIT_V
+from actorcap.values import BehValue, PairV, RefValue, UNIT_V, iter_refs
 
 from langgen import ALPHABET, random_expr
 
@@ -388,6 +388,25 @@ class TestAliasedTags:
         cfg = init_config(prog, trace=tr)
         trace, _ = run(cfg, seed=seed, trace=tr)
         assert "SendNotPermitted" in {e.violation for e in trace.violations()}
+
+
+class TestTagTableHoldsLiveReferences:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "path",
+        sorted((CORPUS / "positive").glob("*.acap")),
+        ids=lambda p: p.name,
+    )
+    def test_only_reachable_references_keep_an_entry(self, path, seed):
+        prog = parse_program(path.read_text())
+        typed = check_program(prog)
+        tr = Trace(seed=seed)
+        cfg = init_config(prog, typed=typed, trace=tr)
+        run(cfg, typed=typed, seed=seed, trace=tr)
+        roots = [v for b in cfg.store.values() for v in b.env.values()]
+        roots += [v for q in cfg.queues.values() for v, _ in q]
+        live = set(iter_refs(roots))
+        assert set(cfg.tags) <= live
 
 
 class TestMonitorOnCorpus:

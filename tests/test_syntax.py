@@ -2,10 +2,14 @@ import pathlib
 
 import pytest
 
+from actorcap.checker import check_program
 from actorcap.lang import EMPTY, MsgType, star, sym
+from actorcap.runtime import Trace, init_config, run
 from actorcap.syntax import (
     ActorRefT,
     Beh,
+    Let,
+    NatLit,
     ParseError,
     Path,
     Program,
@@ -140,6 +144,34 @@ class TestFreeVars:
         src = "beh[<Unit>]{ Unit(m) => " + lets + "beh[eps]{ } }"
         for _ in range(2):
             assert free_vars(parse_program(src).root) == frozenset()
+
+
+class TestLetChains:
+    def test_chain_builds_nested_lets(self):
+        e = parse_expr("let x = let y = 1 in y in let z = x in z")
+        assert e == Let(
+            "x", Let("y", NatLit(1), Var(Path("y"))),
+            Let("z", Var(Path("x")), Var(Path("z"))),
+        )
+        assert (e.loc.col, e.body.loc.col) == (1, 27)
+
+    def test_800_let_chain_checks_and_runs_monitored(self):
+        sends = "".join(f"let u{i} = send[d](t, ()) in " for i in range(1, 800))
+        src = (
+            "msg d : Unit\n"
+            "beh[<Unit>]{ Unit(m) =>\n"
+            "  let t = spawn((fun mk(s: Nat): Beh[<d>*] ! eps =>"
+            " beh[<d>*]{ d(x) => mk s }) 0)\n"
+            f"  in {sends}beh[eps]{{ }} }}\n"
+        )
+        prog = parse_program(src)
+        typed = check_program(prog)
+        tr = Trace(seed=0)
+        cfg = init_config(prog, typed=typed, trace=tr)
+        trace, outcome = run(cfg, typed=typed, seed=0, trace=tr)
+        assert outcome == "quiescent"
+        assert trace.violations() == []
+        assert sum(e.kind == "deliver" for e in trace.events) == 800
 
 
 class TestProgramHelpers:
