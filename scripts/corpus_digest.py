@@ -6,10 +6,11 @@ captured:
 
 * ``check --format json``;
 * ``run --format json --seed N`` for N in 0..5;
-* ``explore --depth 8 --format json``.
+* ``explore --depth 8``, as JSON and as text (only the text prints the
+  violation witness).
 
 Negative programs are run and explored with ``--unchecked``.  The exit
-codes and both output streams of all eight commands go into one sha256,
+codes and both output streams of all nine commands go into one sha256,
 printed as ``sha256  program``, one line per program.  The script re-execs
 itself under PYTHONHASHSEED=0, so set iteration order, and with it every
 byte of output, is the same on each run.
@@ -37,7 +38,8 @@ def commands(rel: str, negative: bool) -> list[list[str]]:
     cmds = [["check", rel, "--format", "json"]]
     for seed in SEEDS:
         cmds.append(["run", rel, "--format", "json", "--seed", str(seed)] + unchecked)
-    cmds.append(["explore", rel, "--depth", str(DEPTH), "--format", "json"] + unchecked)
+    for fmt in ("json", "text"):
+        cmds.append(["explore", rel, "--depth", str(DEPTH), "--format", fmt] + unchecked)
     return cmds
 
 
