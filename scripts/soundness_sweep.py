@@ -31,7 +31,8 @@ def sweep_positive(depth: int) -> bool:
         ok &= clean
         outcomes = ", ".join(f"{k}={v}" for k, v in sorted(report.outcomes.items()))
         status = "clean" if clean else "PROBLEM"
-        print(f"  {path.name:24} {report.schedules:4} schedules  {outcomes:24} {status}")
+        print(f"  {path.name:24} {report.schedules:4} schedules {report.states:3} states"
+              f"  {outcomes:24} {status}")
     return ok
 
 

@@ -471,10 +471,21 @@ class Checker:
                 return UNIT, env2, eff
             case Split():
                 return self._infer_split(env, e)
-            case Let(name, value, body):
-                tv, env1, eff1 = self.infer(env, value)
-                tb, env2, eff2 = self.infer(env1.bind(name, tv), body)
-                return tb, self._drop(env2, name, e.loc), lng.shuffle(eff1, eff2)
+            case Let():
+                # A chain of lets is walked along its right spine in a loop,
+                # so its length is not bounded by the Python stack; scopes
+                # then close innermost first, as nested calls would close them.
+                spine = []
+                while isinstance(e, Let):
+                    tv, env, eff = self.infer(env, e.value)
+                    env = env.bind(e.name, tv)
+                    spine.append((e, eff))
+                    e = e.body
+                tb, env, eff = self.infer(env, e)
+                for let, let_eff in reversed(spine):
+                    env = self._drop(env, let.name, let.loc)
+                    eff = lng.shuffle(let_eff, eff)
+                return tb, env, eff
         raise TypeCheckError(
             ErrorCode.TypeMismatch, getattr(e, "loc", Loc(0, 0)),
             f"unhandled expression form {type(e).__name__}",

@@ -10,8 +10,11 @@ interleave arbitrarily.
 
 A run with a fixed seed is a pure function of the initial configuration:
 the scheduler draws uniformly among enabled deliveries from a seeded PRNG,
-and traces replay byte for byte.  `explore` enumerates every delivery order
-up to a depth bound instead, classifying each schedule's outcome.
+and traces replay byte for byte.  `explore` counts every delivery order up
+to a depth bound instead, classifying each schedule's outcome, but expands
+each distinct configuration once (`Config.fingerprint`): schedules that
+meet in one configuration share what follows it.  Its witnesses are the
+first schedules in depth-first order, and its cap still counts schedules.
 
 Stuckness is a first-class outcome: a delivery whose head message has no
 matching case in the target's installed behaviour reports
@@ -59,6 +62,7 @@ from .values import (
     PairV,
     RefValue,
     UNIT_V,
+    UnitV,
     Value,
 )
 
@@ -190,6 +194,59 @@ class Config:
             dict(self.store), queues, self.next_id, self.step_count,
             dict(self.tags),
         )
+
+    def fingerprint(self) -> tuple:
+        """A canonical, hashable key: configurations with equal keys have
+        the same future under every delivery order.
+
+        The walk goes over the store by actor id, each environment by name
+        and the queues by key.  A reference becomes the number of its first
+        occurrence in the walk, paired there with its remaining tag, so
+        aliasing counts and dead `tags` entries do not; a pair, closure or
+        behaviour met again is its number too, so shared structure is walked
+        once.  AST nodes count by identity.  `step_count` only counts, so it
+        is left out.
+        """
+        key: list = [self.next_id, len(self.store)]
+        numbers: dict[int, int] = {}  # id of a walked value -> its number
+        tags = self.tags
+
+        def walk(root: Value):
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                if isinstance(v, (Num, BoolV, UnitV)):
+                    key.append(v)
+                    continue
+                n = numbers.get(id(v))
+                if n is not None:
+                    key.append(n)
+                    continue
+                numbers[id(v)] = len(numbers)
+                if isinstance(v, RefValue):
+                    key.append(("ref", v.target, tags.get(v, v.tag)))
+                elif isinstance(v, PairV):
+                    key.append("pair")
+                    stack.append(v.second)
+                    stack.append(v.first)
+                else:
+                    names = sorted(v.env)
+                    if isinstance(v, Closure):
+                        key.append(("fun", id(v.fun), *names))
+                    else:
+                        key.append(("beh", id(v.node), id(v.cases), v.annot, *names))
+                    stack.extend(v.env[name] for name in reversed(names))
+
+        for actor in sorted(self.store):
+            key.append(actor)
+            walk(self.store[actor])
+        for k in sorted(k for k, q in self.queues.items() if q):
+            q = self.queues[k]
+            key.append((k, len(q)))
+            for value, msg in q:
+                key.append(msg)
+                walk(value)
+        return tuple(key)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +396,20 @@ class _Eval:
                 inner_env[n1] = v1
                 inner_env[n2] = v2
                 return self.eval(inner_env, body)
-            case Let(name, value, body):
-                bound = self.eval(env, value)
+            case Let():
+                # A chain of lets is walked along its right spine in a loop,
+                # so its length is not bounded by the Python stack.  No one
+                # keeps the environment of an evaluation, so one copy serves
+                # the whole chain.
                 inner_env = dict(env)
-                inner_env[name] = bound
-                return self.eval(inner_env, body)
+                while True:
+                    inner_env[e.name] = self.eval(inner_env, e.value)
+                    e = e.body
+                    if not isinstance(e, Let):
+                        return self.eval(inner_env, e)
+                    self.steps += 1  # the step a nested call would count
+                    if self.steps > self.budget:
+                        raise BudgetExhausted(f"step budget of {self.budget} exhausted")
         raise DynamicTypeError(f"unhandled expression form {type(e).__name__}")
 
     def _binop(self, op: str, a: Value, b: Value) -> Value:
@@ -607,6 +673,7 @@ class ExplorationReport:
     schedules: int = 0
     violation_kinds: set[str] = field(default_factory=set)
     violation_witness: Trace | None = None
+    states: int = 0  # distinct configurations expanded
 
     @property
     def any_stuck(self) -> bool:
@@ -615,6 +682,25 @@ class ExplorationReport:
     @property
     def any_violation(self) -> bool:
         return bool(self.violation_kinds)
+
+
+Suffix = tuple[tuple[int, int], ...]  # the deliveries chosen below a state
+
+
+@dataclass
+class _Below:
+    """The schedules below one state, as the memo keeps them."""
+
+    counts: dict[str, int] = field(default_factory=dict)  # per outcome class
+    first: tuple[str, Suffix] | None = None  # the first schedule's class and suffix
+
+    def add(self, choice: tuple[int, int], sub: "_Below"):
+        """Append the schedules that start with `choice`, then go as `sub`."""
+        for label, n in sub.counts.items():
+            self.counts[label] = self.counts.get(label, 0) + n
+        if self.first is None:
+            label, suffix = sub.first
+            self.first = (label, (choice,) + suffix)
 
 
 def explore(
@@ -627,50 +713,115 @@ def explore(
     schedule_cap: int = DEFAULT_SCHEDULE_CAP,
     base_trace: Trace | None = None,
 ) -> ExplorationReport:
-    """Depth-first enumeration of every delivery order up to `max_depth`.
+    """Every delivery order up to `max_depth`, searched over configurations.
 
-    Branches run on independent config copies (tag tables included), so
-    outcome classes merge associatively and the report is order-independent.
-    One witness trace is kept per outcome class.
+    The search is depth-first, with branches on independent config copies
+    (tag tables included).  Below the first state with a choice of
+    delivery, each state is keyed by its `Config.fingerprint()` and depth,
+    and a state met again is not expanded again: the memo adds its
+    schedules per outcome class.  Its first visit already recorded every
+    class and violation below it, so only violations raised on the way to
+    the state can be new; when one of them is the first violation seen,
+    the state's first schedule is replayed from the current configuration
+    as the witness.  So the report is the one an enumeration of every
+    schedule gives: `schedules` and `outcomes` count schedules, each
+    witness is the first schedule of its class in depth-first order, the
+    violation witness is the first schedule raising one, and
+    `schedule_cap` still caps schedules.  `states` counts the
+    configurations expanded.
     """
-    report = ExplorationReport()
     base_events = list(base_trace.events) if base_trace is not None else []
+    search = _Search(typed, max_depth, monitor, local_budget, schedule_cap)
+    search.go(config, base_events, 0, False)
+    return search.report
 
-    def record(label: str, events: list[TraceEvent]):
-        report.schedules += 1
-        if report.schedules > schedule_cap:
+
+def _violations(events: list[TraceEvent]) -> set[str]:
+    return {e.violation for e in events if e.kind == "violation"}
+
+
+class _Search:
+    """One `explore`: the report so far and the memo of expanded states.
+
+    A class rather than nested functions, which would hold the memo in a
+    reference cycle until the next cyclic collection.
+    """
+
+    def __init__(self, typed, max_depth: int, monitor: bool, local_budget: int,
+                 schedule_cap: int):
+        self.typed = typed
+        self.max_depth = max_depth
+        self.monitor = monitor
+        self.local_budget = local_budget
+        self.schedule_cap = schedule_cap
+        self.report = ExplorationReport()
+        self.memo: dict[tuple, _Below] = {}
+
+    def deliver(self, cfg: Config, choice: tuple[int, int], trace: Trace):
+        return deliver(cfg, choice, typed=self.typed, monitor=self.monitor,
+                       trace=trace, local_budget=self.local_budget)
+
+    def count(self, n: int):
+        self.report.schedules += n
+        if self.report.schedules > self.schedule_cap:
             raise ScheduleBudgetExceeded(
-                f"more than {schedule_cap} schedules at depth {max_depth}"
+                f"more than {self.schedule_cap} schedules at depth {self.max_depth}"
             )
+
+    def record(self, label: str, events: list[TraceEvent]) -> _Below:
+        report = self.report
+        self.count(1)
         report.outcomes[label] = report.outcomes.get(label, 0) + 1
         witness = Trace(events=events, outcome=label)
         if label not in report.witnesses:
             report.witnesses[label] = witness
-        viol_kinds = {e.violation for e in events if e.kind == "violation"}
+        viol_kinds = _violations(events)
         if viol_kinds:
             report.violation_kinds.update(viol_kinds)
             if report.violation_witness is None:
                 report.violation_witness = witness
+        return _Below({label: 1}, (label, ()))
 
-    def go(cfg: Config, events: list[TraceEvent], depth: int):
+    def reuse(self, cfg: Config, events: list[TraceEvent], below: _Below):
+        report = self.report
+        self.count(sum(below.counts.values()))
+        for label, n in below.counts.items():
+            report.outcomes[label] += n
+        above = _violations(events)
+        if above:
+            report.violation_kinds |= above
+            if report.violation_witness is None:
+                label, suffix = below.first
+                branch = cfg.copy()
+                tr = Trace(events=list(events), outcome=label)
+                for choice in suffix:
+                    self.deliver(branch, choice, tr)
+                report.violation_witness = tr
+
+    def go(self, cfg: Config, events: list[TraceEvent], depth: int,
+           branched: bool) -> _Below:
         enabled = enabled_deliveries(cfg)
         if not enabled:
-            record("quiescent", events)
-            return
-        if depth >= max_depth:
-            record("depth", events)
-            return
+            return self.record("quiescent", events)
+        if depth >= self.max_depth:
+            return self.record("depth", events)
+        # A state with no choice above it has one path to it: no memo.
+        key = (cfg.fingerprint(), depth) if branched else None
+        if key in self.memo:
+            self.reuse(cfg, events, self.memo[key])
+            return self.memo[key]
+        self.report.states += 1
+        below = _Below()
+        branched = branched or len(enabled) > 1
         for src, dst, _ in enabled:
             branch = cfg.copy()
             tr = Trace(events=list(events))
-            res = deliver(
-                branch, (src, dst), typed=typed, monitor=monitor,
-                trace=tr, local_budget=local_budget,
-            )
+            res = self.deliver(branch, (src, dst), tr)
             if isinstance(res, Stuck):
-                record(f"stuck:{res.kind}", tr.events)
+                sub = self.record(f"stuck:{res.kind}", tr.events)
             else:
-                go(branch, tr.events, depth + 1)
-
-    go(config, base_events, 0)
-    return report
+                sub = self.go(branch, tr.events, depth + 1, branched)
+            below.add((src, dst), sub)
+        if key is not None:
+            self.memo[key] = below
+        return below

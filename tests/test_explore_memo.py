@@ -1,0 +1,184 @@
+"""`runtime.explore` searches configurations, not schedules.
+
+Its report must be the one the plain depth-first enumeration gives
+(`naive_explore`): the same schedule count, the same outcome classes in
+the same order, the same witnesses byte for byte.  The fan-in programs
+come from the benchmark's generators, imported read-only.
+"""
+
+import pathlib
+import sys
+
+import pytest
+
+from actorcap import runtime
+from actorcap.checker import check_program
+from actorcap.cli import main
+from actorcap.lang import EPS, MsgType, sym
+from actorcap.runtime import Config, ScheduleBudgetExceeded, Trace, explore, init_config
+from actorcap.syntax import Beh, parse_program
+from actorcap.values import BehValue, Num, PairV, RefValue
+
+from naive_explore import naive_explore
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+import gen  # noqa: E402  (the benchmark's program generators)
+
+CORPUS = sorted((ROOT / "corpus").glob("*/*.acap"))
+
+# Two forwarders share one reference.  Sending <b> before <a> breaks its
+# protocol, and both orders reach one configuration, which the second
+# order meets in the memo with its first violation raised on the way.
+CONVERGING = """
+msg a : Unit
+msg b : Unit
+msg go : Unit
+
+beh[<Unit>]{
+  Unit(m) =>
+    let recv = spawn[<a>.(<b>|eps)|<b>]((fun mk(s: Nat): Beh[(<a>|<b>)*] ! eps =>
+        beh[(<a>|<b>)*]{ a(x) => mk s | b(x) => mk s }) 0)
+    in let f1 = spawn(beh[<go>]{ go(x) => let u = send[a](recv, ()) in beh[eps]{ } })
+    in let f2 = spawn(beh[<go>]{ go(x) => let u = send[b](recv, ()) in beh[eps]{ } })
+    in let u1 = send[go](f1, ())
+    in let u2 = send[go](f2, ())
+    in beh[eps]{ }
+}
+"""
+
+
+def _setup(source: str, monitor: bool, checked: bool = True):
+    program = parse_program(source)
+    typed = check_program(program) if checked else None
+    base = Trace()
+    config = init_config(program, typed=typed, monitor=monitor, trace=base)
+    return config, dict(typed=typed, monitor=monitor, base_trace=base)
+
+
+def _observable(report) -> tuple:
+    return (
+        report.schedules,
+        list(report.outcomes.items()),
+        [(label, w.to_jsonl()) for label, w in report.witnesses.items()],
+        report.violation_kinds,
+        report.violation_witness and report.violation_witness.to_jsonl(),
+    )
+
+
+def _same_as_naive(source: str, depth: int, monitor: bool, checked: bool = True):
+    config, kw = _setup(source, monitor, checked)
+    want = naive_explore(config, max_depth=depth, **kw)
+    got = explore(config, max_depth=depth, **kw)
+    assert _observable(got) == _observable(want)
+    return got
+
+
+@pytest.mark.parametrize("monitor", [True, False], ids=["mon", "nomon"])
+@pytest.mark.parametrize("path", CORPUS, ids=[f"{p.parent.name}/{p.stem}" for p in CORPUS])
+def test_corpus_matches_naive(path, monitor):
+    _same_as_naive(path.read_text(), 8, monitor, checked=path.parent.name == "positive")
+
+
+@pytest.mark.parametrize("monitor", [True, False], ids=["mon", "nomon"])
+@pytest.mark.parametrize("star", [False, True], ids=["exact", "star"])
+@pytest.mark.parametrize("k,m,depth", [(3, 2, 12), (2, 3, 12), (3, 3, 6), (4, 2, 6)])
+def test_fanin_matches_naive(k, m, depth, star, monitor):
+    report = _same_as_naive(gen.fanin_program(k, m, "t", star=star), depth, monitor)
+    assert report.states < report.schedules
+
+
+@pytest.mark.parametrize("monitor", [True, False], ids=["mon", "nomon"])
+def test_violation_on_the_way_to_a_known_state(monitor):
+    report = _same_as_naive(CONVERGING, 8, monitor, checked=False)
+    assert bool(report.violation_kinds) == monitor
+
+
+def test_fanin_3x3_depth_10_expands_few_states(monkeypatch):
+    deliveries = 0
+    real = runtime.deliver
+
+    def counted(*args, **kwargs):
+        nonlocal deliveries
+        deliveries += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "deliver", counted)
+    config, kw = _setup(gen.fanin_program(3, 3, "t"), monitor=True)
+    report = explore(config, max_depth=10, **kw)
+    assert report.schedules == 11_130
+    assert report.outcomes == {"depth": 11_130}
+    assert report.states <= 120
+    assert deliveries <= 300  # the plain enumeration makes 18,901
+
+
+def test_cli_fanin_3x3_depth_10(tmp_path, capsys):
+    program = tmp_path / "fanin.acap"
+    program.write_text(gen.fanin_program(3, 3, "t"))
+    assert main(["explore", str(program), "--depth", "10"]) == 0
+    assert capsys.readouterr().out == "schedules explored: 11130\n  depth: 11130\n"
+
+
+class TestScheduleCap:
+    """The cap counts schedules, memo hits included, as the plain search does."""
+
+    def _explore(self, cap: int, fn=explore):
+        config, kw = _setup(gen.fanin_program(3, 2, "t"), monitor=False)
+        return fn(config, max_depth=12, schedule_cap=cap, **kw)
+
+    def test_exact_cap_passes(self):
+        report = self._explore(1680)
+        assert report.schedules == 1680
+        assert report.states < 1680  # memo hits were counted
+
+    def test_one_below_raises_the_naive_message(self):
+        with pytest.raises(ScheduleBudgetExceeded) as naive:
+            self._explore(1679, naive_explore)
+        with pytest.raises(ScheduleBudgetExceeded) as memo:
+            self._explore(1679)
+        assert str(memo.value) == str(naive.value)
+
+
+A = MsgType("a")
+NODE = Beh(EPS, ())
+
+
+def _holding(tags=None, **env) -> Config:
+    """Actor 0 holds `env`; actor 1 exists."""
+    return Config(store={0: BehValue(EPS, (), env, NODE)}, next_id=2,
+                  tags=dict(tags or {}))
+
+
+class TestFingerprint:
+    def test_aliasing_counts(self):
+        r = RefValue(1, sym(A))
+        one = _holding(x=r, y=r)
+        two = _holding(x=r, y=RefValue(1, sym(A)))
+        assert one.fingerprint() != two.fingerprint()
+
+    def test_remaining_tag_counts(self):
+        r = RefValue(1, sym(A))
+        assert _holding(x=r).fingerprint() != _holding({r: EPS}, x=r).fingerprint()
+
+    def test_dead_tag_entries_do_not_count(self):
+        r, dead = RefValue(1, sym(A)), RefValue(1, sym(A))
+        assert _holding(x=r).fingerprint() == _holding({dead: EPS}, x=r).fingerprint()
+
+    def test_allocation_order_does_not_count(self):
+        def build(first: int) -> Config:
+            refs = {}
+            for target in (first, 1 - first):
+                refs[target] = RefValue(target, sym(A))
+            cfg = Config(next_id=3)
+            for actor in (1 - first, first):
+                cfg.store[actor] = BehValue(EPS, (), {"r": refs[1 - actor]}, NODE)
+            cfg.queues[(1, 0)] = [(PairV(refs[0], Num(2)), A)]
+            cfg.tags[refs[0]] = EPS
+            return cfg
+
+        assert build(0).fingerprint() == build(1).fingerprint()
+
+    def test_next_id_counts(self):
+        a, b = _holding(), _holding()
+        b.next_id += 1
+        assert a.fingerprint() != b.fingerprint()

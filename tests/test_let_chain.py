@@ -1,0 +1,58 @@
+"""Long `let` chains check, run and print without a RecursionError.
+
+The checker and the evaluator walk a chain's right spine in a loop, so its
+length is not bounded by the Python stack.
+"""
+
+import pathlib
+import sys
+
+from actorcap.checker import check_program
+from actorcap.cli import main
+from actorcap.runtime import Trace, init_config, run
+from actorcap.syntax import parse_program
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+import gen  # noqa: E402  (the benchmark's program generators)
+
+N = 3000
+SOURCE = gen.chain_program(N, "t")
+
+
+def test_checks():
+    typed = check_program(parse_program(SOURCE))
+    assert typed.warnings == []
+
+
+def test_cli_check_exits_0(tmp_path, capsys):
+    path = tmp_path / "chain.acap"
+    path.write_text(SOURCE)
+    assert main(["check", str(path)]) == 0
+    assert "well typed" in capsys.readouterr().out
+
+
+def test_unmonitored_run_is_quiescent():
+    program = parse_program(SOURCE)
+    typed = check_program(program)
+    trace = Trace()
+    config = init_config(program, typed=typed, monitor=False, trace=trace)
+    trace, outcome = run(config, typed=typed, monitor=False, trace=trace,
+                         max_deliveries=2 * N)
+    assert outcome == "quiescent"
+    sends = [e for e in trace.events if e.kind == "send" and e.msg.startswith("d_")]
+    assert len(sends) == N - 1
+
+
+def test_dropped_bindings_keep_their_order():
+    """A let chain's dropped-binding warnings, in order."""
+    source = """msg d : Unit
+beh[<Unit>]{
+  Unit(m) =>
+    let a = spawn(beh[<d>]{ d(x) => beh[eps]{ } })
+    in let b = spawn(beh[<d>]{ d(x) => beh[eps]{ } })
+    in beh[eps]{ }
+}
+"""
+    typed = check_program(parse_program(source), warn_dropped=True)
+    got = [(w.name, w.loc.line, w.loc.col) for w in typed.warnings]
+    assert got == [("a", 5, 40), ("a", 5, 22), ("b", 6, 8)]
