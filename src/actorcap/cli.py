@@ -1,22 +1,18 @@
 """Command line interface.
 
 Exit codes: 0 ok (also budget/depth-bounded with no findings), 1 type
-error, 2 stuck execution, 3 monitor violation, 4 parse error, 5 a resource
-budget refused the input: the inclusion engine's state budget on any
-subcommand, or explore's schedule cap.  For the algebra subcommands
-`includes` and `equiv`, exit 0 means the relation holds and 1 that it does
-not, so they compose in shell scripts.
-
-ACTORCAP_STATE_BUDGET, when set and not empty, overrides the inclusion
-engine's state budget; any value that is not a positive integer is
-refused with exit 4 on every subcommand, before any work is done.
+error, 2 stuck execution, 3 monitor violation, 4 parse, usage or file
+error, 5 a resource budget refused the input: the inclusion engine's state
+budget (`lang.STATE_BUDGET`) on any subcommand, explore's schedule cap
+(`runtime.SCHEDULE_CAP`), or input nested deeper than the Python stack.
+For the algebra subcommands `includes` and `equiv`, exit 0 means the
+relation holds and 1 that it does not, so they compose in shell scripts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import lang as lng
@@ -43,20 +39,30 @@ EXIT_PARSE_ERROR = 4
 EXIT_BUDGET = 5
 
 
-def _write(text: str, out_path: str | None):
-    if out_path:
+def _write(text: str, out_path: str | None) -> bool:
+    """Write to `out_path`, or to stdout; False, after an error line, if the
+    file cannot be written."""
+    if not out_path:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(out_path, "w") as f:
             f.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return False
+    return True
 
 
 def _load_program(path: str, fmt: str):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             source = f.read()
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return None
+    except UnicodeDecodeError as e:
+        print(f"error: {path} is not UTF-8: {e}", file=sys.stderr)
         return None
     try:
         return parse_program(source)
@@ -136,7 +142,8 @@ def cmd_run(args) -> int:
         trace=trace,
     )
     text = trace.to_jsonl() if args.format == "json" else trace.to_text()
-    _write(text, args.out)
+    if not _write(text, args.out):
+        return EXIT_PARSE_ERROR
     if monitor and trace.violations():
         return EXIT_VIOLATION
     if outcome.startswith("stuck:"):
@@ -181,7 +188,6 @@ def cmd_explore(args) -> int:
                 separators=(",", ":"),
             )
         )
-        _write("\n".join(lines) + "\n", args.out)
     else:
         lines = [f"schedules explored: {report.schedules}"]
         for label in sorted(report.outcomes):
@@ -192,7 +198,8 @@ def cmd_explore(args) -> int:
             lines.append("witness:")
             for ev in report.violation_witness.events:
                 lines.append("  " + ev.to_text())
-        _write("\n".join(lines) + "\n", args.out)
+    if not _write("\n".join(lines) + "\n", args.out):
+        return EXIT_PARSE_ERROR
     if monitor and report.any_violation:
         return EXIT_VIOLATION
     if report.any_stuck:
@@ -306,28 +313,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _budget_env_ok(raw: str) -> bool:
-    try:
-        return int(raw) > 0
-    except ValueError:
-        return False
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    raw = os.environ.get(lng.STATE_BUDGET_ENV)
-    if raw and not _budget_env_ok(raw):
-        print(
-            f"error: {lng.STATE_BUDGET_ENV} must be a positive integer, "
-            f"got {raw!r}",
-            file=sys.stderr,
-        )
-        return EXIT_PARSE_ERROR
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 0 after --help and 2, the stuck code, on bad usage.
+        return EXIT_PARSE_ERROR if e.code else EXIT_OK
     try:
         return args.fn(args)
     except lng.StateBudgetExceeded as e:
         # The inclusion engine refused the input, so neither verdict applies.
         print(f"error: state budget exceeded: {e}", file=sys.stderr)
+        return EXIT_BUDGET
+    except RecursionError as e:
+        print(f"error: stack budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
 
 

@@ -24,16 +24,14 @@ concurrent callers never observe shared mutable state.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-DEFAULT_STATE_BUDGET = 100_000
-STATE_BUDGET_ENV = "ACTORCAP_STATE_BUDGET"
+STATE_BUDGET = 100_000  # derivative pairs one inclusion check may visit
 
 
 class StateBudgetExceeded(Exception):
-    """The derivative-pair closure outgrew the configured state budget."""
+    """The derivative-pair closure outgrew `STATE_BUDGET`."""
 
 
 class LangParseError(ValueError):
@@ -514,25 +512,13 @@ def is_empty(l: LangExpr) -> bool:
     return _pair_search(_terms(normalize(l)), frozenset())
 
 
-def _state_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(STATE_BUDGET_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_STATE_BUDGET
-
-
-def includes(sub: LangExpr, sup: LangExpr, budget: int | None = None) -> bool:
+def includes(sub: LangExpr, sup: LangExpr) -> bool:
     """Decide language inclusion by derivative-pair coinduction.
 
     Raises StateBudgetExceeded when the pair closure (`_pair_search`)
-    outgrows the budget (default 10**5 pairs, overridable via
-    ACTORCAP_STATE_BUDGET).
+    outgrows `STATE_BUDGET` pairs.
     """
-    return _pair_search(
-        _terms(normalize(sub)), _terms(normalize(sup)), _state_budget(budget)
-    )
+    return _pair_search(_terms(normalize(sub)), _terms(normalize(sup)), STATE_BUDGET)
 
 
 def _pair_search(
@@ -572,8 +558,8 @@ def _pair_search(
     return True
 
 
-def equiv(l1: LangExpr, l2: LangExpr, budget: int | None = None) -> bool:
-    return includes(l1, l2, budget) and includes(l2, l1, budget)
+def equiv(l1: LangExpr, l2: LangExpr) -> bool:
+    return includes(l1, l2) and includes(l2, l1)
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ def effect_conformance(
     )
 
 
-def fifo_merges(seqs: list[tuple[MsgType, ...]], cap: int = 20_000):
+def fifo_merges(seqs: list[tuple[MsgType, ...]]):
     """All interleavings of the per-sender sequences, preserving each order.
 
     The reference enumeration for `fifo_residuals`, kept for its tests; the
@@ -139,10 +139,6 @@ def fifo_merges(seqs: list[tuple[MsgType, ...]], cap: int = 20_000):
     out: list[tuple[MsgType, ...]] = []
 
     def go(prefix: list[MsgType], rest: list[tuple[MsgType, ...]]):
-        if len(out) > cap:
-            raise lng.StateBudgetExceeded(
-                f"too many queue interleavings (> {cap})"
-            )
         if not any(rest):
             out.append(tuple(prefix))
             return

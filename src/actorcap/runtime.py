@@ -66,10 +66,10 @@ from .values import (
     Value,
 )
 
-DEFAULT_LOCAL_STEPS = 100_000
+LOCAL_STEPS = 100_000  # evaluation steps one handler (or the root) may take
+SCHEDULE_CAP = 1_000_000  # schedules one explore may count
 DEFAULT_MAX_DELIVERIES = 1_000
 DEFAULT_EXPLORE_DEPTH = 8
-DEFAULT_SCHEDULE_CAP = 1_000_000
 
 
 class BudgetExhausted(Exception):
@@ -85,7 +85,7 @@ class RootEvaluationDiverged(Exception):
 
 
 class ScheduleBudgetExceeded(Exception):
-    """Exploration would enumerate more schedules than the configured cap."""
+    """Exploration would enumerate more than `SCHEDULE_CAP` schedules."""
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +141,9 @@ class Trace:
         self.events.append(ev)
         return ev
 
+    def violation(self, v: mon.Violation, src: int | None, dst: int | None):
+        self.emit("violation", src=src, dst=dst, violation=v.kind, detail=v.detail)
+
     def violations(self) -> list[TraceEvent]:
         return [e for e in self.events if e.kind == "violation"]
 
@@ -184,16 +187,12 @@ class Config:
         default_factory=dict
     )
     next_id: int = 0
-    step_count: int = 0
     tags: dict[RefValue, LangExpr] = field(default_factory=dict)
 
     def copy(self) -> "Config":
         """An independent branch: fresh containers, shared values."""
         queues = {k: list(q) for k, q in self.queues.items()}
-        return Config(
-            dict(self.store), queues, self.next_id, self.step_count,
-            dict(self.tags),
-        )
+        return Config(dict(self.store), queues, self.next_id, dict(self.tags))
 
     def fingerprint(self) -> tuple:
         """A canonical, hashable key: configurations with equal keys have
@@ -204,8 +203,7 @@ class Config:
         occurrence in the walk, paired there with its remaining tag, so
         aliasing counts and dead `tags` entries do not; a pair, closure or
         behaviour met again is its number too, so shared structure is walked
-        once.  AST nodes count by identity.  `step_count` only counts, so it
-        is left out.
+        once.  AST nodes count by identity.
         """
         key: list = [self.next_id, len(self.store)]
         numbers: dict[int, int] = {}  # id of a walked value -> its number
@@ -256,26 +254,15 @@ class Config:
 class _Eval:
     """One actor's turn: big-step evaluation with instrumentation."""
 
-    def __init__(self, config: Config, self_id: int, trace: Trace,
-                 monitor: bool, budget: int):
+    def __init__(self, config: Config, self_id: int, trace: Trace, monitor: bool):
         self.config = config
         self.self_id = self_id
         self.trace = trace
         self.monitor = monitor
-        self.budget = budget
         self.steps = 0
         self.outq: list[tuple[Value, MsgType, int]] = []
         self.spawned: dict[int, BehValue] = {}
         self.observed: LangExpr = EPS
-
-    def _violation(self, v: mon.Violation, actor: int | None = None):
-        self.trace.emit(
-            "violation",
-            src=self.self_id,
-            dst=actor if actor is not None else v.actor,
-            violation=v.kind,
-            detail=v.detail,
-        )
 
     def _capture(self, env: dict[str, Value], names) -> dict[str, Value]:
         return {k: env[k] for k in sorted(names) if k in env}
@@ -299,7 +286,7 @@ class _Eval:
             if self.monitor:
                 res = mon.split_tag(tag, l1, l2)
                 if isinstance(res, mon.Violation):
-                    self._violation(res, actor=v.target)
+                    self.trace.violation(res, self.self_id, v.target)
             return RefValue(v.target, l1), RefValue(v.target, l2)
         if isinstance(v, PairV) and isinstance(t1, ProdT) and isinstance(t2, ProdT):
             a1, a2 = self._split_value(v.first, t1.first, t2.first)
@@ -309,8 +296,8 @@ class _Eval:
 
     def eval(self, env: dict[str, Value], e: Expr) -> Value:
         self.steps += 1
-        if self.steps > self.budget:
-            raise BudgetExhausted(f"step budget of {self.budget} exhausted")
+        if self.steps > LOCAL_STEPS:
+            raise BudgetExhausted(f"step budget of {LOCAL_STEPS} exhausted")
         match e:
             case NatLit(v):
                 return Num(v)
@@ -380,7 +367,7 @@ class _Eval:
                     tag = self.config.tags.get(tv, tv.tag)
                     res = mon.check_send_tag(tag, msg)
                     if isinstance(res, mon.Violation):
-                        self._violation(res, actor=tv.target)
+                        self.trace.violation(res, self.self_id, tv.target)
                     # The tag always tracks the derivative, so after k sends
                     # it equals the word derivative of the birth tag.
                     self.config.tags[tv] = lng.derivative(msg, tag)
@@ -408,8 +395,8 @@ class _Eval:
                     if not isinstance(e, Let):
                         return self.eval(inner_env, e)
                     self.steps += 1  # the step a nested call would count
-                    if self.steps > self.budget:
-                        raise BudgetExhausted(f"step budget of {self.budget} exhausted")
+                    if self.steps > LOCAL_STEPS:
+                        raise BudgetExhausted(f"step budget of {LOCAL_STEPS} exhausted")
         raise DynamicTypeError(f"unhandled expression form {type(e).__name__}")
 
     def _binop(self, op: str, a: Value, b: Value) -> Value:
@@ -437,7 +424,6 @@ def local_eval(
     self_id: int,
     bindings: dict[str, Value],
     e: Expr,
-    budget: int = DEFAULT_LOCAL_STEPS,
     *,
     config: Config | None = None,
     monitor: bool = True,
@@ -451,7 +437,7 @@ def local_eval(
     """
     config = config if config is not None else Config(next_id=self_id + 1)
     trace = trace if trace is not None else Trace()
-    ev = _Eval(config, self_id, trace, monitor, budget)
+    ev = _Eval(config, self_id, trace, monitor)
     value = ev.eval(dict(bindings), e)
     return value, ev.outq, ev.spawned, ev.observed
 
@@ -466,14 +452,13 @@ def init_config(
     typed=None,
     monitor: bool = True,
     trace: Trace | None = None,
-    local_budget: int = DEFAULT_LOCAL_STEPS,
 ) -> Config:
     """Evaluate the root expression as actor 0 and seed the unit message."""
     trace = trace if trace is not None else Trace()
     config = Config(next_id=1)
     trace.emit("send", src=0, dst=0, msg=UNIT_MSG.name)
     config.queues[(0, 0)] = [(UNIT_V, UNIT_MSG)]
-    ev = _Eval(config, 0, trace, monitor, local_budget)
+    ev = _Eval(config, 0, trace, monitor)
     try:
         root_val = ev.eval({}, program.root)
     except BudgetExhausted as ex:
@@ -492,15 +477,9 @@ def init_config(
         if typed is not None:
             viol = mon.effect_conformance(typed.root_effect, ev.observed)
             if viol is not None:
-                trace.emit(
-                    "violation", src=0, dst=0,
-                    violation=viol.kind, detail=viol.detail,
-                )
+                trace.violation(viol, 0, 0)
         for viol in mon.global_invariant(config):
-            trace.emit(
-                "violation", src=None, dst=viol.actor,
-                violation=viol.kind, detail=viol.detail,
-            )
+            trace.violation(viol, None, viol.actor)
     return config
 
 
@@ -525,7 +504,6 @@ def deliver(
     typed=None,
     monitor: bool = True,
     trace: Trace | None = None,
-    local_budget: int = DEFAULT_LOCAL_STEPS,
 ) -> Config | Stuck:
     """Deliver the head message of the chosen queue, in place.
 
@@ -558,11 +536,11 @@ def deliver(
 
     env = dict(behv.env)
     env[case.binder] = payload
-    ev = _Eval(config, dst, trace, monitor, local_budget)
+    ev = _Eval(config, dst, trace, monitor)
     try:
         result = ev.eval(env, case.body)
     except BudgetExhausted:
-        return Stuck("HandlerDiverged", f"actor {dst} exceeded {local_budget} steps")
+        return Stuck("HandlerDiverged", f"actor {dst} exceeded {LOCAL_STEPS} steps")
     except RecursionError:
         # Nested calls can outrun Python's stack before the step budget.
         return Stuck(
@@ -577,7 +555,6 @@ def deliver(
     config.store.update(ev.spawned)
     for value, m, target in ev.outq:
         config.queues.setdefault((dst, target), []).append((value, m))
-    config.step_count += 1
 
     if monitor:
         if typed is not None and behv.node is not None:
@@ -585,10 +562,7 @@ def deliver(
             if static_eff is not None:
                 viol = mon.effect_conformance(static_eff, ev.observed)
                 if viol is not None:
-                    trace.emit(
-                        "violation", src=dst, dst=dst,
-                        violation=viol.kind, detail=viol.detail,
-                    )
+                    trace.violation(viol, dst, dst)
         post_roots: list[Value] = list(result.env.values())
         for child in ev.spawned.values():
             post_roots.extend(child.env.values())
@@ -600,15 +574,9 @@ def deliver(
         for viol in mon.conservation(
             dst, pre, sent, ev.observed, post, transferred, pre_existing
         ):
-            trace.emit(
-                "violation", src=dst, dst=viol.actor,
-                violation=viol.kind, detail=viol.detail,
-            )
+            trace.violation(viol, dst, viol.actor)
         for viol in mon.global_invariant(config):
-            trace.emit(
-                "violation", src=None, dst=viol.actor,
-                violation=viol.kind, detail=viol.detail,
-            )
+            trace.violation(viol, None, viol.actor)
     return config
 
 
@@ -621,13 +589,12 @@ def run(
     monitor: bool = True,
     strict: bool = False,
     trace: Trace | None = None,
-    local_budget: int = DEFAULT_LOCAL_STEPS,
 ) -> tuple[Trace, str]:
     """Drive deliveries with a seeded scheduler until rest, stuckness or budget.
 
-    Identical (config, seed, budget) inputs produce identical traces.  The
-    config is consumed (mutated).  With `strict`, the first violation halts
-    the run.
+    Identical (config, seed, max_deliveries) inputs produce identical
+    traces.  The config is consumed (mutated).  With `strict`, the first
+    violation halts the run.
     """
     trace = trace if trace is not None else Trace(seed=seed)
     rng = random.Random(seed)
@@ -648,10 +615,7 @@ def run(
             outcome = "quiescent"
             break
         src, dst, _ = enabled[rng.randrange(len(enabled))]
-        res = deliver(
-            config, (src, dst), typed=typed, monitor=monitor,
-            trace=trace, local_budget=local_budget,
-        )
+        res = deliver(config, (src, dst), typed=typed, monitor=monitor, trace=trace)
         if isinstance(res, Stuck):
             outcome = f"stuck:{res.kind}"
             break
@@ -709,8 +673,6 @@ def explore(
     typed=None,
     max_depth: int = DEFAULT_EXPLORE_DEPTH,
     monitor: bool = True,
-    local_budget: int = DEFAULT_LOCAL_STEPS,
-    schedule_cap: int = DEFAULT_SCHEDULE_CAP,
     base_trace: Trace | None = None,
 ) -> ExplorationReport:
     """Every delivery order up to `max_depth`, searched over configurations.
@@ -727,11 +689,11 @@ def explore(
     schedule gives: `schedules` and `outcomes` count schedules, each
     witness is the first schedule of its class in depth-first order, the
     violation witness is the first schedule raising one, and
-    `schedule_cap` still caps schedules.  `states` counts the
+    `SCHEDULE_CAP` still caps schedules.  `states` counts the
     configurations expanded.
     """
     base_events = list(base_trace.events) if base_trace is not None else []
-    search = _Search(typed, max_depth, monitor, local_budget, schedule_cap)
+    search = _Search(typed, max_depth, monitor)
     search.go(config, base_events, 0, False)
     return search.report
 
@@ -747,25 +709,22 @@ class _Search:
     reference cycle until the next cyclic collection.
     """
 
-    def __init__(self, typed, max_depth: int, monitor: bool, local_budget: int,
-                 schedule_cap: int):
+    def __init__(self, typed, max_depth: int, monitor: bool):
         self.typed = typed
         self.max_depth = max_depth
         self.monitor = monitor
-        self.local_budget = local_budget
-        self.schedule_cap = schedule_cap
         self.report = ExplorationReport()
         self.memo: dict[tuple, _Below] = {}
 
     def deliver(self, cfg: Config, choice: tuple[int, int], trace: Trace):
         return deliver(cfg, choice, typed=self.typed, monitor=self.monitor,
-                       trace=trace, local_budget=self.local_budget)
+                       trace=trace)
 
     def count(self, n: int):
         self.report.schedules += n
-        if self.report.schedules > self.schedule_cap:
+        if self.report.schedules > SCHEDULE_CAP:
             raise ScheduleBudgetExceeded(
-                f"more than {self.schedule_cap} schedules at depth {self.max_depth}"
+                f"more than {SCHEDULE_CAP} schedules at depth {self.max_depth}"
             )
 
     def record(self, label: str, events: list[TraceEvent]) -> _Below:

@@ -6,10 +6,9 @@ but obviously right; `runtime.explore` must give the same report.
 
 from __future__ import annotations
 
+from actorcap import runtime
 from actorcap.runtime import (
     DEFAULT_EXPLORE_DEPTH,
-    DEFAULT_LOCAL_STEPS,
-    DEFAULT_SCHEDULE_CAP,
     Config,
     ExplorationReport,
     ScheduleBudgetExceeded,
@@ -27,8 +26,6 @@ def naive_explore(
     typed=None,
     max_depth: int = DEFAULT_EXPLORE_DEPTH,
     monitor: bool = True,
-    local_budget: int = DEFAULT_LOCAL_STEPS,
-    schedule_cap: int = DEFAULT_SCHEDULE_CAP,
     base_trace: Trace | None = None,
 ) -> ExplorationReport:
     """Depth-first enumeration of every delivery order up to `max_depth`."""
@@ -37,9 +34,9 @@ def naive_explore(
 
     def record(label: str, events: list[TraceEvent]):
         report.schedules += 1
-        if report.schedules > schedule_cap:
+        if report.schedules > runtime.SCHEDULE_CAP:
             raise ScheduleBudgetExceeded(
-                f"more than {schedule_cap} schedules at depth {max_depth}"
+                f"more than {runtime.SCHEDULE_CAP} schedules at depth {max_depth}"
             )
         report.outcomes[label] = report.outcomes.get(label, 0) + 1
         witness = Trace(events=events, outcome=label)
@@ -63,8 +60,7 @@ def naive_explore(
             branch = cfg.copy()
             tr = Trace(events=list(events))
             res = deliver(
-                branch, (src, dst), typed=typed, monitor=monitor,
-                trace=tr, local_budget=local_budget,
+                branch, (src, dst), typed=typed, monitor=monitor, trace=tr,
             )
             if isinstance(res, Stuck):
                 record(f"stuck:{res.kind}", tr.events)

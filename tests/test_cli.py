@@ -1,9 +1,9 @@
-import functools
 import json
 import pathlib
 
 import pytest
 
+from actorcap import lang, runtime
 from actorcap.cli import main
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
@@ -161,11 +161,7 @@ class TestExplore:
 
     def test_schedule_cap_exit_5(self, capsys, monkeypatch):
         # fanin.acap has 6 schedules; a cap of 2 refuses it as a budget.
-        from actorcap import cli, runtime
-
-        monkeypatch.setattr(
-            cli, "explore", functools.partial(runtime.explore, schedule_cap=2)
-        )
+        monkeypatch.setattr(runtime, "SCHEDULE_CAP", 2)
         assert main(["explore", FANIN]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -219,36 +215,24 @@ class TestAlg:
         assert main(["alg", "includes", "<a>", "<a>|<b>", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out) == {"result": "true"}
 
-    def test_state_budget_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("ACTORCAP_STATE_BUDGET", "1")
+    def test_state_budget_exit_5(self, capsys, monkeypatch):
+        monkeypatch.setattr(lang, "STATE_BUDGET", 1)
         code = main(["alg", "includes", "<a>.<b>.<c>", "(<a>|<b>|<c>)*"])
         assert code == 5
         assert "state" in capsys.readouterr().err.lower()
 
     def test_state_budget_during_run_exit_5(self, capsys, monkeypatch):
-        monkeypatch.setenv("ACTORCAP_STATE_BUDGET", "1")
+        monkeypatch.setattr(lang, "STATE_BUDGET", 1)
         # The monitor's inclusions on pipeline.acap need more than one pair.
         pipeline = str(CORPUS / "positive/pipeline.acap")
         assert main(["run", pipeline, "--unchecked"]) == 5
         assert "state budget exceeded" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-    @pytest.mark.parametrize(
-        "argv",
-        [["check", COUNTER], ["run", COUNTER], ["explore", COUNTER],
-         ["alg", "includes", "<a>.<b>", "<a>*"]],
-        ids=["check", "run", "explore", "alg"],
-    )
-    def test_malformed_state_budget_env_exit_4(self, argv, value, capsys,
-                                               monkeypatch):
-        monkeypatch.setenv("ACTORCAP_STATE_BUDGET", value)
-        assert main(argv) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: ACTORCAP_STATE_BUDGET must be a positive integer, "
-            f"got {value!r}\n"
-        )
+    def test_environment_sets_no_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("ACTORCAP_STATE_BUDGET", "1")
+        code = main(["alg", "includes", "<a>.<b>.<c>", "(<a>|<b>|<c>)*"])
+        assert code == 0
+        assert capsys.readouterr().out == "true\n"
 
     def test_deep_chain_without_traceback(self, capsys):
         chain = ".".join(["<a>"] * 3000)
@@ -256,6 +240,39 @@ class TestAlg:
         assert capsys.readouterr().out.strip() == "true"
         assert main(["alg", "derivative", "a", chain]) == 0
         assert capsys.readouterr().out.strip() == ".".join(["<a>"] * 2999)
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("source", [
+        "beh[<Unit>]{ Unit(m) => " + "(" * 300 + "beh[eps]{ }" + ")" * 300 + " }",
+        "let b = " + "!" * 2000 + "true in beh[<Unit>]{ Unit(m) => beh[eps]{ } }",
+    ], ids=["parens", "nots"])
+    def test_nesting_deeper_than_the_stack_exit_5(self, source, tmp_path, capsys):
+        f = tmp_path / "nested.acap"
+        f.write_text(source)
+        assert main(["check", str(f)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: stack budget exceeded: ")
+        assert captured.err.count("\n") == 1
+
+    def test_source_not_utf8_exit_4(self, tmp_path, capsys):
+        f = tmp_path / "latin1.acap"
+        f.write_bytes("msg caf\u00e9 : Unit\n".encode("latin-1"))
+        assert main(["check", str(f)]) == 4
+        assert capsys.readouterr().err.startswith(f"error: {f} is not UTF-8: ")
+
+    @pytest.mark.parametrize("command", ["run", "explore"])
+    def test_out_in_missing_directory_exit_4(self, command, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.txt"
+        assert main([command, COUNTER, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file" in err
+
+    def test_usage_error_exit_4(self, capsys):
+        assert main(["run", COUNTER, "--seed", "x"]) == 4
+        assert "invalid int value" in capsys.readouterr().err
+        assert main(["--help"]) == 0
 
 
 class TestExitCodeContract:

@@ -122,20 +122,21 @@ def test_cli_fanin_3x3_depth_10(tmp_path, capsys):
 class TestScheduleCap:
     """The cap counts schedules, memo hits included, as the plain search does."""
 
-    def _explore(self, cap: int, fn=explore):
+    def _explore(self, monkeypatch, cap: int, fn=explore):
+        monkeypatch.setattr(runtime, "SCHEDULE_CAP", cap)
         config, kw = _setup(gen.fanin_program(3, 2, "t"), monitor=False)
-        return fn(config, max_depth=12, schedule_cap=cap, **kw)
+        return fn(config, max_depth=12, **kw)
 
-    def test_exact_cap_passes(self):
-        report = self._explore(1680)
+    def test_exact_cap_passes(self, monkeypatch):
+        report = self._explore(monkeypatch, 1680)
         assert report.schedules == 1680
         assert report.states < 1680  # memo hits were counted
 
-    def test_one_below_raises_the_naive_message(self):
+    def test_one_below_raises_the_naive_message(self, monkeypatch):
         with pytest.raises(ScheduleBudgetExceeded) as naive:
-            self._explore(1679, naive_explore)
+            self._explore(monkeypatch, 1679, naive_explore)
         with pytest.raises(ScheduleBudgetExceeded) as memo:
-            self._explore(1679)
+            self._explore(monkeypatch, 1679)
         assert str(memo.value) == str(naive.value)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import actorcap
 
+from actorcap import lang
 from actorcap.lang import (
     Alt,
     And,
@@ -151,7 +152,7 @@ class TestIsEmpty:
         # Finding <c> in a.b.c needs more than one search state; with the
         # same budget, inclusion is refused.
         chain = cat(Sym(A), cat(Sym(B), Sym(C)))
-        monkeypatch.setenv("ACTORCAP_STATE_BUDGET", "1")
+        monkeypatch.setattr(lang, "STATE_BUDGET", 1)
         assert not is_empty(chain)
         assert is_empty(And(chain, cat(Sym(A), Sym(B))))
         with pytest.raises(StateBudgetExceeded):
@@ -179,16 +180,17 @@ class TestIncludes:
     def test_shuffle_not_inside_cat(self):
         assert not includes(shuffle(Sym(A), Sym(B)), cat(Sym(A), Sym(B)))
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         chain = cat(Sym(A), cat(Sym(B), Sym(C)))
         anything = star(alt(Sym(A), alt(Sym(B), Sym(C))))
+        monkeypatch.setattr(lang, "STATE_BUDGET", 2)
         with pytest.raises(StateBudgetExceeded):
-            includes(chain, anything, budget=2)
+            includes(chain, anything)
 
-    def test_env_override(self, monkeypatch):
+    def test_budget_of_one(self, monkeypatch):
         chain = cat(Sym(A), cat(Sym(B), Sym(C)))
         anything = star(alt(Sym(A), alt(Sym(B), Sym(C))))
-        monkeypatch.setenv("ACTORCAP_STATE_BUDGET", "1")
+        monkeypatch.setattr(lang, "STATE_BUDGET", 1)
         with pytest.raises(StateBudgetExceeded):
             includes(chain, anything)
 

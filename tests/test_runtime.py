@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 from actorcap import lang as lng
+from actorcap import runtime
 from actorcap.checker import check_program
 from actorcap.lang import EPS, MsgType, UNIT_MSG, cat, sym
 from actorcap.runtime import (
@@ -71,10 +72,11 @@ class TestLocalEval:
         v, _, _, _ = local_eval(0, {}, parse_expr("(1 - 2) + 6 / 0 + 8 / 2"))
         assert v == Num(4)
 
-    def test_budget_exhaustion_models_divergence(self):
+    def test_budget_exhaustion_models_divergence(self, monkeypatch):
+        monkeypatch.setattr(runtime, "LOCAL_STEPS", 500)
         loop = parse_expr("(fun f(x: Nat): Nat ! eps => f x) 0")
         with pytest.raises(BudgetExhausted):
-            local_eval(0, {}, loop, budget=500)
+            local_eval(0, {}, loop)
 
     def test_observed_is_ordered_shuffle_of_selfcaps(self):
         e = parse_expr("(self[<a>], self[<b>])", "a", "b")
@@ -220,13 +222,14 @@ class TestRun:
         _, outcome = run(cfg, seed=0, trace=tr)
         assert outcome == "stuck:NonBehaviourResult"
 
-    def test_diverging_handler_hits_budget(self):
+    def test_diverging_handler_hits_budget(self, monkeypatch):
+        monkeypatch.setattr(runtime, "LOCAL_STEPS", 300)
         prog = parse_program(
             "beh[<Unit>]{ Unit(m) => (fun f(x: Nat): Beh[eps] ! eps => f x) 0 }"
         )
         tr = Trace(seed=0)
         cfg = init_config(prog, trace=tr)
-        _, outcome = run(cfg, seed=0, trace=tr, local_budget=300)
+        _, outcome = run(cfg, seed=0, trace=tr)
         assert outcome == "stuck:HandlerDiverged"
 
     def test_handler_deeper_than_the_stack_diverges(self):
