@@ -10,6 +10,7 @@ CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
 COUNTER = str(CORPUS / "positive/counter.acap")
 FANIN = str(CORPUS / "positive/fanin.acap")
+PIPELINE = str(CORPUS / "positive/pipeline.acap")
 DOUBLE_SEND = str(CORPUS / "negative/double_send.acap")
 MISSING_CASE = str(CORPUS / "negative/missing_case.acap")
 
@@ -233,6 +234,23 @@ class TestAlg:
         code = main(["alg", "includes", "<a>.<b>.<c>", "(<a>|<b>|<c>)*"])
         assert code == 0
         assert capsys.readouterr().out == "true\n"
+
+    @pytest.mark.parametrize("value", ["1", "abc", "0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", PIPELINE], ["run", PIPELINE, "--unchecked"],
+         ["explore", PIPELINE],
+         ["alg", "includes", "<a>.<b>.<c>", "(<a>|<b>|<c>)*"]],
+        ids=["check", "run", "explore", "alg"],
+    )
+    def test_state_budget_env_is_ignored(self, argv, value, capsys,
+                                         monkeypatch):
+        # Whatever the variable holds, every subcommand behaves as unset.
+        monkeypatch.delenv("ACTORCAP_STATE_BUDGET", raising=False)
+        unset = (main(argv), capsys.readouterr())
+        monkeypatch.setenv("ACTORCAP_STATE_BUDGET", value)
+        assert (main(argv), capsys.readouterr()) == unset
+        assert unset[0] == 0
 
     def test_deep_chain_without_traceback(self, capsys):
         chain = ".".join(["<a>"] * 3000)
