@@ -17,10 +17,15 @@ mirroring what the checker guarantees statically:
 * global consistency between turns: for every actor, the shuffle of all
   live tags targeting it must stay within what its installed behaviour
   still promises after any delivery order of the in-flight messages that
-  respects per-sender queue order.  Those orders are not listed one by
-  one: a walk over queue positions (`fifo_residuals`) yields each distinct
-  residual of the behaviour's annotation once, with the first order that
-  reaches it as its witness, and inclusion is tested once per residual.
+  respects per-sender queue order.  With one sender in flight there is one
+  order, and the residual after it is a left fold of derivatives: the
+  actor's entry in `Config.residuals` keeps it, `global_invariant` extends
+  it by one derivative per message enqueued since the last check, and
+  `delivered` carries it past a delivered head.  With two or more senders,
+  or no valid entry, the orders are walked by queue position instead
+  (`fifo_residuals`), which yields each distinct residual of the
+  behaviour's annotation once, with the first order that reaches it as its
+  witness; inclusion is tested once per residual.
 
 Violations never affect execution; they are reported as trace events.
 Checked programs raise none of them, and programs run with checking
@@ -30,6 +35,7 @@ disabled typically trip one before (or instead of) getting stuck.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import lang as lng
 from .lang import EPS, LangExpr, MsgType, Word, lang_to_text
@@ -193,21 +199,87 @@ def fifo_residuals(
     return out
 
 
+class Residual(NamedTuple):
+    """An actor's entry in `Config.residuals`: its residual after one queue.
+
+    `residual` is the normalised `annot` after the first `folded` messages
+    of the inbound queue `queue`, the last of them the queue item `last`.
+    It counts only while `annot` is the actor's normalised annotation and
+    `last` is still the queue's item at position `folded - 1`, so a queue
+    changed where the monitor did not see it (an unmonitored delivery, an
+    edit by hand) falls back to the walk.  Entries are derived state: the
+    walk gives the same residual.
+    """
+
+    annot: LangExpr
+    queue: tuple[int, int]
+    folded: int
+    last: tuple
+    residual: LangExpr
+
+
+def delivered(config, queue: tuple[int, int], msg: MsgType) -> None:
+    """Carry the receiver's entry past the delivery of the head `msg` of
+    `queue`, just popped.
+
+    The folded messages behind the head take `derivative(msg, annot)` to
+    the residual the entry holds, so the entry stands as it is for a
+    behaviour with that annotation, which every `mk s` recursion installs.
+    `global_invariant` discards it if the turn installs another one, or
+    none, as a stuck delivery does.
+    """
+    entry = config.residuals.pop(queue[1], None)
+    if entry is not None and entry.queue == queue and entry.folded > 1:
+        config.residuals[queue[1]] = entry._replace(
+            annot=lng.derivative(msg, entry.annot), folded=entry.folded - 1
+        )
+
+
+def _queue_residual(config, actor: int, annot: LangExpr, queue, q) -> LangExpr:
+    """The residual of `annot` (normalised) after the whole queue `q`, kept
+    under `actor` in `config.residuals` and extended from it."""
+    entry = config.residuals.get(actor)
+    if (
+        entry is not None
+        and entry.annot is annot
+        and entry.queue == queue
+        and entry.folded <= len(q)
+        and q[entry.folded - 1] is entry.last
+    ):
+        residual, n = entry.residual, entry.folded
+        if n == len(q):
+            return residual
+    else:
+        residual, n = annot, 0
+    for _, m in q[n:]:
+        residual = lng.derivative(m, residual)
+    config.residuals[actor] = Residual(annot, queue, len(q), q[-1], residual)
+    return residual
+
+
 def global_invariant(config) -> list[Violation]:
     """Check global consistency at a quiescent point (between deliveries).
 
     For every actor, every FIFO-consistent interleaving of the messages in
     flight to it must leave a residual of its behaviour's protocol that
-    covers the shuffle of all live tags targeting it.  The interleavings are
-    walked by queue position (`fifo_residuals`), so inclusion runs once per
-    distinct residual; a report names the first interleaving, in
-    `fifo_merges` order, whose residual fails.
+    covers the shuffle of all live tags targeting it.  With no messages in
+    flight the residual is the protocol itself.  With one sender in flight
+    it is the actor's `Config.residuals` entry, extended by one derivative
+    per message enqueued since the last check; a missing or discarded
+    entry is rebuilt by folding the whole queue.  With two or more senders
+    the interleavings are walked by queue position (`fifo_residuals`), so
+    inclusion runs once per distinct residual, and the actor's entry is
+    dropped.  A report names the first interleaving, in `fifo_merges`
+    order, whose residual fails.
     """
     roots: list[Value] = []
     for behv in config.store.values():
         roots.extend(behv.env.values())
-    for q in config.queues.values():
+    inbound: dict[int, list] = {}  # receiver -> its nonempty queues' keys
+    for key, q in config.queues.items():
         roots.extend(v for v, _ in q)
+        if q:
+            inbound.setdefault(key[1], []).append(key)
     live = list(iter_refs(roots))
     # Values are immutable, so a reference nothing reaches now stays
     # unreachable: what sends have left of its tag is dropped here.
@@ -229,12 +301,21 @@ def global_invariant(config) -> list[Violation]:
                 )
             )
         combined = summary.combined(actor)
-        inbound = [
-            tuple(m for _, m in q)
-            for (_, dst), q in sorted(config.queues.items())
-            if dst == actor and q
-        ]
-        for residual, w in fifo_residuals(inbound, behv.annot):
+        annot = lng.normalize(behv.annot)
+        keys = sorted(inbound.get(actor, ()))
+        if not keys:
+            config.residuals.pop(actor, None)
+            candidates = [(annot, ())]
+        elif len(keys) == 1:
+            q = config.queues[keys[0]]
+            # The witness is the whole queue, spelled out only on failure.
+            residual = _queue_residual(config, actor, annot, keys[0], q)
+            candidates = [(residual, (m for _, m in q))]
+        else:
+            config.residuals.pop(actor, None)
+            seqs = [tuple(m for _, m in config.queues[k]) for k in keys]
+            candidates = fifo_residuals(seqs, annot)
+        for residual, w in candidates:
             if not lng.includes(combined, residual):
                 word = "".join(m.name for m in w) or "eps"
                 violations.append(

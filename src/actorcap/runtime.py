@@ -180,6 +180,10 @@ class Config:
     reference reachable from several places, say under two names or inside
     a closure, is one capability with one remaining tag.  The monitor's
     global check drops the entries of references nothing reaches any more.
+    `residuals` is the monitor's table of per-actor residuals after their
+    single inbound queue (`monitor.Residual`): derived state that saves the
+    global check work, so `copy` copies it, while `fingerprint` and `==`
+    ignore it.
     """
 
     store: dict[int, BehValue] = field(default_factory=dict)
@@ -188,11 +192,13 @@ class Config:
     )
     next_id: int = 0
     tags: dict[RefValue, LangExpr] = field(default_factory=dict)
+    residuals: dict[int, mon.Residual] = field(default_factory=dict, compare=False)
 
     def copy(self) -> "Config":
         """An independent branch: fresh containers, shared values."""
         queues = {k: list(q) for k, q in self.queues.items()}
-        return Config(dict(self.store), queues, self.next_id, dict(self.tags))
+        return Config(dict(self.store), queues, self.next_id, dict(self.tags),
+                      dict(self.residuals))
 
     def fingerprint(self) -> tuple:
         """A canonical, hashable key: configurations with equal keys have
@@ -520,6 +526,8 @@ def deliver(
     payload, msg = q.pop(0)
     if not q:
         del config.queues[(src, dst)]
+    if monitor:
+        mon.delivered(config, (src, dst), msg)
     behv = config.store[dst]
     trace.emit("deliver", src=src, dst=dst, msg=msg.name)
     case = behv.case_for(msg)
@@ -528,11 +536,9 @@ def deliver(
             "UnhandledMessage",
             f"actor {dst} has no case for <{msg.name}>",
         )
-    pre_existing = set(config.store.keys())
-    pre = (
-        mon.summarize(list(behv.env.values()) + [payload], config.tags)
-        if monitor else None
-    )
+    if monitor:
+        pre_existing = set(config.store)
+        pre = mon.summarize(list(behv.env.values()) + [payload], config.tags)
 
     env = dict(behv.env)
     env[case.binder] = payload

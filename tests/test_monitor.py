@@ -21,7 +21,9 @@ from actorcap.monitor import (
     summarize,
 )
 from actorcap.runtime import (
+    DEFAULT_MAX_DELIVERIES,
     Config,
+    Stuck,
     Trace,
     deliver,
     enabled_deliveries,
@@ -261,12 +263,18 @@ beh[<Unit>]{ Unit(m) =>
 """
 
 
-def fanin_source(k: int, m: int) -> str:
-    """k forwarders, each holding exactly <di>^m to one receiver, send it all."""
+def fanin_source(k: int, m: int, star: bool = False) -> str:
+    """k forwarders, each holding exactly <di>^m to one receiver, send it all.
+
+    With `star`, forwarder i holds <di>* instead and drops the rest.
+    """
     syms = [f"d{i}" for i in range(1, k + 1)]
     any_order = "(" + "|".join(f"<{s}>" for s in syms) + ")*"
     cases = " | ".join(f"{s}(x) => mk n" for s in syms)
-    parts = ["(" + ".".join([f"<{s}>"] * m) + ")" for s in syms]
+    if star:
+        parts = [f"<{s}>*" for s in syms]
+    else:
+        parts = ["(" + ".".join([f"<{s}>"] * m) + ")" for s in syms]
     lines = [
         f"let r0 = spawn[{'#'.join(parts)}]((fun mk(n: Nat): Beh[{any_order}]"
         f" ! eps => beh[{any_order}]{{ {cases} }}) 0)"
@@ -458,3 +466,197 @@ class TestMonitorOnCorpus:
             e.violation for e in witness.events if e.kind == "violation"
         ]
         assert {"SendNotPermitted", "GlobalInvariantBroken"} & set(kinds)
+
+
+def chain_source(n: int) -> str:
+    """One handler, a chain of n lets, sends n <d>s to one receiver."""
+    lines = [
+        "let t = spawn((fun mk(s: Nat): Beh[<d>*] ! eps =>"
+        " beh[<d>*]{ d(x) => mk s }) 0)"
+    ]
+    lines += [f"in let u{i} = send[d](t, ())" for i in range(n)]
+    body = "\n  ".join(lines)
+    return f"msg d : Unit\nbeh[<Unit>]{{ Unit(m) =>\n  {body}\n  in beh[eps]{{ }}\n}}\n"
+
+
+def assert_table_agrees(cfg: Config):
+    """The residual table changes no report: the check on a copy of `cfg`
+    equals the check on a copy whose table is emptied, detail for detail."""
+    kept, fresh = cfg.copy(), cfg.copy()
+    fresh.residuals.clear()
+    assert global_invariant(kept) == global_invariant(fresh)
+    assert kept.residuals == fresh.residuals
+
+
+def differential_run(source: str, seed: int, checked: bool = True):
+    """A seeded monitored run, `assert_table_agrees` after every delivery."""
+    prog = parse_program(source)
+    typed = check_program(prog) if checked else None
+    cfg = init_config(prog, typed=typed)
+    assert_table_agrees(cfg)
+    rng = random.Random(seed)
+    for _ in range(DEFAULT_MAX_DELIVERIES):
+        enabled = enabled_deliveries(cfg)
+        if not enabled:
+            break
+        src, dst, _ = enabled[rng.randrange(len(enabled))]
+        res = deliver(cfg, (src, dst), typed=typed)
+        assert_table_agrees(cfg)
+        if isinstance(res, Stuck):
+            break
+
+
+def deliver_and_agree(cfg: Config, *choices):
+    for choice in choices:
+        deliver(cfg, choice)
+        assert_table_agrees(cfg)
+
+
+class TestResidualTable:
+    """`Config.residuals` is derived: with it or without, the same reports."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "path",
+        sorted((CORPUS / "positive").glob("*.acap")),
+        ids=lambda p: p.name,
+    )
+    def test_positive_corpus(self, path, seed):
+        differential_run(path.read_text(), seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "path",
+        sorted((CORPUS / "negative").glob("*.acap")),
+        ids=lambda p: p.name,
+    )
+    def test_negative_corpus_unchecked(self, path, seed):
+        differential_run(path.read_text(), seed, checked=False)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "source",
+        [chain_source(200), fanin_source(3, 3), fanin_source(3, 3, star=True),
+         fanin_source(4, 3), fanin_source(4, 3, star=True)],
+        ids=["chain-200", "fanin-3x3", "fanin-3x3-star", "fanin-4x3",
+             "fanin-4x3-star"],
+    )
+    def test_generated(self, source, seed):
+        differential_run(source, seed)
+
+    def test_next_annotation_not_the_derivative(self):
+        # After one <d>, the receiver promises one more <d>, not <d>*, so
+        # the two still queued escape it.  The residual kept for <d>* must
+        # not be carried over.
+        cfg = init_config(parse_program("""msg d : Unit
+beh[<Unit>]{ Unit(m) =>
+  let t = spawn(beh[<d>*]{ d(x) => beh[<d>]{ d(y) => beh[eps]{ } } })
+  in let u1 = send[d](t, ()) in let u2 = send[d](t, ())
+  in let u3 = send[d](t, ()) in beh[eps]{ }
+}
+"""))
+        deliver_and_agree(cfg, (0, 0))
+        assert cfg.residuals[1].folded == 3
+        deliver(cfg, (0, 1))
+        [v] = global_invariant(cfg.copy())
+        assert "escape" in v.detail and v.actor == 1
+        assert_table_agrees(cfg)
+
+    def test_second_sender_then_back_to_one(self):
+        # The root sends <d> twice and has a forwarder send two more, so the
+        # receiver has two senders in flight until the root's queue drains.
+        cfg = init_config(parse_program("""msg d : Unit
+msg go : Unit
+beh[<Unit>]{ Unit(m) =>
+  let t = spawn((fun mk(s: Nat): Beh[<d>*] ! eps =>
+    beh[<d>*]{ d(x) => mk s }) 0)
+  in split t as t1: ActorRef[<d>*], t2: ActorRef[<d>*]
+  in let f = spawn((fun mf(r: ActorRef[<d>*]): Beh[<go>] ! eps =>
+    beh[<go>]{ go(x) => let v1 = send[d](r, ()) in let v2 = send[d](r, ())
+      in beh[eps]{ } }) t2)
+  in let u1 = send[d](t1, ()) in let u2 = send[d](t1, ())
+  in let g = send[go](f, ()) in beh[eps]{ }
+}
+"""))
+        deliver_and_agree(cfg, (0, 0))
+        assert cfg.residuals[1].queue == (0, 1)
+        deliver_and_agree(cfg, (0, 2))  # the forwarder sends its two
+        assert 1 not in cfg.residuals
+        deliver_and_agree(cfg, (0, 1), (0, 1))  # the root's queue drains
+        assert cfg.residuals[1].queue == (2, 1)
+        deliver_and_agree(cfg, (2, 1), (2, 1))
+        assert enabled_deliveries(cfg) == []
+
+    def test_stuck_delivery_leaves_no_stale_entry(self):
+        # The receiver promises <e> first but has no case for it, so the
+        # delivery of <e> is stuck and its behaviour stays <e>.<d>*; the
+        # entry carried past the <e> stood for <d>* and must not count.
+        cfg = init_config(parse_program("""msg d : Unit
+msg e : Unit
+beh[<Unit>]{ Unit(m) =>
+  let t = spawn((fun mk(s: Nat): Beh[<d>*] ! eps =>
+    beh[<e>.<d>*]{ d(x) => mk s }) 0)
+  in let u1 = send[e](t, ()) in let u2 = send[d](t, ())
+  in let u3 = send[d](t, ()) in beh[eps]{ }
+}
+"""))
+        deliver_and_agree(cfg, (0, 0))
+        assert isinstance(deliver(cfg, (0, 1)), Stuck)
+        kept = cfg.copy()
+        violations = global_invariant(kept)
+        assert any("escape" in v.detail for v in violations)
+        assert kept.residuals[1].annot is lng.normalize(kept.store[1].annot)
+        assert_table_agrees(cfg)
+
+    def test_queue_edited_by_hand_is_walked_again(self):
+        # <d>*.<e>.<d>* is its own <d>-derivative, so popping the head <d>
+        # and appending an <e> keeps both the annotation and the queue's
+        # length; only the queue's items tell the kept residual is stale.
+        from actorcap.syntax import Case
+
+        D, E = MsgType("d"), MsgType("e")
+        annot = cat(cat(star(sym("d")), sym("e")), star(sym("d")))
+        node = Beh(annot, (Case(D, "x", Beh(annot, ())), Case(E, "x", Beh(annot, ()))))
+        cfg = Config(
+            store={0: BehValue(node.annot, node.cases, {}, node)},
+            queues={(1, 0): [(UNIT_V, D), (UNIT_V, E)]},
+            next_id=2,
+        )
+        assert global_invariant(cfg) == []
+        q = cfg.queues[(1, 0)]
+        q.pop(0)
+        q.append((UNIT_V, E))
+        assert_table_agrees(cfg)
+        [v] = global_invariant(cfg)
+        assert "after in-flight 'ee'" in v.detail
+
+    def test_fingerprint_ignores_the_table(self):
+        cfg = init_config(parse_program(chain_source(5)))
+        deliver(cfg, (0, 0))
+        assert cfg.residuals
+        fresh = cfg.copy()
+        fresh.residuals.clear()
+        assert cfg.fingerprint() == fresh.fingerprint()
+
+
+def test_monitored_chain_costs_linear_derivatives(monkeypatch):
+    # Re-walking the receiver's queue after every delivery costs about
+    # N*N/2 derivatives (80,599 at N = 400); the residual table costs a few
+    # per message.
+    n = 400
+    prog = parse_program(chain_source(n))
+    typed = check_program(prog)
+    calls = 0
+    derivative = lng.derivative
+
+    def counting(m, e):
+        nonlocal calls
+        calls += 1
+        return derivative(m, e)
+
+    monkeypatch.setattr(lng, "derivative", counting)
+    tr = Trace(seed=0)
+    cfg = init_config(prog, typed=typed, trace=tr)
+    _, outcome = run(cfg, typed=typed, seed=0, trace=tr)
+    assert outcome == "quiescent" and tr.violations() == []
+    assert calls <= 8 * n
