@@ -8,11 +8,20 @@ plain maps and the checker syntax-directed.
 
 Locations are attached to every expression node but excluded from equality,
 so a pretty-printed program re-parses to an equal `Program`.
+
+Lexical syntax: blanks are space, tab, CR and LF, and `--` starts a
+comment that runs to the end of the line. Names start with a letter or `_`
+and go on with letters, digits or `_` (Unicode letters included); numbers
+are runs of decimal digits. `[...]` holds a protocol or a message name and
+may span lines. Any other character, a non-decimal digit such as `²`
+included, is a parse error (exit 4).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .lang import (
     EPS,
@@ -26,8 +35,7 @@ from .lang import (
 )
 
 
-@dataclass(frozen=True)
-class Loc:
+class Loc(NamedTuple):
     line: int
     col: int
 
@@ -320,12 +328,20 @@ _KEYWORDS = {
     "Bool", "Nat", "Unit", "ActorRef", "Beh",
 }
 
-_TWO_CHAR = ("=>", "->", "&&", "||")
-_ONE_CHAR = "(){}<>,:.*+-/!=&|#"
+# Alternatives are tried in order at each offset: blanks and comments are
+# unnamed, so they match and are skipped; `BAD` is any other character.
+_TOKEN = re.compile(r"""
+    (?P<NL>\n)
+  | [ \t\r]+ | --[^\n]*
+  | \[(?P<LANG>[^\]]*)\]
+  | (?P<NAT>\d+)
+  | (?P<WORD>[^\W\d]\w*)
+  | (?P<PUNCT>=> | -> | && | \|\| | [(){}<>,:.*+\-/!=&|#])
+  | (?P<BAD>.)
+""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NAME, NAT, LANG, EOF, keyword or punctuation text
     text: str
     loc: Loc
@@ -333,67 +349,37 @@ class Token:
 
 def tokenize(src: str) -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(src)
-
-    def advance(k: int):
-        nonlocal i, line, col
-        for _ in range(k):
-            if src[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = src[i]
-        if ch in " \t\r\n":
-            advance(1)
+    line, line_start = 1, 0  # line_start: offset of the line's first character
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                advance(1)
+        start = m.start()
+        if kind == "NL":
+            line += 1
+            line_start = start + 1
             continue
-        loc = Loc(line, col)
-        if ch == "[":
+        text = m.group(kind)
+        loc = Loc(line, start - line_start + 1)
+        if kind == "WORD":
+            # `[^\W\d]` also admits non-decimal digits and other numerals.
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise ParseError(f"unexpected character {text[0]!r}", loc)
+            kind = text if text in _KEYWORDS else "NAME"
+        elif kind == "PUNCT":
+            kind = text
+        elif kind == "LANG":
             # Bracketed annotations (languages, or a message name for send)
-            # are captured raw; the consumer decides how to read them.
-            j = src.find("]", i + 1)
-            if j < 0:
+            # are captured raw and may span lines; the consumer reads them.
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + 2 + text.rindex("\n")
+        elif kind == "BAD":
+            if text == "[":
                 raise ParseError("unterminated '['", loc)
-            body = src[i + 1 : j]
-            toks.append(Token("LANG", body, loc))
-            advance(j + 1 - i)
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("NAT", src[i:j], loc))
-            advance(j - i)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i:j]
-            kind = word if word in _KEYWORDS else "NAME"
-            toks.append(Token(kind, word, loc))
-            advance(j - i)
-            continue
-        two = src[i : i + 2]
-        if two in _TWO_CHAR:
-            toks.append(Token(two, two, loc))
-            advance(2)
-            continue
-        if ch in _ONE_CHAR:
-            toks.append(Token(ch, ch, loc))
-            advance(1)
-            continue
-        raise ParseError(f"unexpected character {ch!r}", loc)
-    toks.append(Token("EOF", "", Loc(line, col)))
+            raise ParseError(f"unexpected character {text!r}", loc)
+        toks.append(Token(kind, text, loc))
+    toks.append(Token("EOF", "", Loc(line, len(src) - line_start + 1)))
     return toks
 
 
@@ -408,7 +394,7 @@ class _Parser:
         self.alphabet: set[MsgType] = {UNIT_MSG}
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def next(self) -> Token:
         t = self.toks[self.pos]

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -7,6 +10,7 @@ from actorcap import lang, runtime
 from actorcap.cli import main
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 COUNTER = str(CORPUS / "positive/counter.acap")
 FANIN = str(CORPUS / "positive/fanin.acap")
@@ -286,6 +290,49 @@ class TestInputErrors:
         assert main([command, COUNTER, "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "No such file" in err
+
+    # `²` is a digit but not a decimal one: the tokenizer once read it as a
+    # number and `int()` raised ValueError.
+    NON_DECIMAL = {
+        "alone": ("let x = ² in", 33),
+        "after-a-digit": ("let x = 1² in", 34),
+    }
+
+    def non_decimal_program(self, tmp_path, case):
+        text, col = self.NON_DECIMAL[case]
+        f = tmp_path / "digit.acap"
+        f.write_text("beh[<Unit>]{ Unit(m) => " + text + " beh[eps]{ } }\n")
+        return str(f), col
+
+    @pytest.mark.parametrize("case", NON_DECIMAL)
+    @pytest.mark.parametrize("command", ["check", "run", "explore"])
+    def test_non_decimal_digit_exit_4(self, command, case, tmp_path, capsys):
+        path, col = self.non_decimal_program(tmp_path, case)
+        assert main([command, path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error @ 1:{col} - unexpected character '²'\n"
+
+    @pytest.mark.parametrize("case", NON_DECIMAL)
+    def test_non_decimal_digit_json(self, case, tmp_path, capsys):
+        path, col = self.non_decimal_program(tmp_path, case)
+        assert main(["check", path, "--format", "json"]) == 4
+        assert json.loads(capsys.readouterr().out) == [{
+            "code": "ParseError",
+            "span": {"line": 1, "col": col},
+            "detail": "unexpected character '²'",
+            "expected": [],
+        }]
+
+    def test_non_decimal_digit_prints_no_traceback(self, tmp_path):
+        path, _ = self.non_decimal_program(tmp_path, "alone")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "actorcap.cli", "check", path],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr == "parse error @ 1:33 - unexpected character '²'\n"
 
     def test_usage_error_exit_4(self, capsys):
         assert main(["run", COUNTER, "--seed", "x"]) == 4
