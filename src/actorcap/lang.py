@@ -5,7 +5,11 @@ through an actor reference.  Everything else in the package reduces to the
 operations here: nullability, derivatives (Antimirov's partial derivatives,
 whose canonical union is `derivative`), the shuffle product (all
 interleavings of two languages), intersection, emptiness and inclusion (one
-derivative-pair search, `_pair_search`), and equivalence.
+derivative-pair search, `_pair_search`), and equivalence.  The search
+discharges a pair, without expanding it, when its right side is nullable
+and steps back to itself on every symbol of the left term: such a right
+side holds every word over those symbols, so an n-way shuffle against a
+star of its symbols holds at its first pair instead of its 2**n-th.
 
 Expressions are hash-consed (see `LangExpr`): every constructor, raw or
 smart, returns the one interned node for its operands, so equality is
@@ -532,6 +536,15 @@ def _pair_search(
     whose left term literally occurs on the right hold reflexively.  The
     memoized hypothesis set is per call, so concurrent callers share
     nothing.  Raises StateBudgetExceeded past `cap` pairs, if one is given.
+
+    A pair (t, rights) also holds, and is not expanded, when some right
+    term is nullable and the right successor set is `rights` itself for
+    every symbol of t.  By induction on length, `rights` then holds every
+    word over `symbols(t)`: the empty word because it is nullable, and s.w
+    because its s-derivative is `rights` again.  Every word of t is
+    spelled in `symbols(t)`, so the pair holds.  The successor sets are
+    computed once per symbol, for the rule and the expansion alike; an
+    empty right side is never nullable, so `is_empty` never uses the rule.
     """
     seen: set[tuple[LangExpr, frozenset[LangExpr]]] = set()
     stack = [(t, right0) for t in lefts]
@@ -539,21 +552,22 @@ def _pair_search(
         t, rights = stack.pop()
         if t in rights or (t, rights) in seen:
             continue
-        if nullable(t) and not any(nullable(r) for r in rights):
+        accepts = any(nullable(r) for r in rights)
+        if nullable(t) and not accepts:
             return False
         seen.add((t, rights))
         if cap is not None and len(seen) > cap:
             raise StateBudgetExceeded(
                 f"inclusion check exceeded {cap} derivative pairs"
             )
-        for s in symbols(t):
-            succ_l = partial_derivatives(s, t)
-            if not succ_l:
-                continue
-            succ_r = frozenset().union(
-                *(partial_derivatives(s, r) for r in rights)
-            ) if rights else frozenset()
-            for t2 in succ_l:
+        steps = [
+            (s, frozenset().union(*(partial_derivatives(s, r) for r in rights)))
+            for s in symbols(t)
+        ]
+        if accepts and all(succ_r == rights for _, succ_r in steps):
+            continue  # `rights` holds every word over symbols(t)
+        for s, succ_r in steps:
+            for t2 in partial_derivatives(s, t):
                 stack.append((t2, succ_r))
     return True
 

@@ -256,6 +256,21 @@ class TestSpawn:
             "spawn[<a>.<a>](beh[<a>]{ a(x) => beh[eps]{ } })",
         )
 
+    def test_shuffle_capability_into_a_server_of_any_order(self):
+        # Inclusion discharges the shuffle at its first pair; walked in
+        # full, its 2**17 derivatives exceed the state budget.
+        names = [f"a{i}" for i in range(1, 18)]
+        server = "(" + "|".join(f"<{n}>" for n in names) + ")*"
+        src = (
+            "".join(f"msg {n} : Unit " for n in names)
+            + "beh[<Unit>]{ Unit(m) => let t = spawn["
+            + "#".join(f"<{n}>" for n in names)
+            + f"]((fun k(z: Nat): Beh[{server}] ! eps => beh[{server}]{{ "
+            + " | ".join(f"{n}(x) => k z" for n in names)
+            + " }) 0) in beh[eps]{ } }"
+        )
+        check_program(parse_program(src))
+
 
 class TestFlowSensitivity:
     def test_variable_use_consumes(self):

@@ -222,15 +222,32 @@ class TestAlg:
 
     def test_state_budget_exit_5(self, capsys, monkeypatch):
         monkeypatch.setattr(lang, "STATE_BUDGET", 1)
-        code = main(["alg", "includes", "<a>.<b>.<c>", "(<a>|<b>|<c>)*"])
+        code = main(["alg", "includes", "<a>.<b>.<c>", "(<a>.<b>.<c>)*"])
         assert code == 5
         assert "state" in capsys.readouterr().err.lower()
 
-    def test_state_budget_during_run_exit_5(self, capsys, monkeypatch):
+    def test_state_budget_during_run_exit_5(self, tmp_path, capsys,
+                                            monkeypatch):
+        # The stage holds the spawn tag <add>.<stop> while its work message
+        # is in flight; that tag in the receiver's <add>*.<stop> takes the
+        # monitor's global check two derivative pairs.
+        prog = tmp_path / "two_pairs.acap"
+        prog.write_text(
+            "msg work : Nat\nmsg add : Nat\nmsg stop : Unit\n"
+            "beh[<Unit>]{ Unit(m) =>\n"
+            "  let acc = spawn[<add>.<stop>]((fun mk(t: Nat): "
+            "Beh[<add>*.<stop>] ! eps =>\n"
+            "    beh[<add>*.<stop>]{ add(n) => mk (t + n)"
+            " | stop(x) => beh[eps]{ } }) 0)\n"
+            "  in let stage = spawn(beh[<work>]{ work(n) =>\n"
+            "    let u1 = send[add](acc, n) in let u2 = send[stop](acc, ())\n"
+            "    in beh[eps]{ } })\n"
+            "  in let u = send[work](stage, 1)\n"
+            "  in beh[eps]{ } }\n"
+        )
+        assert main(["check", str(prog)]) == 0
         monkeypatch.setattr(lang, "STATE_BUDGET", 1)
-        # The monitor's inclusions on pipeline.acap need more than one pair.
-        pipeline = str(CORPUS / "positive/pipeline.acap")
-        assert main(["run", pipeline, "--unchecked"]) == 5
+        assert main(["run", str(prog), "--unchecked"]) == 5
         assert "state budget exceeded" in capsys.readouterr().err
 
     def test_environment_sets_no_budget(self, capsys, monkeypatch):
