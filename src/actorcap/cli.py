@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import lang as lng
@@ -219,9 +220,16 @@ def cmd_alg(args) -> int:
     def parse(text: str):
         return parse_lang(text, alphabet)
 
+    if len(args.args) != 2:
+        print(f"error: alg {args.op} takes 2 arguments, got {len(args.args)}",
+              file=sys.stderr)
+        return EXIT_PARSE_ERROR
     try:
         if args.op == "derivative":
             symbol, expr = args.args
+            # The name rule of `<name>` in the language syntax.
+            if not re.fullmatch(r"\w+", symbol):
+                raise LangParseError(f"expected a symbol name, got {symbol!r}", 0)
             m = MsgType(symbol)
             if alphabet is not None and m not in alphabet:
                 raise LangParseError(f"undeclared symbol {symbol}", 0)

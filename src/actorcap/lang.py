@@ -13,12 +13,17 @@ star of its symbols holds at its first pair instead of its 2**n-th.
 
 Expressions are hash-consed (see `LangExpr`): every constructor, raw or
 smart, returns the one interned node for its operands, so equality is
-identity.  The smart constructors (`alt`, `cat`, `shuffle`, `conj`, `star`)
-keep a canonical form: unions are flattened, sorted and deduplicated, unit
-and annihilator laws are applied, and the commutative operators have sorted
-operands.  Canonical forms matter because inclusion is decided by exploring
-pairs of derivatives and only terminates when the set of derivatives is
-finite modulo these identities.
+identity.  Expressions are canonical by construction: they come from the
+smart constructors (`alt`, `cat`, `shuffle`, `conj`, `star`) or from
+`parse_lang`, which builds through them, and every operation here builds
+its results the same way.  In canonical form chains are right-nested,
+unions are flattened, sorted and deduplicated, unit and annihilator laws
+are applied, and the commutative operators have sorted operands.  The node
+classes are for matching, printing, interning and pickling; a tree built
+from them by hand is still decided correctly, just not canonicalised.
+Canonical form keeps the sets of derivatives small, so it decides how fast
+inclusion runs, not whether it ends: partial derivatives are finitely many
+even without these identities.
 
 All operations are pure.  The node table and the memo tables that remain
 (the `lru_cache`s of `derivative`, `partial_derivatives` and the
@@ -68,12 +73,12 @@ class LangExpr:
     structurally equal expressions are one object.  A new node computes its
     facts once, from its operands': the hash a frozen dataclass of the same
     fields would have (never a memory address, so set order, and with it
-    every printed result, depends on PYTHONHASHSEED alone), the structural
-    order key, nullability, the symbol set and whether it is normal (what
-    `normalize` returns unchanged).
+    every printed result, depends on PYTHONHASHSEED alone), and the three
+    facts of `_facts`: the structural order key, nullability and the
+    symbol set.
     """
 
-    __slots__ = ("_hash", "_order", "_nullable", "_symbols", "_normal")
+    __slots__ = ("_hash", "_order", "_nullable", "_symbols")
     __match_args__: tuple[str, ...] = ()
 
     def __new__(cls, *operands):
@@ -166,44 +171,27 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
 
 
 def _facts(e: LangExpr):
-    """Order key, nullability, symbols and normality of a new node.
+    """Order key, nullability and symbols of a new node.
 
-    All four come from the operands' facts.  A binary node is normal when
-    it is what its class's smart constructor builds from its chain (see
-    `_SMART`): right-nested, both sides normal, no unit or annihilator of
-    the class in the chain, and the operands of the commutative classes in
-    order (strictly, where duplicates are merged).
+    All three come from the operands' facts, so a node of any depth costs
+    no recursion.
     """
     match e:
         case Empty():
-            return (0,), False, frozenset(), True
+            return (0,), False, frozenset()
         case Eps():
-            return (1,), True, frozenset(), True
+            return (1,), True, frozenset()
         case Sym(s):
-            return (2, s.name), False, frozenset({s}), True
+            return (2, s.name), False, frozenset({s})
         case Star(i):
-            normal = i._normal and not isinstance(i, (Empty, Eps, Star))
-            return (3, i._order), True, i._symbols, normal
+            return (3, i._order), True, i._symbols
         case Alt(l, r):
             null = l._nullable or r._nullable
-            units = (Empty,)
         case Cat(l, r) | Shuffle(l, r) | And(l, r):
             null = l._nullable and r._nullable
-            units = (Empty, Eps)
         case _:
             raise TypeError(f"not a language expression: {e!r}")
-    cls = type(e)
-    normal = (
-        l._normal and r._normal
-        and not isinstance(l, (cls, *units)) and not isinstance(r, units)
-    )
-    if normal and cls is not Cat:
-        first = r.left if isinstance(r, cls) else r
-        normal = l._order < first._order or (
-            cls is Shuffle and l._order == first._order
-        )
-    facts = (e._rank, l._order, r._order), null, _union(l._symbols, r._symbols)
-    return (*facts, normal)
+    return (e._rank, l._order, r._order), null, _union(l._symbols, r._symbols)
 
 
 EMPTY = Empty()
@@ -222,15 +210,12 @@ def _key(e: LangExpr):
 
 
 def _chain(cls, e: LangExpr) -> list[LangExpr]:
+    """The operands of a `cls` chain: canonical chains are right-nested."""
     items: list[LangExpr] = []
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, cls):
-            stack.append(x.right)
-            stack.append(x.left)
-        else:
-            items.append(x)
+    while isinstance(e, cls):
+        items.append(e.left)
+        e = e.right
+    items.append(e)
     return items
 
 
@@ -288,11 +273,11 @@ _UNIT = {Alt: EMPTY, Cat: EPS, Shuffle: EPS}
 
 def _rebuild(cls, parts: list[LangExpr]) -> LangExpr:
     """The smart constructor of `cls` over the chains of all `parts`."""
-    # A unit of the class adds nothing to the chain, and a lone normal part
-    # is already the result: so a derivative step that leaves eps before a
-    # long chain returns the chain instead of rebuilding it.
+    # A unit of the class adds nothing to the chain, and a lone canonical
+    # part is already the result: so a derivative step that leaves eps
+    # before a long chain returns the chain instead of rebuilding it.
     rest = [p for p in parts if p is not _UNIT.get(cls)]
-    if len(rest) == 1 and rest[0]._normal:
+    if len(rest) == 1:
         return rest[0]
     return _SMART[cls]([x for p in parts for x in _chain(cls, p)])
 
@@ -319,25 +304,6 @@ def star(a: LangExpr) -> LangExpr:
     if isinstance(a, Star):
         return a
     return Star(a)
-
-
-def normalize(l: LangExpr) -> LangExpr:
-    """Rebuild bottom-up through the smart constructors.
-
-    Idempotent and denotation-preserving; expressions produced by this
-    module are already normal, so this is mainly for externally built trees.
-    A same-class chain is walked without recursion and built once, so only
-    a change of class costs stack depth.
-    """
-    if l._normal:
-        return l
-    match l:
-        case Star(a):
-            return star(normalize(a))
-        case _Binary():
-            cls = type(l)
-            return _rebuild(cls, [normalize(x) for x in _chain(cls, l)])
-    raise TypeError(f"not a language expression: {l!r}")
 
 
 def nullable(l: LangExpr) -> bool:
@@ -372,10 +338,9 @@ def first_unhandled(l: LangExpr, handled) -> MsgType | None:
 
 def word_derivative(w, l: LangExpr) -> LangExpr:
     """Left fold of `derivative`, so (ww')-derivatives chain as expected."""
-    acc = normalize(l)
     for s in w:
-        acc = derivative(s, acc)
-    return acc
+        l = derivative(s, l)
+    return l
 
 
 def member(w, l: LangExpr) -> bool:
@@ -513,7 +478,7 @@ def is_empty(l: LangExpr) -> bool:
     term (the pair search against no right terms, without a state budget);
     plain syntactic checks are not enough once intersection is in the mix.
     """
-    return _pair_search(_terms(normalize(l)), frozenset())
+    return _pair_search(_terms(l), frozenset())
 
 
 def includes(sub: LangExpr, sup: LangExpr) -> bool:
@@ -522,7 +487,7 @@ def includes(sub: LangExpr, sup: LangExpr) -> bool:
     Raises StateBudgetExceeded when the pair closure (`_pair_search`)
     outgrows `STATE_BUDGET` pairs.
     """
-    return _pair_search(_terms(normalize(sub)), _terms(normalize(sup)), STATE_BUDGET)
+    return _pair_search(_terms(sub), _terms(sup), STATE_BUDGET)
 
 
 def _pair_search(
@@ -578,14 +543,14 @@ def equiv(l1: LangExpr, l2: LangExpr) -> bool:
 
 # ---------------------------------------------------------------------------
 # Textual syntax: 0, eps, <Name>, ".", "|", "#", "&", postfix "*", parens.
-# Precedence: * > . > # > & > |.
+# Precedence: * > . > # > & > |.  The binary levels, one table for the
+# printer and the parser; postfix "*" binds at level 5.
+
+_LEVEL = {Alt: (1, "|"), And: (2, "&"), Shuffle: (3, "#"), Cat: (4, ".")}
 
 
 def lang_to_text(e: LangExpr) -> str:
     return _print(e, 0)
-
-
-_LEVEL = {Alt: (1, "|"), And: (2, "&"), Shuffle: (3, "#"), Cat: (4, ".")}
 
 
 def _print(e: LangExpr, ctx: int) -> str:
@@ -602,15 +567,9 @@ def _print(e: LangExpr, ctx: int) -> str:
             lvl, op = _LEVEL[type(e)]
         case _:
             raise TypeError(f"not a language expression: {e!r}")
-    # Chains are right-nested in canonical form; keep them flat in print,
-    # walking the right spine without recursion.
-    parts = []
-    cls = type(e)
-    while isinstance(e, cls):
-        parts.append(_print(e.left, lvl + 1))
-        e = e.right
-    parts.append(_print(e, lvl))
-    body = op.join(parts)
+    # Keep chains flat in print, walking the right spine without recursion.
+    *lefts, last = _chain(type(e), e)
+    body = op.join([*(_print(x, lvl + 1) for x in lefts), _print(last, lvl)])
     return f"({body})" if ctx > lvl else body
 
 
@@ -644,35 +603,29 @@ def parse_lang(text: str, alphabet=None) -> LangExpr:
     When `alphabet` is given, symbols outside it are rejected.
     """
     cur = _LangCursor(text)
-    e = _parse_alt(cur, alphabet)
+    e = _parse_binary(cur, alphabet)
     cur.skip_ws()
     if cur.pos != len(text):
         raise LangParseError("trailing input", cur.pos)
     return e
 
 
-def _parse_chain(cur, alphabet, cls, op: str, operand) -> LangExpr:
-    """`operand (op operand)*`, built once by the smart constructor of cls."""
-    parts = [operand(cur, alphabet)]
-    while cur.take(op):
-        parts.append(operand(cur, alphabet))
-    return parts[0] if len(parts) == 1 else _rebuild(cls, parts)
-
-
-def _parse_alt(cur, alphabet) -> LangExpr:
-    return _parse_chain(cur, alphabet, Alt, "|", _parse_and)
-
-
-def _parse_and(cur, alphabet) -> LangExpr:
-    return _parse_chain(cur, alphabet, And, "&", _parse_shuffle)
-
-
-def _parse_shuffle(cur, alphabet) -> LangExpr:
-    return _parse_chain(cur, alphabet, Shuffle, "#", _parse_cat)
-
-
-def _parse_cat(cur, alphabet) -> LangExpr:
-    return _parse_chain(cur, alphabet, Cat, ".", _parse_post)
+def _parse_binary(cur, alphabet, min_lvl: int = 1) -> LangExpr:
+    """The operators of `_LEVEL` at `min_lvl` or tighter, by precedence
+    climbing: the operands of one operator, each parsed a level tighter,
+    are collected and the chain is built once by its smart constructor."""
+    e = _parse_post(cur, alphabet)
+    while True:
+        ch = cur.peek()
+        for cls, (lvl, op) in _LEVEL.items():
+            if op == ch and lvl >= min_lvl:
+                break
+        else:
+            return e
+        parts = [e]
+        while cur.take(op):
+            parts.append(_parse_binary(cur, alphabet, lvl + 1))
+        e = _rebuild(cls, parts)
 
 
 def _parse_post(cur, alphabet) -> LangExpr:
@@ -689,7 +642,7 @@ def _parse_atom(cur, alphabet) -> LangExpr:
         return EMPTY
     if ch == "(":
         cur.pos += 1
-        e = _parse_alt(cur, alphabet)
+        e = _parse_binary(cur, alphabet)
         cur.expect(")")
         return e
     if ch == "<":

@@ -175,7 +175,7 @@ def fifo_residuals(
     enumeration first produces them.
     """
     seqs = [s for s in seqs if s]
-    layer: dict = {((0,) * len(seqs), lng.normalize(annot)): None}
+    layer: dict = {((0,) * len(seqs), annot): None}
     for _ in range(sum(map(len, seqs))):
         nxt: dict = {}
         for (pos, residual), merged in layer.items():
@@ -202,13 +202,12 @@ def fifo_residuals(
 class Residual(NamedTuple):
     """An actor's entry in `Config.residuals`: its residual after one queue.
 
-    `residual` is the normalised `annot` after the first `folded` messages
-    of the inbound queue `queue`, the last of them the queue item `last`.
-    It counts only while `annot` is the actor's normalised annotation and
-    `last` is still the queue's item at position `folded - 1`, so a queue
-    changed where the monitor did not see it (an unmonitored delivery, an
-    edit by hand) falls back to the walk.  Entries are derived state: the
-    walk gives the same residual.
+    `residual` is `annot` after the first `folded` messages of the inbound
+    queue `queue`, the last of them the queue item `last`.  It counts only
+    while `annot` is the actor's annotation and `last` is still the queue's
+    item at position `folded - 1`, so a queue changed where the monitor did
+    not see it (an unmonitored delivery, an edit by hand) falls back to the
+    walk.  Entries are derived state: the walk gives the same residual.
     """
 
     annot: LangExpr
@@ -236,8 +235,8 @@ def delivered(config, queue: tuple[int, int], msg: MsgType) -> None:
 
 
 def _queue_residual(config, actor: int, annot: LangExpr, queue, q) -> LangExpr:
-    """The residual of `annot` (normalised) after the whole queue `q`, kept
-    under `actor` in `config.residuals` and extended from it."""
+    """The residual of `annot` after the whole queue `q`, kept under `actor`
+    in `config.residuals` and extended from it."""
     entry = config.residuals.get(actor)
     if (
         entry is not None
@@ -301,7 +300,7 @@ def global_invariant(config) -> list[Violation]:
                 )
             )
         combined = summary.combined(actor)
-        annot = lng.normalize(behv.annot)
+        annot = behv.annot
         keys = sorted(inbound.get(actor, ()))
         if not keys:
             config.residuals.pop(actor, None)

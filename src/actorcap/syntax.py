@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .lang import (
+    EMPTY,
     EPS,
     LangExpr,
     LangParseError,
@@ -386,6 +387,11 @@ def tokenize(src: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # Parser
 
+# Precedence levels, one table for the parser and the printer.
+_STMT, _OR, _AND, _ADD, _MUL, _UNARY, _APP, _PRIM = range(8)
+
+_BINOP_LEVEL = {"||": _OR, "&&": _AND, "+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL}
+
 
 class _Parser:
     def __init__(self, toks: list[Token]):
@@ -496,7 +502,7 @@ class _Parser:
             return self.split_expr()
         if t.kind == "if":
             return self.if_expr()
-        return self.or_expr()
+        return self.binary()
 
     def fun_expr(self) -> Expr:
         loc = self.expect("fun").loc
@@ -524,8 +530,6 @@ class _Parser:
             return EPS
         if t.kind == "NAT" and t.text == "0":
             self.next()
-            from .lang import EMPTY
-
             return EMPTY
         raise ParseError(
             "expected a latent effect (eps, 0 or [language])", t.loc,
@@ -574,32 +578,13 @@ class _Parser:
         else_branch = self.expr()
         return If(cond, then_branch, else_branch, loc)
 
-    def or_expr(self) -> Expr:
-        e = self.and_expr()
-        while self.at("||"):
-            loc = self.next().loc
-            e = BinOp("||", e, self.and_expr(), loc)
-        return e
-
-    def and_expr(self) -> Expr:
-        e = self.add_expr()
-        while self.at("&&"):
-            loc = self.next().loc
-            e = BinOp("&&", e, self.add_expr(), loc)
-        return e
-
-    def add_expr(self) -> Expr:
-        e = self.mul_expr()
-        while self.peek().kind in ("+", "-"):
-            op = self.next()
-            e = BinOp(op.kind, e, self.mul_expr(), op.loc)
-        return e
-
-    def mul_expr(self) -> Expr:
+    def binary(self, min_lvl: int = _OR) -> Expr:
+        """Left-associative binary operators of `_BINOP_LEVEL` at `min_lvl`
+        or tighter, by precedence climbing."""
         e = self.unary_expr()
-        while self.peek().kind in ("*", "/"):
+        while (lvl := _BINOP_LEVEL.get(self.peek().kind, _STMT)) >= min_lvl:
             op = self.next()
-            e = BinOp(op.kind, e, self.unary_expr(), op.loc)
+            e = BinOp(op.kind, e, self.binary(lvl + 1), op.loc)
         return e
 
     def unary_expr(self) -> Expr:
@@ -774,12 +759,6 @@ def type_to_text(t: TypeExpr) -> str:
         case BehT(l):
             return f"Beh[{lang_to_text(l)}]"
     raise TypeError(f"not a type: {t!r}")
-
-
-# Print levels mirror the parse grammar.
-_STMT, _OR, _AND, _ADD, _MUL, _UNARY, _APP, _PRIM = range(8)
-
-_BINOP_LEVEL = {"||": _OR, "&&": _AND, "+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL}
 
 
 def expr_to_text(e: Expr, ctx: int = _STMT) -> str:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from actorcap.lang import (
     LangExpr,
     _terms,
-    normalize,
     nullable,
     partial_derivatives,
     symbols,
@@ -20,7 +19,7 @@ from actorcap.lang import (
 def naive_includes(sub: LangExpr, sup: LangExpr) -> bool:
     """True iff every word of `sub` is a word of `sup`; no state budget."""
     seen: set[tuple[LangExpr, frozenset[LangExpr]]] = set()
-    stack = [(t, _terms(normalize(sup))) for t in _terms(normalize(sub))]
+    stack = [(t, _terms(sup)) for t in _terms(sub)]
     while stack:
         t, rights = stack.pop()
         if t in rights or (t, rights) in seen:

@@ -434,7 +434,7 @@ def test_send_rebinding_is_capability_monotone():
     checker = Checker(TEST_PROGRAM)
     checked = 0
     for _ in range(80):
-        l = lng.normalize(langgen.random_expr(rng, depth=3))
+        l = langgen.reference_normalize(langgen.random_expr(rng, depth=3))
         for s in sorted(lng.symbols(l)):
             env = TypeEnv({"r": ActorRefT(l)})
             try:

@@ -216,6 +216,28 @@ class TestAlg:
     def test_parse_error_exit_4(self, capsys):
         assert main(["alg", "derivative", "a", "<a"]) == 4
 
+    @pytest.mark.parametrize("symbol", ["", "a b", "a>", "<a>"])
+    def test_derivative_rejects_a_symbol_no_protocol_can_spell(self, capsys, symbol):
+        assert main(["alg", "derivative", symbol, "<a>"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: expected a symbol name")
+
+    def test_derivative_takes_any_name_a_protocol_can_spell(self, capsys):
+        assert main(["alg", "derivative", "é_1", "<é_1>.<b>"]) == 0
+        assert capsys.readouterr().out == "<b>\n"
+
+    @pytest.mark.parametrize("op", ["derivative", "shuffle", "includes",
+                                    "equiv", "enumerate"])
+    @pytest.mark.parametrize("args", [["<a>"], ["<a>", "<a>", "<a>"]])
+    def test_wrong_argument_count_names_the_operation(self, capsys, op, args):
+        assert main(["alg", op, *args]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: alg {op} takes 2 arguments, got {len(args)}\n"
+        )
+
     def test_json_result(self, capsys):
         assert main(["alg", "includes", "<a>", "<a>|<b>", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out) == {"result": "true"}

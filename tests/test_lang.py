@@ -1,3 +1,4 @@
+import ast
 import copy
 import functools
 import itertools
@@ -35,7 +36,6 @@ from actorcap.lang import (
     is_empty,
     lang_to_text,
     member,
-    normalize,
     nullable,
     parse_lang,
     shuffle,
@@ -222,27 +222,54 @@ class TestEquiv:
         assert equiv(Star(Sym(A)), cat(Star(Sym(A)), Star(Sym(A))))
 
 
-class TestNormalize:
+class TestSmartConstructors:
+    """The laws that make expressions canonical by construction."""
+
     def test_union_idempotent(self):
-        assert normalize(Alt(NOP_ACT_NOP, NOP_ACT_NOP)) == normalize(NOP_ACT_NOP)
+        assert alt(NOP_ACT_NOP, NOP_ACT_NOP) is NOP_ACT_NOP
 
     def test_eps_unit(self):
-        assert normalize(Cat(EPS, NOP_ACT_NOP)) == normalize(NOP_ACT_NOP)
+        assert cat(EPS, NOP_ACT_NOP) is NOP_ACT_NOP
 
     def test_empty_union_identity(self):
-        assert normalize(Alt(EMPTY, NOP_ACT_NOP)) == normalize(NOP_ACT_NOP)
+        assert alt(EMPTY, NOP_ACT_NOP) is NOP_ACT_NOP
 
     def test_star_collapse(self):
-        assert normalize(Star(Star(Sym(A)))) == Star(Sym(A))
+        assert star(star(Sym(A))) is Star(Sym(A))
 
     def test_empty_annihilates(self):
-        assert normalize(Shuffle(Sym(A), EMPTY)) == EMPTY
-        assert normalize(And(Sym(A), EMPTY)) == EMPTY
+        assert shuffle(Sym(A), EMPTY) is EMPTY
+        assert conj(Sym(A), EMPTY) is EMPTY
 
     def test_shuffle_not_deduplicated(self):
         # a # a is {aa}, not {a}
-        e = normalize(Shuffle(Sym(A), Sym(A)))
+        e = shuffle(Sym(A), Sym(A))
+        assert e is Shuffle(Sym(A), Sym(A))
         assert enumerate_words(e, 2) == {w("a", "a")}
+
+
+class TestOnlyLangBuildsCompositeNodes:
+    """Outside `lang`, composite expressions come from the smart
+    constructors or `parse_lang`, never from a raw node class, so every
+    expression the package builds is canonical."""
+
+    RAW = {"Alt", "Cat", "Shuffle", "And", "Star"}
+
+    def test_no_raw_composite_constructor_outside_lang(self):
+        package = pathlib.Path(actorcap.__file__).parent
+        modules = [p for p in sorted(package.glob("*.py")) if p.name != "lang.py"]
+        assert len(modules) >= 6
+        raw = []
+        for path in modules:
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                if name in self.RAW:
+                    raw.append(f"{path.name}:{node.lineno}: {name}(...)")
+        assert raw == []
 
 
 class TestInterning:
@@ -304,23 +331,14 @@ class TestDeepChains:
     N = 5000
     TEXT = ".".join(["<a>"] * N)
 
-    def raw_chain(self):
-        # Left-nested, with an eps between every two symbols: not normal.
-        chain = Sym(A)
-        for _ in range(self.N - 1):
-            chain = Cat(Cat(chain, EPS), Sym(A))
-        return chain
-
-    def test_normalize(self):
-        n = normalize(self.raw_chain())
-        assert n is parse_lang(self.TEXT)
-        assert normalize(n) is n
-        assert n.left is Sym(A) and n.right.left is Sym(A)
+    def test_parse_is_right_nested(self):
+        assert lang._chain(Cat, parse_lang(self.TEXT)) == [Sym(A)] * self.N
 
     def test_includes(self):
-        assert includes(self.raw_chain(), star(sym("a")))
-        assert includes(parse_lang(self.TEXT), self.raw_chain())
-        assert not includes(parse_lang(self.TEXT + ".<a>"), self.raw_chain())
+        chain = parse_lang(self.TEXT)
+        assert includes(chain, star(sym("a")))
+        assert includes(chain, chain)
+        assert not includes(parse_lang(self.TEXT + ".<a>"), chain)
 
     def test_lang_to_text(self):
         assert lang_to_text(parse_lang(self.TEXT)) == self.TEXT

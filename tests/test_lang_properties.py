@@ -1,9 +1,9 @@
+import itertools
 import random
 
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from actorcap import lang
 from actorcap.lang import (
     Alt,
     And,
@@ -14,19 +14,21 @@ from actorcap.lang import (
     Star,
     Sym,
     alt,
+    cat,
+    conj,
     derivative,
     enumerate_words,
     equiv,
     includes,
     is_empty,
     member,
-    normalize,
+    partial_derivatives,
     shuffle,
     star,
     word_derivative,
 )
 
-from langgen import ALPHABET, random_expr
+from langgen import ALPHABET, random_expr, reference_normalize
 
 A, B, C = ALPHABET
 
@@ -50,8 +52,6 @@ words = st.lists(symbols, max_size=4).map(tuple)
 @given(exprs)
 def test_member_agrees_with_enumeration_oracle(e):
     words_of_e = enumerate_words(e, 3)
-    import itertools
-
     for n in range(4):
         for cand in itertools.product(ALPHABET, repeat=n):
             assert member(cand, e) == (cand in words_of_e)
@@ -68,10 +68,11 @@ def test_derivative_soundness(s, e, rest):
 # A partial derivative that is itself a union: <a>|<b> next to <c>.
 @example(A, Alt(Cat(Sym(A), Alt(Sym(A), Sym(B))), Cat(Sym(A), Sym(C))))
 def test_derivative_matches_enumeration_oracle(s, e):
-    d = derivative(s, normalize(e))
+    e = reference_normalize(e)
+    d = derivative(s, e)
     expected = {w[1:] for w in enumerate_words(e, 5) if w[:1] == (s,)}
     assert enumerate_words(d, 4) == expected
-    assert d._normal  # the union of the partial derivatives is canonical
+    assert reference_normalize(d) is d  # the union of the terms is canonical
 
 
 @settings(max_examples=100, deadline=None)
@@ -132,8 +133,8 @@ def test_includes_antisymmetric_up_to_equiv(e1, e2):
 @settings(max_examples=150, deadline=None)
 @given(exprs)
 def test_normalize_idempotent_and_denotation_preserving(e):
-    n = normalize(e)
-    assert normalize(n) == n
+    n = reference_normalize(e)
+    assert reference_normalize(n) is n
     assert enumerate_words(e, 3) == enumerate_words(n, 3)
 
 
@@ -155,26 +156,19 @@ def test_shuffle_derivative_rule(s, e1, e2):
     assert equiv(derivative(s, shuffle(e1, e2)), expected)
 
 
-def reference_normalize(e):
-    """The recursive rebuild, one smart constructor per node, no shortcuts."""
-    match e:
-        case Star(a):
-            return star(reference_normalize(a))
-        case Cat(a, b) | Alt(a, b) | Shuffle(a, b) | And(a, b):
-            cls = type(e)
-            parts = [reference_normalize(a), reference_normalize(b)]
-            return lang._SMART[cls]([x for p in parts for x in lang._chain(cls, p)])
-    return e
-
-
-@settings(max_examples=300, deadline=None)
-@given(exprs)
-def test_normal_fact_matches_rebuild(e):
-    # A node knows, from its construction, whether rebuilding changes it.
-    rebuilt = reference_normalize(e)
-    assert normalize(e) is rebuilt
-    assert e._normal == (rebuilt is e)
-    assert rebuilt._normal
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**16))
+def test_operations_build_canonical_forms(seed):
+    # Canonical by construction: what the operations build from canonical
+    # operands is its own rebuild, with no normalising pass anywhere.
+    e = reference_normalize(random_expr(random.Random(seed)))
+    built = [e]
+    for s in ALPHABET:
+        built.append(derivative(s, e))
+        built.extend(partial_derivatives(s, e))
+    for x, y in itertools.combinations_with_replacement(built, 2):
+        for z in (alt(x, y), cat(x, y), shuffle(x, y), conj(x, y), star(x)):
+            assert reference_normalize(z) is z
 
 
 @settings(max_examples=200, deadline=None)
@@ -184,4 +178,3 @@ def test_equality_is_identity(seed1, seed2):
     e2 = random_expr(random.Random(seed2))
     assert (e1 == e2) == (e1 is e2) == (repr(e1) == repr(e2))
     assert random_expr(random.Random(seed1)) is e1
-    assert normalize(e1) is normalize(e1)
