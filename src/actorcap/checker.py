@@ -633,9 +633,3 @@ def check_program(p: Program, warn_dropped: bool = False) -> TypedProgram:
     checker.typed.root_effect = eff
     return checker.typed
 
-
-def check_expr(
-    program: Program, env: TypeEnv, e: Expr
-) -> tuple[TypeExpr, TypeEnv, LangExpr]:
-    """Standalone single-expression judgment, mainly for tests and tooling."""
-    return Checker(program).infer(env, e)

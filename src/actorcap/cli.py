@@ -3,8 +3,9 @@
 Exit codes: 0 ok (also budget/depth-bounded with no findings), 1 type
 error, 2 stuck execution, 3 monitor violation, 4 parse, usage or file
 error, 5 a resource budget refused the input: the inclusion engine's state
-budget (`lang.STATE_BUDGET`) on any subcommand, explore's schedule cap
-(`runtime.SCHEDULE_CAP`), or input nested deeper than the Python stack.
+budget (`lang.STATE_BUDGET`) on any subcommand, which also bounds the word
+set of `alg enumerate`, explore's cap on the configurations it expands
+(`runtime.STATE_CAP`), or input nested deeper than the Python stack.
 For the algebra subcommands `includes` and `equiv`, exit 0 means the
 relation holds and 1 that it does not, so they compose in shell scripts.
 """
@@ -24,7 +25,6 @@ from .runtime import (
     DEFAULT_MAX_DELIVERIES,
     DynamicTypeError,
     RootEvaluationDiverged,
-    ScheduleBudgetExceeded,
     Trace,
     explore,
     init_config,
@@ -163,17 +163,13 @@ def cmd_explore(args) -> int:
     except (RootEvaluationDiverged, DynamicTypeError) as e:
         print(f"runtime error during setup: {e}", file=sys.stderr)
         return EXIT_STUCK
-    try:
-        report = explore(
-            config,
-            typed=typed,
-            max_depth=args.depth,
-            monitor=monitor,
-            base_trace=base,
-        )
-    except ScheduleBudgetExceeded as e:
-        print(f"error: schedule budget exceeded: {e}", file=sys.stderr)
-        return EXIT_BUDGET
+    report = explore(
+        config,
+        typed=typed,
+        max_depth=args.depth,
+        monitor=monitor,
+        base_trace=base,
+    )
     if args.format == "json":
         lines = [json.dumps({"schedules": report.schedules}, separators=(",", ":"))]
         for label in sorted(report.outcomes):
@@ -330,7 +326,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except lng.StateBudgetExceeded as e:
-        # The inclusion engine refused the input, so neither verdict applies.
+        # A search (inclusion, explore or enumeration) refused the input, so
+        # no verdict applies.
         print(f"error: state budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except RecursionError as e:

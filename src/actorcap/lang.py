@@ -36,11 +36,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-STATE_BUDGET = 100_000  # derivative pairs one inclusion check may visit
+# Derivative pairs one inclusion check may visit; words one enumeration holds.
+STATE_BUDGET = 100_000
 
 
 class StateBudgetExceeded(Exception):
-    """The derivative-pair closure outgrew `STATE_BUDGET`."""
+    """A search outgrew its budget: the derivative-pair closure or the
+    enumerated word set past `STATE_BUDGET`, or explore past
+    `runtime.STATE_CAP` expanded configurations."""
 
 
 class LangParseError(ValueError):
@@ -372,7 +375,15 @@ def _by_length(words, limit: int):
 def _words_upto(e: LangExpr, k: int) -> frozenset[Word]:
     # Bottom-up denotational evaluation of the length-bounded word set.
     # Deliberately free of derivatives and nullability: this is the
-    # independent oracle the derivative engine is tested against.
+    # independent oracle the derivative engine is tested against.  No set
+    # it builds may hold more than STATE_BUDGET words; the loops check as
+    # they add, so a refusal comes before the memory is spent.
+    def bound(out):
+        if len(out) > STATE_BUDGET:
+            raise StateBudgetExceeded(
+                f"enumeration exceeded {STATE_BUDGET} words up to length {k}"
+            )
+
     match e:
         case Empty():
             return frozenset()
@@ -381,7 +392,9 @@ def _words_upto(e: LangExpr, k: int) -> frozenset[Word]:
         case Sym(s):
             return frozenset({(s,)}) if k >= 1 else frozenset()
         case Alt(a, b):
-            return _words_upto(a, k) | _words_upto(b, k)
+            out = _words_upto(a, k) | _words_upto(b, k)
+            bound(out)
+            return out
         case And(a, b):
             return _words_upto(a, k) & _words_upto(b, k)
         case Cat(a, b):
@@ -391,6 +404,7 @@ def _words_upto(e: LangExpr, k: int) -> frozenset[Word]:
                 for j in range(k - len(u) + 1):
                     for v in right.get(j, ()):
                         out.add(u + v)
+                        bound(out)
             return frozenset(out)
         case Star(a):
             pieces = [w for w in _words_upto(a, k) if w]
@@ -404,6 +418,7 @@ def _words_upto(e: LangExpr, k: int) -> frozenset[Word]:
                             w = v + u
                             if w not in out:
                                 out.add(w)
+                                bound(out)
                                 fresh.append(w)
                 frontier = fresh
             return frozenset(out)
@@ -413,7 +428,9 @@ def _words_upto(e: LangExpr, k: int) -> frozenset[Word]:
             for u in _words_upto(a, k):
                 for j in range(k - len(u) + 1):
                     for v in right.get(j, ()):
-                        out.update(_interleavings(u, v))
+                        for w in _interleavings(u, v):
+                            out.add(w)
+                            bound(out)
             return frozenset(out)
     raise TypeError(f"not a language expression: {e!r}")
 
@@ -423,7 +440,8 @@ def enumerate_words(l: LangExpr, max_len: int) -> set[Word]:
 
     Computed by a denotational evaluator over length-bounded word sets,
     independently of the derivative engine, so the result can serve as an
-    oracle for `member`, `includes` and `equiv`.
+    oracle for `member`, `includes` and `equiv`.  Raises StateBudgetExceeded
+    when a word set it builds would hold more than `STATE_BUDGET` words.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")

@@ -14,7 +14,8 @@ and traces replay byte for byte.  `explore` counts every delivery order up
 to a depth bound instead, classifying each schedule's outcome, but expands
 each distinct configuration once (`Config.fingerprint`): schedules that
 meet in one configuration share what follows it.  Its witnesses are the
-first schedules in depth-first order, and its cap still counts schedules.
+first schedules in depth-first order, and its cap counts the
+configurations it expands, not the schedules.
 
 Stuckness is a first-class outcome: a delivery whose head message has no
 matching case in the target's installed behaviour reports
@@ -67,7 +68,7 @@ from .values import (
 )
 
 LOCAL_STEPS = 100_000  # evaluation steps one handler (or the root) may take
-SCHEDULE_CAP = 1_000_000  # schedules one explore may count
+STATE_CAP = 100_000  # configurations one explore may expand
 DEFAULT_MAX_DELIVERIES = 1_000
 DEFAULT_EXPLORE_DEPTH = 8
 
@@ -82,10 +83,6 @@ class DynamicTypeError(Exception):
 
 class RootEvaluationDiverged(Exception):
     """The root expression did not settle into a behaviour within budget."""
-
-
-class ScheduleBudgetExceeded(Exception):
-    """Exploration would enumerate more than `SCHEDULE_CAP` schedules."""
 
 
 # ---------------------------------------------------------------------------
@@ -426,28 +423,6 @@ class _Eval:
         raise DynamicTypeError(f"unknown operator {op}")
 
 
-def local_eval(
-    self_id: int,
-    bindings: dict[str, Value],
-    e: Expr,
-    *,
-    config: Config | None = None,
-    monitor: bool = True,
-    trace: Trace | None = None,
-):
-    """Evaluate one expression as actor `self_id`.
-
-    Returns (value, out-queue, spawned actors, observed effect).  The
-    observed effect is the shuffle of the self-capability annotations
-    evaluated, in order.
-    """
-    config = config if config is not None else Config(next_id=self_id + 1)
-    trace = trace if trace is not None else Trace()
-    ev = _Eval(config, self_id, trace, monitor)
-    value = ev.eval(dict(bindings), e)
-    return value, ev.outq, ev.spawned, ev.observed
-
-
 # ---------------------------------------------------------------------------
 # Global stepping
 
@@ -684,23 +659,23 @@ def explore(
     """Every delivery order up to `max_depth`, searched over configurations.
 
     The search is depth-first, with branches on independent config copies
-    (tag tables included).  Below the first state with a choice of
-    delivery, each state is keyed by its `Config.fingerprint()` and depth,
-    and a state met again is not expanded again: the memo adds its
-    schedules per outcome class.  Its first visit already recorded every
-    class and violation below it, so only violations raised on the way to
-    the state can be new; when one of them is the first violation seen,
-    the state's first schedule is replayed from the current configuration
-    as the witness.  So the report is the one an enumeration of every
-    schedule gives: `schedules` and `outcomes` count schedules, each
-    witness is the first schedule of its class in depth-first order, the
-    violation witness is the first schedule raising one, and
-    `SCHEDULE_CAP` still caps schedules.  `states` counts the
-    configurations expanded.
+    (tag tables included).  Each state with a delivery enabled below the
+    depth bound is keyed by its `Config.fingerprint()` and depth, and a
+    state met again is not expanded again: the memo adds its schedules per
+    outcome class.  Its first visit already recorded every class and
+    violation below it, so only violations raised on the way to the state
+    can be new; when one of them is the first violation seen, the state's
+    first schedule is replayed from the current configuration as the
+    witness.  So the report is the one an enumeration of every schedule
+    gives: `schedules` and `outcomes` count schedules, each witness is the
+    first schedule of its class in depth-first order, and the violation
+    witness is the first schedule raising one.  `states` counts the
+    configurations expanded, and the search raises
+    `lang.StateBudgetExceeded` once it would expand more than `STATE_CAP`.
     """
     base_events = list(base_trace.events) if base_trace is not None else []
     search = _Search(typed, max_depth, monitor)
-    search.go(config, base_events, 0, False)
+    search.go(config, base_events, 0)
     return search.report
 
 
@@ -711,8 +686,10 @@ def _violations(events: list[TraceEvent]) -> set[str]:
 class _Search:
     """One `explore`: the report so far and the memo of expanded states.
 
-    A class rather than nested functions, which would hold the memo in a
-    reference cycle until the next cyclic collection.
+    The memo holds one entry per expanded state, so its size, and the
+    search's time and memory, are what `STATE_CAP` bounds; schedules are
+    only counted.  A class rather than nested functions, which would hold
+    the memo in a reference cycle until the next cyclic collection.
     """
 
     def __init__(self, typed, max_depth: int, monitor: bool):
@@ -726,16 +703,9 @@ class _Search:
         return deliver(cfg, choice, typed=self.typed, monitor=self.monitor,
                        trace=trace)
 
-    def count(self, n: int):
-        self.report.schedules += n
-        if self.report.schedules > SCHEDULE_CAP:
-            raise ScheduleBudgetExceeded(
-                f"more than {SCHEDULE_CAP} schedules at depth {self.max_depth}"
-            )
-
     def record(self, label: str, events: list[TraceEvent]) -> _Below:
         report = self.report
-        self.count(1)
+        report.schedules += 1
         report.outcomes[label] = report.outcomes.get(label, 0) + 1
         witness = Trace(events=events, outcome=label)
         if label not in report.witnesses:
@@ -749,8 +719,8 @@ class _Search:
 
     def reuse(self, cfg: Config, events: list[TraceEvent], below: _Below):
         report = self.report
-        self.count(sum(below.counts.values()))
         for label, n in below.counts.items():
+            report.schedules += n
             report.outcomes[label] += n
         above = _violations(events)
         if above:
@@ -763,21 +733,23 @@ class _Search:
                     self.deliver(branch, choice, tr)
                 report.violation_witness = tr
 
-    def go(self, cfg: Config, events: list[TraceEvent], depth: int,
-           branched: bool) -> _Below:
+    def go(self, cfg: Config, events: list[TraceEvent], depth: int) -> _Below:
         enabled = enabled_deliveries(cfg)
         if not enabled:
             return self.record("quiescent", events)
         if depth >= self.max_depth:
             return self.record("depth", events)
-        # A state with no choice above it has one path to it: no memo.
-        key = (cfg.fingerprint(), depth) if branched else None
+        key = (cfg.fingerprint(), depth)
         if key in self.memo:
             self.reuse(cfg, events, self.memo[key])
             return self.memo[key]
         self.report.states += 1
+        if self.report.states > STATE_CAP:
+            raise lng.StateBudgetExceeded(
+                f"explore expanded more than {STATE_CAP} states at depth "
+                f"{self.max_depth}"
+            )
         below = _Below()
-        branched = branched or len(enabled) > 1
         for src, dst, _ in enabled:
             branch = cfg.copy()
             tr = Trace(events=list(events))
@@ -785,8 +757,7 @@ class _Search:
             if isinstance(res, Stuck):
                 sub = self.record(f"stuck:{res.kind}", tr.events)
             else:
-                sub = self.go(branch, tr.events, depth + 1, branched)
+                sub = self.go(branch, tr.events, depth + 1)
             below.add((src, dst), sub)
-        if key is not None:
-            self.memo[key] = below
+        self.memo[key] = below
         return below

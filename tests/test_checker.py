@@ -9,7 +9,6 @@ from actorcap.checker import (
     ErrorCode,
     TypeCheckError,
     TypeEnv,
-    check_expr,
     check_program,
     env_join,
     self_splittable,
@@ -58,7 +57,7 @@ def parse_expr(text):
 
 
 def infer(env, text):
-    return check_expr(TEST_PROGRAM, env, parse_expr(text))
+    return Checker(TEST_PROGRAM).infer(env, parse_expr(text))
 
 
 def expect_code(code, env, text):

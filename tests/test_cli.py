@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -164,13 +165,17 @@ class TestExplore:
         assert main(["explore", COUNTER, "--depth", "0"]) == 0
         assert "depth: 1" in capsys.readouterr().out
 
-    def test_schedule_cap_exit_5(self, capsys, monkeypatch):
-        # fanin.acap has 6 schedules; a cap of 2 refuses it as a budget.
-        monkeypatch.setattr(runtime, "SCHEDULE_CAP", 2)
+    def test_state_cap_exit_5(self, capsys, monkeypatch):
+        # fanin.acap expands more than one configuration; a cap of 1
+        # refuses it as a budget, with one line and no report.
+        monkeypatch.setattr(runtime, "STATE_CAP", 1)
         assert main(["explore", FANIN]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "schedule budget exceeded: more than 2 schedules" in captured.err
+        assert captured.err == (
+            "error: state budget exceeded: "
+            "explore expanded more than 1 states at depth 8\n"
+        )
 
 
 class TestAlg:
@@ -247,6 +252,22 @@ class TestAlg:
         code = main(["alg", "includes", "<a>.<b>.<c>", "(<a>.<b>.<c>)*"])
         assert code == 5
         assert "state" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("length", [17, 40])
+    def test_enumerate_word_budget_exit_5(self, capsys, length):
+        # (<a>|<b>)* has 2**(length+1) - 1 words up to `length`: 262,143 at
+        # 17, past the budget of 100,000, and about 2.2e12 at 40.  Both are
+        # refused once the set being built passes the budget, long before
+        # the words at 40 would exhaust memory.
+        start = time.perf_counter()
+        assert main(["alg", "enumerate", "(<a>|<b>)*", str(length)]) == 5
+        assert time.perf_counter() - start < 10
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: state budget exceeded: enumeration exceeded "
+            f"{lang.STATE_BUDGET} words up to length {length}\n"
+        )
 
     def test_state_budget_during_run_exit_5(self, tmp_path, capsys,
                                             monkeypatch):

@@ -14,8 +14,8 @@ import pytest
 from actorcap import runtime
 from actorcap.checker import check_program
 from actorcap.cli import main
-from actorcap.lang import EPS, MsgType, sym
-from actorcap.runtime import Config, ScheduleBudgetExceeded, Trace, explore, init_config
+from actorcap.lang import EPS, MsgType, StateBudgetExceeded, sym
+from actorcap.runtime import Config, Trace, explore, init_config
 from actorcap.syntax import Beh, parse_program
 from actorcap.values import BehValue, Num, PairV, RefValue
 
@@ -119,25 +119,34 @@ def test_cli_fanin_3x3_depth_10(tmp_path, capsys):
     assert capsys.readouterr().out == "schedules explored: 11130\n  depth: 11130\n"
 
 
-class TestScheduleCap:
-    """The cap counts schedules, memo hits included, as the plain search does."""
+def test_fanin_4x3_depth_13_is_under_the_cap():
+    # 6,745,200 schedules, which a cap on schedules would refuse, meet in
+    # 556 configurations.
+    config, kw = _setup(gen.fanin_program(4, 3, "t"), monitor=True)
+    report = explore(config, max_depth=13, **kw)
+    assert report.schedules == 6_745_200
+    assert report.outcomes == {"depth": 6_745_200}
+    assert report.states == 556
+    assert not report.violation_kinds
 
-    def _explore(self, monkeypatch, cap: int, fn=explore):
-        monkeypatch.setattr(runtime, "SCHEDULE_CAP", cap)
+
+class TestStateCap:
+    """The cap counts expanded configurations; memo hits do not count."""
+
+    def _explore(self, monkeypatch, cap: int):
+        monkeypatch.setattr(runtime, "STATE_CAP", cap)
         config, kw = _setup(gen.fanin_program(3, 2, "t"), monitor=False)
-        return fn(config, max_depth=12, **kw)
+        return explore(config, max_depth=12, **kw)
 
     def test_exact_cap_passes(self, monkeypatch):
-        report = self._explore(monkeypatch, 1680)
+        report = self._explore(monkeypatch, 64)
+        assert report.states == 64
         assert report.schedules == 1680
-        assert report.states < 1680  # memo hits were counted
 
-    def test_one_below_raises_the_naive_message(self, monkeypatch):
-        with pytest.raises(ScheduleBudgetExceeded) as naive:
-            self._explore(monkeypatch, 1679, naive_explore)
-        with pytest.raises(ScheduleBudgetExceeded) as memo:
-            self._explore(monkeypatch, 1679)
-        assert str(memo.value) == str(naive.value)
+    def test_one_below_raises(self, monkeypatch):
+        with pytest.raises(StateBudgetExceeded) as exc:
+            self._explore(monkeypatch, 63)
+        assert str(exc.value) == "explore expanded more than 63 states at depth 12"
 
 
 A = MsgType("a")

@@ -28,13 +28,13 @@ from actorcap.runtime import (
     deliver,
     enabled_deliveries,
     init_config,
-    local_eval,
     run,
 )
 from actorcap.syntax import Beh, parse_program
 from actorcap.values import BehValue, PairV, RefValue, UNIT_V, iter_refs
 
 from langgen import ALPHABET, random_expr
+from local_eval import local_eval
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 A, B = MsgType("a"), MsgType("b")
@@ -322,7 +322,6 @@ class TestTagDenotationAgreement:
         ))
         parser.alphabet.update({NOP, ACT})
         expr = parser.expr()
-        from actorcap.runtime import local_eval
 
         r = RefValue(4, NOP_ACT_NOP)
         cfg = Config(next_id=5)
@@ -335,7 +334,6 @@ class TestTagDenotationAgreement:
         parser = _Parser(tokenize("send[nop](r, ())"))
         parser.alphabet.add(NOP)
         expr = parser.expr()
-        from actorcap.runtime import local_eval
 
         r = RefValue(4, NOP_ACT_NOP)
         cfg = Config(next_id=5)

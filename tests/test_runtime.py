@@ -15,7 +15,6 @@ from actorcap.runtime import (
     enabled_deliveries,
     explore,
     init_config,
-    local_eval,
     run,
 )
 from actorcap.syntax import (
@@ -29,6 +28,8 @@ from actorcap.syntax import (
     tokenize,
 )
 from actorcap.values import BehValue, Num, PairV, RefValue, UNIT_V, UnitV
+
+from local_eval import local_eval
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 A, B = MsgType("a"), MsgType("b")
