@@ -9,7 +9,11 @@ derivative-pair search, `_pair_search`), and equivalence.  The search
 discharges a pair, without expanding it, when its right side is nullable
 and steps back to itself on every symbol of the left term: such a right
 side holds every word over those symbols, so an n-way shuffle against a
-star of its symbols holds at its first pair instead of its 2**n-th.
+star of its symbols holds at its first pair instead of its 2**n-th.  It
+refutes a pair whose right side is empty as soon as the left term is known
+to hold a word (the `_nonempty` fact), and it visits left terms and
+symbols in their structural order, so its verdicts, its cost and any
+budget refusal do not depend on the hash seed.
 
 Expressions are hash-consed (see `LangExpr`): every constructor, raw or
 smart, returns the one interned node for its operands, so equality is
@@ -26,9 +30,9 @@ inclusion runs, not whether it ends: partial derivatives are finitely many
 even without these identities.
 
 All operations are pure.  The node table and the memo tables that remain
-(the `lru_cache`s of `derivative`, `partial_derivatives` and the
-`_words_upto` oracle) are append-only and keyed by immutable values, so
-concurrent callers never observe shared mutable state.
+(the `lru_cache`s of `derivative`, `partial_derivatives` and the oracle's
+`_words_upto` and `_interleavings`) are append-only and keyed by immutable
+values, so concurrent callers never observe shared mutable state.
 """
 
 from __future__ import annotations
@@ -76,12 +80,12 @@ class LangExpr:
     structurally equal expressions are one object.  A new node computes its
     facts once, from its operands': the hash a frozen dataclass of the same
     fields would have (never a memory address, so set order, and with it
-    every printed result, depends on PYTHONHASHSEED alone), and the three
-    facts of `_facts`: the structural order key, nullability and the
-    symbol set.
+    every printed result, depends on PYTHONHASHSEED alone), and the four
+    facts of `_facts`: the structural order key, nullability, the symbol
+    set and whether the language is known to hold a word.
     """
 
-    __slots__ = ("_hash", "_order", "_nullable", "_symbols")
+    __slots__ = ("_hash", "_order", "_nullable", "_symbols", "_nonempty")
     __match_args__: tuple[str, ...] = ()
 
     def __new__(cls, *operands):
@@ -174,27 +178,33 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
 
 
 def _facts(e: LangExpr):
-    """Order key, nullability and symbols of a new node.
+    """Order key, nullability, symbols and non-emptiness of a new node.
 
-    All three come from the operands' facts, so a node of any depth costs
-    no recursion.
+    All four come from the operands' facts, so a node of any depth costs
+    no recursion.  Non-emptiness is exact without `&`; an `&` node is known
+    nonempty only when it is nullable, so False there means "unknown".
     """
     match e:
         case Empty():
-            return (0,), False, frozenset()
+            return (0,), False, frozenset(), False
         case Eps():
-            return (1,), True, frozenset()
+            return (1,), True, frozenset(), True
         case Sym(s):
-            return (2, s.name), False, frozenset({s})
+            return (2, s.name), False, frozenset({s}), True
         case Star(i):
-            return (3, i._order), True, i._symbols
+            return (3, i._order), True, i._symbols, True
         case Alt(l, r):
             null = l._nullable or r._nullable
-        case Cat(l, r) | Shuffle(l, r) | And(l, r):
+            full = l._nonempty or r._nonempty
+        case Cat(l, r) | Shuffle(l, r):
             null = l._nullable and r._nullable
+            full = l._nonempty and r._nonempty
+        case And(l, r):
+            null = full = l._nullable and r._nullable
         case _:
             raise TypeError(f"not a language expression: {e!r}")
-    return (e._rank, l._order, r._order), null, _union(l._symbols, r._symbols)
+    order = (e._rank, l._order, r._order)
+    return order, null, _union(l._symbols, r._symbols), full
 
 
 EMPTY = Empty()
@@ -350,17 +360,26 @@ def member(w, l: LangExpr) -> bool:
     return nullable(word_derivative(w, l))
 
 
-def _interleavings(u: Word, v: Word):
-    if not u:
-        yield v
-        return
-    if not v:
-        yield u
-        return
-    for rest in _interleavings(u[1:], v):
-        yield (u[0],) + rest
-    for rest in _interleavings(u, v[1:]):
-        yield (v[0],) + rest
+@lru_cache(maxsize=None)
+def _interleavings(u: Word, v: Word) -> frozenset[Word]:
+    """Every interleaving of u and v, each once.
+
+    Memoised on the pair, so the interleavings of two suffixes are built
+    once however many pairs of words share them.
+    """
+    if not u or not v:
+        return frozenset({u + v})
+    out = {u[:1] + w for w in _interleavings(u[1:], v)}
+    out.update(v[:1] + w for w in _interleavings(u, v[1:]))
+    _bound(out)
+    return frozenset(out)
+
+
+def _bound(words) -> None:
+    # No word set the enumeration builds may hold more than STATE_BUDGET
+    # words; `enumerate_words` gives the refusal its message.
+    if len(words) > STATE_BUDGET:
+        raise StateBudgetExceeded
 
 
 def _by_length(words, limit: int):
@@ -375,15 +394,9 @@ def _by_length(words, limit: int):
 def _words_upto(e: LangExpr, k: int) -> frozenset[Word]:
     # Bottom-up denotational evaluation of the length-bounded word set.
     # Deliberately free of derivatives and nullability: this is the
-    # independent oracle the derivative engine is tested against.  No set
-    # it builds may hold more than STATE_BUDGET words; the loops check as
-    # they add, so a refusal comes before the memory is spent.
-    def bound(out):
-        if len(out) > STATE_BUDGET:
-            raise StateBudgetExceeded(
-                f"enumeration exceeded {STATE_BUDGET} words up to length {k}"
-            )
-
+    # independent oracle the derivative engine is tested against.  Each
+    # set is checked (`_bound`) as it grows, so a refusal comes once one
+    # set passes STATE_BUDGET words, before the whole set is built.
     match e:
         case Empty():
             return frozenset()
@@ -393,7 +406,7 @@ def _words_upto(e: LangExpr, k: int) -> frozenset[Word]:
             return frozenset({(s,)}) if k >= 1 else frozenset()
         case Alt(a, b):
             out = _words_upto(a, k) | _words_upto(b, k)
-            bound(out)
+            _bound(out)
             return out
         case And(a, b):
             return _words_upto(a, k) & _words_upto(b, k)
@@ -401,10 +414,11 @@ def _words_upto(e: LangExpr, k: int) -> frozenset[Word]:
             right = _by_length(_words_upto(b, k), k)
             out = set()
             for u in _words_upto(a, k):
-                for j in range(k - len(u) + 1):
-                    for v in right.get(j, ()):
-                        out.add(u + v)
-                        bound(out)
+                for j, vs in right.items():
+                    if len(u) + j <= k:
+                        for v in vs:
+                            out.add(u + v)
+                            _bound(out)
             return frozenset(out)
         case Star(a):
             pieces = [w for w in _words_upto(a, k) if w]
@@ -418,7 +432,7 @@ def _words_upto(e: LangExpr, k: int) -> frozenset[Word]:
                             w = v + u
                             if w not in out:
                                 out.add(w)
-                                bound(out)
+                                _bound(out)
                                 fresh.append(w)
                 frontier = fresh
             return frozenset(out)
@@ -426,11 +440,11 @@ def _words_upto(e: LangExpr, k: int) -> frozenset[Word]:
             right = _by_length(_words_upto(b, k), k)
             out = set()
             for u in _words_upto(a, k):
-                for j in range(k - len(u) + 1):
-                    for v in right.get(j, ()):
-                        for w in _interleavings(u, v):
-                            out.add(w)
-                            bound(out)
+                for j, vs in right.items():
+                    if len(u) + j <= k:
+                        for v in vs:
+                            out |= _interleavings(u, v)
+                            _bound(out)
             return frozenset(out)
     raise TypeError(f"not a language expression: {e!r}")
 
@@ -445,7 +459,12 @@ def enumerate_words(l: LangExpr, max_len: int) -> set[Word]:
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    return set(_words_upto(l, max_len))
+    try:
+        return set(_words_upto(l, max_len))
+    except StateBudgetExceeded:
+        raise StateBudgetExceeded(
+            f"enumeration exceeded {STATE_BUDGET} words up to length {max_len}"
+        ) from None
 
 
 @lru_cache(maxsize=None)
@@ -492,9 +511,11 @@ def _terms(e: LangExpr) -> frozenset[LangExpr]:
 def is_empty(l: LangExpr) -> bool:
     """True iff the language denotes no words.
 
-    Decided by searching the partial-derivative closure for a nullable
-    term (the pair search against no right terms, without a state budget);
-    plain syntactic checks are not enough once intersection is in the mix.
+    The pair search against no right terms, without a state budget: a
+    term known to hold a word (`_nonempty`) refutes at once, so a union of
+    terms without `&` is decided at its first pair.  Below an `&`, that
+    fact knows only nullable terms, and the search looks for a nullable
+    term in the partial-derivative closure.
     """
     return _pair_search(_terms(l), frozenset())
 
@@ -515,10 +536,18 @@ def _pair_search(
 
     States pair one partial-derivative term of the left language with the
     set of terms the right language has reached; a pair is a counterexample
-    witness when the left term is nullable and no right term is.  Pairs
-    whose left term literally occurs on the right hold reflexively.  The
+    witness when the left term is nullable and no right term is, or when
+    the right set is empty and the left term is known to hold a word
+    (`_nonempty`: some word of it is then in no right term).  Pairs whose
+    left term literally occurs on the right hold reflexively.  The
     memoized hypothesis set is per call, so concurrent callers share
     nothing.  Raises StateBudgetExceeded past `cap` pairs, if one is given.
+
+    The walk is depth-first, and its order is fixed by the expressions:
+    left terms, symbols and each set of partial derivatives are pushed in
+    descending structural order (`_order`, symbol names), so they are
+    visited in ascending order.  Verdicts, pair counts and budget refusals
+    are then the same under every PYTHONHASHSEED.
 
     A pair (t, rights) also holds, and is not expanded, when some right
     term is nullable and the right successor set is `rights` itself for
@@ -530,13 +559,13 @@ def _pair_search(
     empty right side is never nullable, so `is_empty` never uses the rule.
     """
     seen: set[tuple[LangExpr, frozenset[LangExpr]]] = set()
-    stack = [(t, right0) for t in lefts]
+    stack = [(t, right0) for t in sorted(lefts, key=_key, reverse=True)]
     while stack:
         t, rights = stack.pop()
         if t in rights or (t, rights) in seen:
             continue
         accepts = any(nullable(r) for r in rights)
-        if nullable(t) and not accepts:
+        if nullable(t) and not accepts or t._nonempty and not rights:
             return False
         seen.add((t, rights))
         if cap is not None and len(seen) > cap:
@@ -545,12 +574,12 @@ def _pair_search(
             )
         steps = [
             (s, frozenset().union(*(partial_derivatives(s, r) for r in rights)))
-            for s in symbols(t)
+            for s in sorted(symbols(t), reverse=True)
         ]
         if accepts and all(succ_r == rights for _, succ_r in steps):
             continue  # `rights` holds every word over symbols(t)
         for s, succ_r in steps:
-            for t2 in partial_derivatives(s, t):
+            for t2 in sorted(partial_derivatives(s, t), key=_key, reverse=True):
                 stack.append((t2, succ_r))
     return True
 

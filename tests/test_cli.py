@@ -204,6 +204,21 @@ class TestAlg:
         assert main(["alg", "enumerate", "<a>*", "1"]) == 0
         assert capsys.readouterr().out.strip() == "eps a"
 
+    def test_enumerate_builds_each_interleaving_once(self, capsys):
+        # a^11 and a^11 have C(22, 11) = 705,432 interleavings, all one word.
+        start = time.perf_counter()
+        assert main(["alg", "enumerate", "<a>*#<a>*", "22"]) == 0
+        assert time.perf_counter() - start < 5
+        words = capsys.readouterr().out.split()
+        assert words == ["eps"] + ["a" * n for n in range(1, 23)]
+
+    def test_enumerate_time_does_not_follow_the_length_bound(self, capsys):
+        start = time.perf_counter()
+        for expr in ("<a>.<b>", "<a>#<b>"):
+            assert main(["alg", "enumerate", expr, str(10**9)]) == 0
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr().out == "ab\nab ba\n"
+
     def test_shuffle(self, capsys):
         assert main(["alg", "shuffle", "<a>", "<b>"]) == 0
         from actorcap.lang import equiv, parse_lang, shuffle, sym
