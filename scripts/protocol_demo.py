@@ -6,7 +6,7 @@ import pathlib
 
 from actorcap import lang as lng
 from actorcap.checker import check_program
-from actorcap.lang import MsgType, cat, shuffle, star, sym
+from actorcap.lang import cat, shuffle, star, sym
 from actorcap.runtime import Trace, init_config, run
 from actorcap.syntax import parse_program
 
@@ -21,13 +21,13 @@ def algebra_walkthrough():
     halves = shuffle(act, star(nop))
     print("shuffle      :", halves)
     print("split ok     :", lng.includes(halves, protocol))
-    after_act = lng.derivative(MsgType("act"), protocol)
+    after_act = lng.derivative("act", protocol)
     print("after act    :", after_act, "=", star(nop), "?",
           lng.equiv(after_act, star(nop)))
-    twice = lng.derivative(MsgType("act"), after_act)
+    twice = lng.derivative("act", after_act)
     print("second act   : empty?", lng.is_empty(twice))
     print("words <= 3   :",
-          sorted("".join(s.name for s in w) or "eps"
+          sorted("".join(w) or "eps"
                  for w in lng.enumerate_words(protocol, 3)))
 
 

@@ -341,7 +341,7 @@ class Checker:
                     raise TypeCheckError(
                         ErrorCode.EmptyResidual, loc,
                         f"protocol of {path} does not allow sending "
-                        f"<{msg.name}> here",
+                        f"<{msg}> here",
                         required_language=lng.Sym(msg),
                         declared_language=t.lang,
                     )
@@ -464,7 +464,7 @@ class Checker:
                 if not types_equal(tp, declared):
                     raise TypeCheckError(
                         ErrorCode.TypeMismatch, e.loc,
-                        f"payload of <{msg.name}> must be "
+                        f"payload of <{msg}> must be "
                         f"{type_to_text(declared)}, got {type_to_text(tp)}",
                     )
                 _, env2 = self.apply_send_path(env1, target, msg, e.loc)
@@ -533,14 +533,14 @@ class Checker:
             if c.label in seen_labels:
                 raise TypeCheckError(
                     ErrorCode.DuplicateCaseLabel, e.loc,
-                    f"duplicate case for <{c.label.name}>",
+                    f"duplicate case for <{c.label}>",
                 )
             seen_labels.add(c.label)
         s = lng.first_unhandled(e.annot, seen_labels)
         if s is not None:
             raise TypeCheckError(
                 ErrorCode.BehaviourConformance, e.loc,
-                f"declared protocol admits <{s.name}> first but the "
+                f"declared protocol admits <{s}> first but the "
                 "behaviour has no case for it",
                 required_language=lng.derivative(s, e.annot),
                 declared_language=e.annot,
@@ -553,14 +553,14 @@ class Checker:
             if not isinstance(tb, BehT):
                 raise TypeCheckError(
                     ErrorCode.TypeMismatch, e.loc,
-                    f"case <{c.label.name}> returns {type_to_text(tb)}, "
+                    f"case <{c.label}> returns {type_to_text(tb)}, "
                     "not a behaviour",
                 )
             required = lng.shuffle(lng.derivative(c.label, e.annot), eff)
             if not lng.includes(required, tb.lang):
                 raise TypeCheckError(
                     ErrorCode.BehaviourConformance, e.loc,
-                    f"after <{c.label.name}>, leftover promises and newly "
+                    f"after <{c.label}>, leftover promises and newly "
                     "created capabilities are not covered by the returned "
                     "behaviour",
                     required_language=required,

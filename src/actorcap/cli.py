@@ -19,7 +19,7 @@ import sys
 
 from . import lang as lng
 from .checker import TypeCheckError, check_program
-from .lang import LangParseError, MsgType, lang_to_text, parse_lang
+from .lang import LangParseError, lang_to_text, parse_lang
 from .runtime import (
     DEFAULT_EXPLORE_DEPTH,
     DEFAULT_MAX_DELIVERIES,
@@ -207,7 +207,7 @@ def cmd_explore(args) -> int:
 def _alg_alphabet(raw: str | None):
     if raw is None:
         return None
-    return {MsgType(name.strip()) for name in raw.split(",") if name.strip()}
+    return {name.strip() for name in raw.split(",") if name.strip()}
 
 
 def cmd_alg(args) -> int:
@@ -226,10 +226,9 @@ def cmd_alg(args) -> int:
             # The name rule of `<name>` in the language syntax.
             if not re.fullmatch(r"\w+", symbol):
                 raise LangParseError(f"expected a symbol name, got {symbol!r}", 0)
-            m = MsgType(symbol)
-            if alphabet is not None and m not in alphabet:
+            if alphabet is not None and symbol not in alphabet:
                 raise LangParseError(f"undeclared symbol {symbol}", 0)
-            result = lng.derivative(m, parse(expr))
+            result = lng.derivative(symbol, parse(expr))
             out = lang_to_text(result)
         elif args.op == "shuffle":
             e1, e2 = args.args
@@ -242,8 +241,8 @@ def cmd_alg(args) -> int:
         elif args.op == "enumerate":
             expr, max_len = args.args
             words = lng.enumerate_words(parse(expr), int(max_len))
-            ordered = sorted(words, key=lambda w: (len(w), tuple(s.name for s in w)))
-            out = " ".join("".join(s.name for s in w) or "eps" for w in ordered)
+            ordered = sorted(words, key=lambda w: (len(w), w))
+            out = " ".join("".join(w) or "eps" for w in ordered)
         else:
             print(f"unknown algebra operation {args.op!r}", file=sys.stderr)
             return EXIT_PARSE_ERROR

@@ -1,11 +1,13 @@
 """Extended regular expressions over a finite alphabet of message types.
 
-Languages over message types describe which message sequences may be sent
-through an actor reference.  Everything else in the package reduces to the
-operations here: nullability, derivatives (Antimirov's partial derivatives,
-whose canonical union is `derivative`), the shuffle product (all
-interleavings of two languages), intersection, emptiness and inclusion (one
-derivative-pair search, `_pair_search`), and equivalence.  The search
+A message type is its declared name, a plain `str` (`MsgType` is that
+alias), and a word is a tuple of names.  Languages over message types
+describe which message sequences may be sent through an actor reference.
+Everything else in the package reduces to the operations here:
+nullability, derivatives (Antimirov's partial derivatives, whose canonical
+union is `derivative`), the shuffle product (all interleavings of two
+languages), intersection, emptiness and inclusion (one derivative-pair
+search, `_pair_search`), and equivalence.  The search
 discharges a pair, without expanding it, when its right side is nullable
 and steps back to itself on every symbol of the left term: such a right
 side holds every word over those symbols, so an n-way shuffle against a
@@ -37,7 +39,6 @@ values, so concurrent callers never observe shared mutable state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 # Derivative pairs one inclusion check may visit; words one enumeration holds.
@@ -58,19 +59,14 @@ class LangParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True, order=True)
-class MsgType:
-    """An alphabet symbol: the interned name of a declared message type."""
+# An alphabet symbol is the name of a declared message type; names compare,
+# sort and hash as strings.
+MsgType = str
 
-    name: str
-
-    def __repr__(self) -> str:
-        return f"<{self.name}>"
-
-
+# A word is a message sequence, one name per message.
 Word = tuple[MsgType, ...]
 
-UNIT_MSG = MsgType("Unit")
+UNIT_MSG = "Unit"
 
 
 class LangExpr:
@@ -82,7 +78,8 @@ class LangExpr:
     fields would have (never a memory address, so set order, and with it
     every printed result, depends on PYTHONHASHSEED alone), and the four
     facts of `_facts`: the structural order key, nullability, the symbol
-    set and whether the language is known to hold a word.
+    set and whether the language is known to hold a word.  The operand of
+    a `Sym` is a message name, and the other operands are nodes.
     """
 
     __slots__ = ("_hash", "_order", "_nullable", "_symbols", "_nonempty")
@@ -118,7 +115,7 @@ class LangExpr:
         ops = [getattr(self, f) for f in self.__match_args__]
         if not ops:
             return type(self).__name__
-        shown = (x.name if isinstance(x, MsgType) else repr(x) for x in ops)
+        shown = (x if isinstance(x, str) else repr(x) for x in ops)
         return f"{type(self).__name__}({', '.join(shown)})"
 
     def __str__(self) -> str:
@@ -190,7 +187,7 @@ def _facts(e: LangExpr):
         case Eps():
             return (1,), True, frozenset(), True
         case Sym(s):
-            return (2, s.name), False, frozenset({s}), True
+            return (2, s), False, frozenset({s}), True
         case Star(i):
             return (3, i._order), True, i._symbols, True
         case Alt(l, r):
@@ -211,10 +208,8 @@ EMPTY = Empty()
 EPS = Eps()
 
 
-def sym(name: str | MsgType) -> Sym:
-    if isinstance(name, MsgType):
-        return Sym(name)
-    return Sym(MsgType(name))
+def sym(name: MsgType) -> Sym:
+    return Sym(name)
 
 
 def _key(e: LangExpr):
@@ -607,7 +602,7 @@ def _print(e: LangExpr, ctx: int) -> str:
         case Eps():
             return "eps"
         case Sym(s):
-            return f"<{s.name}>"
+            return f"<{s}>"
         case Star(i):
             return _print(i, 5) + "*"
         case _Binary():
@@ -703,10 +698,9 @@ def _parse_atom(cur, alphabet) -> LangExpr:
         if not name:
             raise LangParseError("expected a symbol name", cur.pos)
         cur.expect(">")
-        m = MsgType(name)
-        if alphabet is not None and m not in alphabet:
+        if alphabet is not None and name not in alphabet:
             raise LangParseError(f"undeclared symbol <{name}>", start)
-        return Sym(m)
+        return Sym(name)
     if cur.text.startswith("eps", cur.pos):
         after = cur.pos + 3
         if after >= len(cur.text) or not (

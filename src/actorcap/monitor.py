@@ -13,7 +13,9 @@ mirroring what the checker guarantees statically:
   messages, must stay within the derivative of what it held before the
   turn by the messages it sent there (plus, toward itself, the
   self-capabilities it created during the turn); capabilities are affine,
-  so dropping part of one is allowed and conjuring one is not;
+  so dropping part of one is allowed and conjuring one is not.  What a set
+  of values holds is a plain dict (`summarize`): each target maps to the
+  shuffle of the live tags toward it;
 * global consistency between turns: for every actor, the shuffle of all
   live tags targeting it must stay within what its installed behaviour
   still promises after any delivery order of the in-flight messages that
@@ -34,7 +36,7 @@ disabled typically trip one before (or instead of) getting stuck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import lang as lng
@@ -58,39 +60,20 @@ class Violation:
         return f"{self.kind}{where}: {self.detail}"
 
 
-@dataclass
-class CapSummary:
-    """Live capability tags grouped by target actor.
+def summarize(roots, tags: dict[RefValue, LangExpr]) -> dict[int, LangExpr]:
+    """The combined capability toward each target the values reach.
 
-    One entry per live tag; the combined permission toward a target is the
-    shuffle of its entries (capabilities held by different parties may be
-    used in any interleaving).
+    Walks the values and shuffles the live tag of every reference into its
+    target's entry, starting from `eps`, in walk order: capabilities held
+    by different parties may be used in any interleaving.  A target no
+    reference names is absent, which stands for `eps`.  `tags` holds what
+    sends have left of each reference's tag; a reference it does not list
+    holds its birth tag.
     """
-
-    entries: dict[int, list[LangExpr]] = field(default_factory=dict)
-
-    def add(self, target: int, tag: LangExpr):
-        self.entries.setdefault(target, []).append(tag)
-
-    def combined(self, target: int) -> LangExpr:
-        acc: LangExpr = EPS
-        for tag in self.entries.get(target, ()):
-            acc = lng.shuffle(acc, tag)
-        return acc
-
-    def targets(self):
-        return self.entries.keys()
-
-
-def summarize(roots, tags: dict[RefValue, LangExpr]) -> CapSummary:
-    """Walk values and collect every live tag, one entry per reference.
-
-    `tags` holds what sends have left of each reference's tag; a reference
-    it does not list holds its birth tag.
-    """
-    summary = CapSummary()
+    summary: dict[int, LangExpr] = {}
     for ref in iter_refs(roots):
-        summary.add(ref.target, tags.get(ref, ref.tag))
+        held = summary.get(ref.target, EPS)
+        summary[ref.target] = lng.shuffle(held, tags.get(ref, ref.tag))
     return summary
 
 
@@ -101,7 +84,7 @@ def check_send_tag(tag: LangExpr, msg: MsgType) -> LangExpr | Violation:
         return Violation(
             SEND_NOT_PERMITTED,
             None,
-            f"tag {lang_to_text(tag)} does not permit sending <{msg.name}>",
+            f"tag {lang_to_text(tag)} does not permit sending <{msg}>",
         )
     return residual
 
@@ -296,10 +279,10 @@ def global_invariant(config) -> list[Violation]:
                     actor,
                     f"installed behaviour promises "
                     f"{lang_to_text(behv.annot)} but has no case for "
-                    f"<{s.name}>",
+                    f"<{s}>",
                 )
             )
-        combined = summary.combined(actor)
+        combined = summary.get(actor, EPS)
         annot = behv.annot
         keys = sorted(inbound.get(actor, ()))
         if not keys:
@@ -316,7 +299,7 @@ def global_invariant(config) -> list[Violation]:
             candidates = fifo_residuals(seqs, annot)
         for residual, w in candidates:
             if not lng.includes(combined, residual):
-                word = "".join(m.name for m in w) or "eps"
+                word = "".join(w) or "eps"
                 violations.append(
                     Violation(
                         GLOBAL_INVARIANT_BROKEN,
@@ -333,14 +316,14 @@ def global_invariant(config) -> list[Violation]:
 
 def conservation(
     acting: int,
-    pre: CapSummary,
+    pre: dict[int, LangExpr],
     sent: dict[int, list[MsgType]],
     observed: LangExpr,
-    post: CapSummary,
-    transferred: CapSummary,
+    post: dict[int, LangExpr],
+    transferred: dict[int, LangExpr],
     pre_existing: set[int],
 ) -> list[Violation]:
-    """Per-turn capability conservation.
+    """Per-turn capability conservation over `summarize` results.
 
     What the actor retains, shuffled with what it transferred, must be
     included in what the turn may leave; inclusion rather than equivalence,
@@ -349,26 +332,27 @@ def conservation(
     freshly spawned actor are created from nothing by the spawn itself.
     """
     targets = (
-        set(pre.targets())
-        | set(post.targets())
-        | set(transferred.targets())
-        | set(sent.keys())
+        pre.keys()
+        | post.keys()
+        | transferred.keys()
+        | sent.keys()
         | {acting}  # its observed effect counts even with no tags anywhere
     ) & pre_existing
     violations: list[Violation] = []
     for target in sorted(targets):
-        left = lng.shuffle(post.combined(target), transferred.combined(target))
-        right = lng.word_derivative(sent.get(target, ()), pre.combined(target))
+        retained = post.get(target, EPS)
+        moved = transferred.get(target, EPS)
+        right = lng.word_derivative(sent.get(target, ()), pre.get(target, EPS))
         if target == acting:
             right = lng.shuffle(right, observed)
-        if not lng.includes(left, right):
+        if not lng.includes(lng.shuffle(retained, moved), right):
             violations.append(
                 Violation(
                     GLOBAL_INVARIANT_BROKEN,
                     target,
                     "capability conservation failed: retained "
-                    f"{lang_to_text(post.combined(target))} with transferred "
-                    f"{lang_to_text(transferred.combined(target))} differs "
+                    f"{lang_to_text(retained)} with transferred "
+                    f"{lang_to_text(moved)} differs "
                     f"from expected {lang_to_text(right)}",
                 )
             )

@@ -206,7 +206,11 @@ class Config:
         occurrence in the walk, paired there with its remaining tag, so
         aliasing counts and dead `tags` entries do not; a pair, closure or
         behaviour met again is its number too, so shared structure is walked
-        once.  AST nodes count by identity.
+        once.  AST nodes count by identity.  A queue adds its key and
+        length, then each message's name followed by the walk of its
+        payload; a walk's length follows from its own items, so a name
+        always sits at a known position and cannot be read as a marker
+        such as "pair".
         """
         key: list = [self.next_id, len(self.store)]
         numbers: dict[int, int] = {}  # id of a walked value -> its number
@@ -376,7 +380,7 @@ class _Eval:
                     self.config.tags[tv] = lng.derivative(msg, tag)
                 self.outq.append((pv, msg, tv.target))
                 self.trace.emit(
-                    "send", src=self.self_id, dst=tv.target, msg=msg.name
+                    "send", src=self.self_id, dst=tv.target, msg=msg
                 )
                 return UNIT_V
             case Split(path, n1, t1, n2, t2, body):
@@ -437,7 +441,7 @@ def init_config(
     """Evaluate the root expression as actor 0 and seed the unit message."""
     trace = trace if trace is not None else Trace()
     config = Config(next_id=1)
-    trace.emit("send", src=0, dst=0, msg=UNIT_MSG.name)
+    trace.emit("send", src=0, dst=0, msg=UNIT_MSG)
     config.queues[(0, 0)] = [(UNIT_V, UNIT_MSG)]
     ev = _Eval(config, 0, trace, monitor)
     try:
@@ -504,12 +508,12 @@ def deliver(
     if monitor:
         mon.delivered(config, (src, dst), msg)
     behv = config.store[dst]
-    trace.emit("deliver", src=src, dst=dst, msg=msg.name)
+    trace.emit("deliver", src=src, dst=dst, msg=msg)
     case = behv.case_for(msg)
     if case is None:
         return Stuck(
             "UnhandledMessage",
-            f"actor {dst} has no case for <{msg.name}>",
+            f"actor {dst} has no case for <{msg}>",
         )
     if monitor:
         pre_existing = set(config.store)

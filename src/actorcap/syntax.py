@@ -276,16 +276,13 @@ class Program:
     msg_decls: tuple[MsgDecl, ...]
     root: Expr
 
-    def alphabet(self) -> frozenset[MsgType]:
-        return frozenset({MsgType(d.name) for d in self.msg_decls} | {UNIT_MSG})
-
     def payload_type(self, msg: MsgType) -> TypeExpr:
         if msg == UNIT_MSG:
             return UNIT
         for d in self.msg_decls:
-            if d.name == msg.name:
+            if d.name == msg:
                 return d.payload
-        raise KeyError(msg.name)
+        raise KeyError(msg)
 
 
 def free_vars(e: Expr) -> frozenset[str]:
@@ -436,7 +433,7 @@ class _Parser:
             raise ParseError(f"bad language: {e}", t.loc) from None
         undeclared = symbols(l) - self.alphabet
         if undeclared:
-            names = ", ".join(sorted(s.name for s in undeclared))
+            names = ", ".join(sorted(undeclared))
             raise ParseError(f"undeclared message symbol(s): {names}", t.loc)
         return l
 
@@ -445,10 +442,9 @@ class _Parser:
         name = t.text.strip()
         if not name.isidentifier():
             raise ParseError(f"expected a message name, got {t.text!r}", t.loc)
-        m = MsgType(name)
-        if m not in self.alphabet:
+        if name not in self.alphabet:
             raise ParseError(f"undeclared message symbol(s): {name}", t.loc)
-        return m
+        return name
 
     # -- types
 
@@ -667,11 +663,9 @@ class _Parser:
 
     def case(self) -> Case:
         name_tok = self.next() if self.at("Unit") else self.expect("NAME")
-        label = MsgType(name_tok.text)
+        label = name_tok.text
         if label not in self.alphabet:
-            raise ParseError(
-                f"undeclared message symbol(s): {name_tok.text}", name_tok.loc
-            )
+            raise ParseError(f"undeclared message symbol(s): {label}", name_tok.loc)
         self.expect("(")
         binder = self.expect("NAME").text
         self.expect(")")
@@ -701,7 +695,7 @@ class _Parser:
         # other regardless of declaration order.
         for i, tok in enumerate(self.toks):
             if tok.kind == "msg" and self.toks[i + 1].kind == "NAME":
-                self.alphabet.add(MsgType(self.toks[i + 1].text))
+                self.alphabet.add(self.toks[i + 1].text)
         while self.at("msg"):
             loc = self.next().loc
             name = self.expect("NAME").text
@@ -710,7 +704,7 @@ class _Parser:
             self.expect(":")
             payload = self.type_expr()
             names.add(name)
-            self.alphabet.add(MsgType(name))
+            self.alphabet.add(name)
             decls.append(MsgDecl(name, payload, loc))
         root = self.expr()
         eof = self.peek()
@@ -776,7 +770,7 @@ def expr_to_text(e: Expr, ctx: int = _STMT) -> str:
         case SelfCap(l):
             return f"self[{lang_to_text(l)}]"
         case Send(msg, target, payload):
-            return f"send[{msg.name}]({target}, {expr_to_text(payload)})"
+            return f"send[{msg}]({target}, {expr_to_text(payload)})"
         case Spawn(init, inner):
             ann = f"[{lang_to_text(init)}]" if init is not None else ""
             return f"spawn{ann}({expr_to_text(inner)})"
@@ -784,7 +778,7 @@ def expr_to_text(e: Expr, ctx: int = _STMT) -> str:
             if not cases:
                 return f"beh[{lang_to_text(annot)}]{{ }}"
             body = "\n| ".join(
-                f"{c.label.name}({c.binder}) =>\n    {expr_to_text(c.body)}"
+                f"{c.label}({c.binder}) =>\n    {expr_to_text(c.body)}"
                 for c in cases
             )
             return f"beh[{lang_to_text(annot)}]{{\n  {body}\n}}"

@@ -9,7 +9,6 @@ from actorcap import lang as lng
 from actorcap.checker import check_program
 from actorcap.lang import EPS, MsgType, alt, cat, shuffle, star, sym
 from actorcap.monitor import (
-    CapSummary,
     Violation,
     check_send_tag,
     conservation,
@@ -90,14 +89,19 @@ class TestSummarize:
     def test_aliased_reference_counted_once(self):
         r = RefValue(3, sym("a"))
         summary = summarize([PairV(r, r), r], {})
-        assert summary.entries == {3: [sym("a")]}
+        assert summary == {3: sym("a")}
 
     def test_combined_is_shuffle(self):
-        s = CapSummary()
-        s.add(1, sym("a"))
-        s.add(1, sym("b"))
-        assert lng.equiv(s.combined(1), shuffle(sym("a"), sym("b")))
-        assert lng.equiv(s.combined(9), EPS)
+        s = summarize([RefValue(1, sym("a")), RefValue(1, sym("b"))], {})
+        assert lng.equiv(s[1], shuffle(sym("a"), sym("b")))
+        assert 9 not in s
+
+    def test_three_references_fold_in_walk_order(self):
+        refs = [RefValue(1, sym("a")), RefValue(1, cat(sym("b"), sym("c"))),
+                RefValue(1, star(sym("a")))]
+        t1, t2, t3 = (r.tag for r in iter_refs(refs))
+        folded = shuffle(shuffle(shuffle(EPS, t1), t2), t3)
+        assert summarize(refs, {})[1] is folded
 
 
 def test_fifo_merges():
@@ -190,61 +194,69 @@ class TestGlobalInvariant:
 
 class TestConservation:
     def test_send_accounted_by_derivative(self):
-        pre = CapSummary({1: [cat(sym("a"), sym("b"))]})
-        post = CapSummary({1: [sym("b")]})
+        pre = {1: cat(sym("a"), sym("b"))}
+        post = {1: sym("b")}
         out = conservation(
-            0, pre, {1: [A]}, EPS, post, CapSummary(), pre_existing={0, 1}
+            0, pre, {1: [A]}, EPS, post, {}, pre_existing={0, 1}
         )
         assert out == []
 
     def test_dropped_capability_detected(self):
-        pre = CapSummary({1: [cat(sym("a"), sym("b"))]})
+        pre = {1: cat(sym("a"), sym("b"))}
         out = conservation(
-            0, pre, {1: [A]}, EPS, CapSummary(), CapSummary(), pre_existing={0, 1}
+            0, pre, {1: [A]}, EPS, {}, {}, pre_existing={0, 1}
         )
         assert [v.kind for v in out] == ["GlobalInvariantBroken"]
 
+    def test_dropped_capability_text(self):
+        pre = {1: cat(sym("a"), sym("b"))}
+        out = conservation(0, pre, {1: [A]}, EPS, {}, {}, pre_existing={0, 1})
+        assert [v.detail for v in out] == [
+            "capability conservation failed: retained eps with transferred "
+            "eps differs from expected <b>"
+        ]
+
     def test_transfer_balances(self):
-        pre = CapSummary({1: [cat(sym("a"), sym("b"))]})
-        transferred = CapSummary({1: [sym("b")]})
+        pre = {1: cat(sym("a"), sym("b"))}
+        transferred = {1: sym("b")}
         out = conservation(
-            0, pre, {1: [A]}, EPS, CapSummary(), transferred, pre_existing={0, 1}
+            0, pre, {1: [A]}, EPS, {}, transferred, pre_existing={0, 1}
         )
         assert out == []
 
     def test_self_effect_is_new_obligation(self):
-        post = CapSummary({0: [sym("act")]})
+        post = {0: sym("act")}
         out = conservation(
-            0, CapSummary(), {}, sym("act"), post, CapSummary(), pre_existing={0}
+            0, {}, {}, sym("act"), post, {}, pre_existing={0}
         )
         assert out == []
 
     def test_created_and_dropped_self_capability(self):
         out = conservation(
-            0, CapSummary(), {}, sym("act"), CapSummary(), CapSummary(),
+            0, {}, {}, sym("act"), {}, {},
             pre_existing={0},
         )
         assert [v.kind for v in out] == ["GlobalInvariantBroken"]
 
     def test_fresh_actors_exempt(self):
-        post = CapSummary({5: [sym("a")]})
+        post = {5: sym("a")}
         out = conservation(
-            0, CapSummary(), {5: [A]}, EPS, post, CapSummary(), pre_existing={0}
+            0, {}, {5: [A]}, EPS, post, {}, pre_existing={0}
         )
         assert out == []
 
     def test_dropping_a_star_residual_allowed(self):
-        pre = CapSummary({1: [star(sym("a"))]})
+        pre = {1: star(sym("a"))}
         out = conservation(
-            0, pre, {1: [A]}, EPS, CapSummary(), CapSummary(), pre_existing={0, 1}
+            0, pre, {1: [A]}, EPS, {}, {}, pre_existing={0, 1}
         )
         assert out == []
 
     def test_conjured_capability_detected(self):
-        pre = CapSummary({1: [sym("a")]})
-        post = CapSummary({1: [sym("a"), sym("a")]})
+        pre = {1: sym("a")}
+        post = {1: shuffle(sym("a"), sym("a"))}
         out = conservation(
-            0, pre, {}, EPS, post, CapSummary(), pre_existing={0, 1}
+            0, pre, {}, EPS, post, {}, pre_existing={0, 1}
         )
         assert [v.kind for v in out] == ["GlobalInvariantBroken"]
 
@@ -360,10 +372,10 @@ class TestAliasedTags:
         tr = Trace()
         local_eval(0, env, parse_expr("send[nop](r, ())", "nop"), config=branch, trace=tr)
         # The send through `r` is seen through the pair in the branch ...
-        assert summarize([env["p"]], branch.tags).entries == {1: [sym("act")]}
-        assert summarize(env.values(), branch.tags).entries == {1: [sym("act")]}
+        assert summarize([env["p"]], branch.tags) == {1: sym("act")}
+        assert summarize(env.values(), branch.tags) == {1: sym("act")}
         # ... and not in the original.
-        assert summarize(env.values(), cfg.tags).entries == {1: [r.tag]}
+        assert summarize(env.values(), cfg.tags) == {1: r.tag}
         # A second <nop> through the other alias is refused in the branch
         # only.
         second = parse_expr("send[nop](p.1, ())", "nop")

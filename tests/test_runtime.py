@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 
 import pytest
@@ -172,7 +173,7 @@ class TestDeliver:
         prog, typed = load("positive/fifo_accumulator.acap")
         cfg = init_config(prog, typed=typed)
         deliver(cfg, (0, 0), typed=typed)
-        msgs = [m.name for _, m in cfg.queues[(0, 1)]]
+        msgs = [m for _, m in cfg.queues[(0, 1)]]
         assert msgs == ["add", "add", "stop"]
 
 
@@ -371,3 +372,60 @@ class TestTraceProperties:
             for o in objs[:-1]
         )
         assert objs[-1] == {"outcome": "quiescent"}
+
+
+def _labels_and_languages(root):
+    """The case labels and every language reachable from a parsed program."""
+    labels, langs, stack = [], [], [root]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, lng.LangExpr):
+            langs.append(v)
+        elif isinstance(v, (tuple, list)):
+            stack.extend(v)
+        elif dataclasses.is_dataclass(v):
+            if isinstance(v, Case):
+                labels.append(v.label)
+            stack.extend(getattr(v, f.name) for f in dataclasses.fields(v))
+    return labels, langs
+
+
+class TestMessageNames:
+    """A message type is its declared name, from the parser to the queues."""
+
+    def test_msg_type_is_str(self):
+        assert lng.MsgType is str
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((CORPUS / "positive").glob("*.acap")),
+        ids=lambda p: p.name,
+    )
+    def test_names_end_to_end(self, path):
+        prog = parse_program(path.read_text())
+        typed = check_program(prog)
+        labels, langs = _labels_and_languages(prog.root)
+        assert labels and all(type(m) is str for m in labels)
+        assert all(type(m) is str for l in langs for m in lng.symbols(l))
+        cfg = init_config(prog, typed=typed)
+        for _ in range(200):
+            queued = [m for q in cfg.queues.values() for _, m in q]
+            assert all(type(m) is str for m in queued)
+            enabled = enabled_deliveries(cfg)
+            assert all(type(m) is str for _, _, m in enabled)
+            if not enabled:
+                break
+            src, dst, _ = enabled[0]
+            assert isinstance(deliver(cfg, (src, dst), typed=typed), Config)
+
+    def test_fingerprint_tells_a_message_named_pair_from_a_pair(self):
+        beh = BehValue(EPS, (), {}, Beh(EPS, ()))
+
+        def key(*queue):
+            return Config({0: beh}, {(0, 0): list(queue)}, 1).fingerprint()
+
+        named = key((UNIT_V, "pair"), (UNIT_V, "a"))
+        paired = key((PairV(UNIT_V, UNIT_V), "a"), (UNIT_V, "a"))
+        assert named == key((UNIT_V, "pair"), (UNIT_V, "a"))
+        assert named != paired
+        assert key((PairV(UNIT_V, UNIT_V), "pair")) != key((UNIT_V, "pair"))

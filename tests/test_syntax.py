@@ -175,10 +175,6 @@ class TestLetChains:
 
 
 class TestProgramHelpers:
-    def test_alphabet_includes_builtin_unit(self):
-        prog = parse_program("msg hit : Unit beh[<Unit>]{ Unit(m) => beh[eps]{ } }")
-        assert prog.alphabet() == {MsgType("hit"), MsgType("Unit")}
-
     def test_payload_lookup(self):
         prog = parse_program("msg hit : Nat beh[<Unit>]{ Unit(m) => beh[eps]{ } }")
         from actorcap.syntax import NAT, UNIT
