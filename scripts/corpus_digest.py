@@ -4,13 +4,14 @@
 For each program under corpus/, runs in-process, with stdout and stderr
 captured:
 
-* ``check --format json``;
+* ``check --format json``, and ``check --warn-dropped`` as text (the
+  dropped-binding warnings, in the order the checker finds them);
 * ``run --format json --seed N`` for N in 0..5;
 * ``explore --depth 8``, as JSON and as text (only the text prints the
   violation witness).
 
 Negative programs are run and explored with ``--unchecked``.  The exit
-codes and both output streams of all nine commands go into one sha256,
+codes and both output streams of all ten commands go into one sha256,
 printed as ``sha256  program``, one line per program.  The script re-execs
 itself under PYTHONHASHSEED=0, so set iteration order, and with it every
 byte of output, is the same on each run.
@@ -35,7 +36,7 @@ DEPTH = 8
 
 def commands(rel: str, negative: bool) -> list[list[str]]:
     unchecked = ["--unchecked"] if negative else []
-    cmds = [["check", rel, "--format", "json"]]
+    cmds = [["check", rel, "--format", "json"], ["check", rel, "--warn-dropped"]]
     for seed in SEEDS:
         cmds.append(["run", rel, "--format", "json", "--seed", str(seed)] + unchecked)
     for fmt in ("json", "text"):

@@ -1,11 +1,14 @@
 """Flow-sensitive type-and-effect checking.
 
-Judgments thread a value-semantic environment through every expression:
-checking returns the expression's type, the environment after it runs, and
-its effect (a language over-approximating the self-capabilities it
-creates).  Sequentially evaluated subexpressions have their effects shuffled
-together; the two arms of a conditional are joined with union, and their
-output environments are intersected.
+Judgments thread a type environment through every expression: checking
+returns the expression's type, the environment after it runs, and its effect
+(a language over-approximating the self-capabilities it creates).  The
+environment is a plain dict from variable names to types.  Judgments copy it
+to bind, consume or update a name and never mutate the dict they are given,
+so both arms of a conditional start from the same environment.
+Sequentially evaluated subexpressions have their effects shuffled together;
+the two arms of a conditional are joined with union, and their output
+environments are intersected.
 
 Sending through a reference replaces its protocol with the derivative by the
 sent message type.  Duplicating a reference requires an explicit `split`
@@ -58,7 +61,6 @@ from .syntax import (
     UnitLit,
     UnitT,
     Var,
-    free_vars,
     type_to_text,
 )
 
@@ -114,53 +116,16 @@ class TypeCheckError(Exception):
         return obj
 
 
-class TypeEnv:
-    """Map from variable names to types with value semantics.
+# A type environment maps variable names to types; judgments copy it, never
+# write to the one they are given.
+TypeEnv = dict[str, TypeExpr]
 
-    Every operation returns a fresh environment; judgments never mutate the
-    environment they were given.
-    """
 
-    __slots__ = ("_map",)
-
-    def __init__(self, bindings=None):
-        self._map: dict[str, TypeExpr] = dict(bindings) if bindings else {}
-
-    @staticmethod
-    def empty() -> "TypeEnv":
-        return TypeEnv()
-
-    def lookup(self, name: str) -> TypeExpr | None:
-        return self._map.get(name)
-
-    def bind(self, name: str, t: TypeExpr) -> "TypeEnv":
-        out = TypeEnv(self._map)
-        out._map[name] = t
-        return out
-
-    def remove(self, name: str) -> "TypeEnv":
-        out = TypeEnv(self._map)
-        out._map.pop(name, None)
-        return out
-
-    def names(self):
-        return self._map.keys()
-
-    def items(self):
-        return self._map.items()
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._map
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TypeEnv) and self._map == other._map
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}: {type_to_text(v)}" for k, v in self._map.items())
-        return "{" + inner + "}"
+def _without(env: TypeEnv, name: str) -> TypeEnv:
+    """`env` minus `name`'s binding, as a copy."""
+    out = dict(env)
+    del out[name]
+    return out
 
 
 @dataclass(frozen=True)
@@ -271,15 +236,15 @@ def env_join(env_t: TypeEnv, env_f: TypeEnv, loc: Loc = None) -> TypeEnv:
     language equivalence.
     """
     loc = loc or Loc(0, 0)
-    out = TypeEnv.empty()
+    out = {}
     for name, ta in env_t.items():
-        tb = env_f.lookup(name)
+        tb = env_f.get(name)
         if tb is None:
             continue
         if isinstance(ta, ActorRefT) and isinstance(tb, ActorRefT):
-            out = out.bind(name, ActorRefT(lng.conj(ta.lang, tb.lang)))
+            out[name] = ActorRefT(lng.conj(ta.lang, tb.lang))
         elif types_equal(ta, tb):
-            out = out.bind(name, ta)
+            out[name] = ta
         else:
             raise TypeCheckError(
                 ErrorCode.JoinFailure, loc,
@@ -298,7 +263,7 @@ class Checker:
     # -- paths
 
     def _lookup_path(self, env: TypeEnv, path: Path, loc: Loc) -> TypeExpr:
-        t = env.lookup(path.base)
+        t = env.get(path.base)
         if t is None:
             raise TypeCheckError(
                 ErrorCode.UnboundVariable, loc, f"unbound variable {path.base!r}"
@@ -317,12 +282,12 @@ class Checker:
     ) -> tuple[LangExpr, TypeEnv]:
         """Consume one permitted send of `msg` through the reference at `path`.
 
-        The reference's protocol is replaced, in place in the environment,
+        The reference's protocol is replaced, in a copy of the environment,
         by its derivative; an empty derivative means the protocol does not
         allow sending `msg` now.
         """
         loc = loc or Loc(0, 0)
-        base = env.lookup(path.base)
+        base = env.get(path.base)
         if base is None:
             raise TypeCheckError(
                 ErrorCode.UnboundVariable, loc, f"unbound variable {path.base!r}"
@@ -358,16 +323,15 @@ class Checker:
             return ProdT(t.first, new_second), residual
 
         new_base, residual = update(base, path.sels)
-        return residual, env.bind(path.base, new_base)
+        return residual, {**env, path.base: new_base}
 
     # -- scope bookkeeping
 
     def _drop(self, env: TypeEnv, name: str, loc: Loc) -> TypeEnv:
         if name not in env:
             return env
-        t = env.lookup(name)
-        self._note_drop(name, t, loc)
-        return env.remove(name)
+        self._note_drop(name, env[name], loc)
+        return _without(env, name)
 
     def _note_drop(self, name: str, t: TypeExpr, loc: Loc):
         if not self.warn_dropped:
@@ -390,10 +354,9 @@ class Checker:
             case Var(path):
                 t = self._lookup_path(env, path, e.loc)
                 if path.sels:
-                    base = env.lookup(path.base)
-                    self._note_drop(path.base, base, e.loc)
+                    self._note_drop(path.base, env[path.base], e.loc)
                 # Use consumes the binding; duplication needs an explicit split.
-                return t, env.remove(path.base), EPS
+                return t, _without(env, path.base), EPS
             case Pair(a, b):
                 ta, env1, eff1 = self.infer(env, a)
                 tb, env2, eff2 = self.infer(env1, b)
@@ -478,7 +441,7 @@ class Checker:
                 spine = []
                 while isinstance(e, Let):
                     tv, env, eff = self.infer(env, e.value)
-                    env = env.bind(e.name, tv)
+                    env = {**env, e.name: tv}
                     spine.append((e, eff))
                     e = e.body
                 tb, env, eff = self.infer(env, e)
@@ -493,9 +456,8 @@ class Checker:
 
     def _infer_fun(self, env: TypeEnv, e: Fun) -> tuple[TypeExpr, TypeEnv, LangExpr]:
         fun_type = FunT(e.param_type, e.latent, e.ret_type)
-        captured = free_vars(e.body) - {e.self_name, e.param}
-        for name in sorted(captured):
-            t = env.lookup(name)
+        for name in sorted(e.free):
+            t = env.get(name)
             if t is None:
                 raise TypeCheckError(
                     ErrorCode.UnboundVariable, e.loc,
@@ -508,7 +470,7 @@ class Checker:
                     f"{type_to_text(t)}; functions may be called any number "
                     "of times",
                 )
-        body_env = env.bind(e.self_name, fun_type).bind(e.param, e.param_type)
+        body_env = {**env, e.self_name: fun_type, e.param: e.param_type}
         tb, _, body_eff = self.infer(body_env, e.body)
         if not types_equal(tb, e.ret_type):
             raise TypeCheckError(
@@ -548,7 +510,7 @@ class Checker:
         effects: dict[MsgType, LangExpr] = {}
         for c in e.cases:
             payload = self.program.payload_type(c.label)
-            case_env = env.bind(c.binder, payload)
+            case_env = {**env, c.binder: payload}
             tb, _, eff = self.infer(case_env, c.body)
             if not isinstance(tb, BehT):
                 raise TypeCheckError(
@@ -569,12 +531,11 @@ class Checker:
             effects[c.label] = eff
         self.typed.case_effects[id(e)] = effects
         if self.warn_dropped:
-            captured = free_vars(e)
             for name, t in env.items():
-                if name not in captured:
+                if name not in e.free:
                     self._note_drop(name, t, e.loc)
         # Constructing a behaviour consumes the whole environment.
-        return BehT(e.annot), TypeEnv.empty(), EPS
+        return BehT(e.annot), {}, EPS
 
     def check_spawn(self, env: TypeEnv, e: Spawn) -> tuple[TypeExpr, TypeEnv, LangExpr]:
         tb, env1, eff = self.infer(env, e.expr)
@@ -593,16 +554,12 @@ class Checker:
             )
         return ActorRefT(init), env1, eff
 
-    def check_split(self, env: TypeEnv, e: Split) -> TypeEnv:
+    def _infer_split(self, env: TypeEnv, e: Split) -> tuple[TypeExpr, TypeEnv, LangExpr]:
         t = self._lookup_path(env, e.path, e.loc)
         split_judgment(t, e.type1, e.type2, e.loc)
         if e.path.sels:
-            self._note_drop(e.path.base, env.lookup(e.path.base), e.loc)
-        out = env.remove(e.path.base)
-        return out.bind(e.name1, e.type1).bind(e.name2, e.type2)
-
-    def _infer_split(self, env: TypeEnv, e: Split) -> tuple[TypeExpr, TypeEnv, LangExpr]:
-        inner = self.check_split(env, e)
+            self._note_drop(e.path.base, env[e.path.base], e.loc)
+        inner = {**_without(env, e.path.base), e.name1: e.type1, e.name2: e.type2}
         tb, env1, eff = self.infer(inner, e.body)
         env1 = self._drop(env1, e.name1, e.loc)
         env1 = self._drop(env1, e.name2, e.loc)
@@ -616,7 +573,7 @@ def check_program(p: Program, warn_dropped: bool = False) -> TypedProgram:
     its protocol must allow the initial unit message.
     """
     checker = Checker(p, warn_dropped=warn_dropped)
-    t, _, eff = checker.infer(TypeEnv.empty(), p.root)
+    t, _, eff = checker.infer({}, p.root)
     if not isinstance(t, BehT):
         raise TypeCheckError(
             ErrorCode.TypeMismatch, p.root.loc,

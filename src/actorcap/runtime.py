@@ -24,6 +24,7 @@ Stuck(UnhandledMessage), the defect the checker rules out statically.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -53,7 +54,6 @@ from .syntax import (
     Split,
     UnitLit,
     Var,
-    free_vars,
 )
 from .values import (
     BehValue,
@@ -329,10 +329,7 @@ class _Eval:
                     raise DynamicTypeError("if condition is not a boolean")
                 return self.eval(env, t if cv.value else f)
             case Fun():
-                captured = self._capture(
-                    env, free_vars(e.body) - {e.self_name, e.param}
-                )
-                return Closure(e, captured)
+                return Closure(e, self._capture(env, e.free))
             case App(f, a):
                 fv = self.eval(env, f)
                 if not isinstance(fv, Closure):
@@ -351,7 +348,7 @@ class _Eval:
                 return RefValue(self.self_id, l)
             case Beh():
                 return BehValue(
-                    e.annot, e.cases, self._capture(env, free_vars(e)), e
+                    e.annot, e.cases, self._capture(env, e.free), e
                 )
             case Spawn(init, inner):
                 bv = self.eval(env, inner)
@@ -590,27 +587,22 @@ def run(
         fresh, scanned = trace.events[scanned:], len(trace.events)
         return next((e for e in fresh if e.kind == "violation"), None)
 
-    outcome = "budget"
-    for _ in range(max_deliveries):
+    for n in itertools.count():  # n deliveries made; a negative budget allows none
         if strict and (hit := new_violation()):
             outcome = f"violation:{hit.violation}"
             break
         enabled = enabled_deliveries(config)
         if not enabled:
             outcome = "quiescent"
+            break
+        if n >= max_deliveries:
+            outcome = "budget"
             break
         src, dst, _ = enabled[rng.randrange(len(enabled))]
         res = deliver(config, (src, dst), typed=typed, monitor=monitor, trace=trace)
         if isinstance(res, Stuck):
             outcome = f"stuck:{res.kind}"
             break
-    else:
-        if strict and (hit := new_violation()):
-            outcome = f"violation:{hit.violation}"
-    if outcome == "budget":
-        enabled = enabled_deliveries(config)
-        if not enabled:
-            outcome = "quiescent"
     trace.outcome = outcome
     return trace, outcome
 

@@ -285,10 +285,6 @@ class Program:
         raise KeyError(msg)
 
 
-def free_vars(e: Expr) -> frozenset[str]:
-    return e.free
-
-
 def _free(e: Expr) -> frozenset[str]:
     match e:
         case NatLit() | BoolLit() | UnitLit() | SelfCap():
@@ -710,10 +706,10 @@ class _Parser:
         eof = self.peek()
         if eof.kind != "EOF":
             raise ParseError(f"trailing input {eof.text!r}", eof.loc)
-        fv = free_vars(root)
-        if fv:
+        if root.free:
             raise ParseError(
-                "root expression is not closed; unbound: " + ", ".join(sorted(fv)),
+                "root expression is not closed; unbound: "
+                + ", ".join(sorted(root.free)),
                 eof.loc,
             )
         return Program(tuple(decls), root)
@@ -804,9 +800,14 @@ def expr_to_text(e: Expr, ctx: int = _STMT) -> str:
                 f"! [{lang_to_text(latent)}] =>\n  {expr_to_text(body)}"
             )
             return _wrap(s, _STMT, ctx)
-        case Let(name, value, body):
-            s = f"let {name} = {expr_to_text(value, _OR)}\nin {expr_to_text(body)}"
-            return _wrap(s, _STMT, ctx)
+        case Let():
+            # A chain of lets is printed along its right spine in a loop, so
+            # its length is not bounded by the Python stack.
+            heads = []
+            while isinstance(e, Let):
+                heads.append(f"let {e.name} = {expr_to_text(e.value, _OR)}\nin ")
+                e = e.body
+            return _wrap("".join(heads) + expr_to_text(e), _STMT, ctx)
         case Split(path, n1, t1, n2, t2, body):
             s = (
                 f"split {path} as {n1}: {type_to_text(t1)}, "

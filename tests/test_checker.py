@@ -1,5 +1,6 @@
 import pathlib
 import re
+import types
 
 import pytest
 
@@ -8,7 +9,6 @@ from actorcap.checker import (
     Checker,
     ErrorCode,
     TypeCheckError,
-    TypeEnv,
     check_program,
     env_join,
     self_splittable,
@@ -69,20 +69,20 @@ def expect_code(code, env, text):
 
 class TestSelfCapability:
     def test_self_reports_its_language_as_effect(self):
-        t, env, eff = infer(TypeEnv.empty(), "self[<ack>]")
+        t, env, eff = infer({}, "self[<ack>]")
         assert t == ActorRefT(sym("ack"))
-        assert env == TypeEnv.empty()
+        assert env == {}
         assert lng.equiv(eff, sym("ack"))
 
 
 class TestSendPath:
     def test_send_takes_the_derivative(self):
-        env = TypeEnv({"r": ActorRefT(cat(sym("a"), sym("b")))})
+        env = {"r": ActorRefT(cat(sym("a"), sym("b")))}
         _, out, _ = infer(env, "send[a](r, ())")
-        assert lng.equiv(out.lookup("r").lang, sym("b"))
+        assert lng.equiv(out.get("r").lang, sym("b"))
 
     def test_second_send_through_exhausted_ref(self):
-        env = TypeEnv({"r": ActorRefT(sym("a"))})
+        env = {"r": ActorRefT(sym("a"))}
         err = expect_code(
             ErrorCode.EmptyResidual, env, "let u = send[a](r, ()) in send[a](r, ())"
         )
@@ -90,22 +90,22 @@ class TestSendPath:
 
     def test_component_update_in_place(self):
         checker = Checker(TEST_PROGRAM)
-        env = TypeEnv({"q": ProdT(NAT, ActorRefT(sym("a")))})
+        env = {"q": ProdT(NAT, ActorRefT(sym("a")))}
         residual, out = checker.apply_send_path(env, Path("q", (2,)), A, Loc(1, 1))
         assert lng.equiv(residual, EPS)
-        assert out.lookup("q") == ProdT(NAT, ActorRefT(EPS))
+        assert out.get("q") == ProdT(NAT, ActorRefT(EPS))
 
     def test_wrong_symbol(self):
-        env = TypeEnv({"r": ActorRefT(sym("b"))})
+        env = {"r": ActorRefT(sym("b"))}
         expect_code(ErrorCode.EmptyResidual, env, "send[a](r, ())")
 
     def test_non_reference_target(self):
-        env = TypeEnv({"r": NAT})
+        env = {"r": NAT}
         expect_code(ErrorCode.TypeMismatch, env, "send[a](r, ())")
 
     def test_nop_act_nop_example(self):
         checker = Checker(TEST_PROGRAM)
-        env = TypeEnv({"r": ActorRefT(NOP_ACT_NOP)})
+        env = {"r": ActorRefT(NOP_ACT_NOP)}
         residual, _ = checker.apply_send_path(env, Path("r"), ACT, Loc(1, 1))
         assert lng.equiv(residual, star(sym("nop")))
 
@@ -161,32 +161,65 @@ class TestSelfSplittable:
 
 class TestEnvJoin:
     def test_identical_branches(self):
-        env = TypeEnv({"r": ActorRefT(sym("a"))})
+        env = {"r": ActorRefT(sym("a"))}
         joined = env_join(env, env)
-        assert lng.equiv(joined.lookup("r").lang, sym("a"))
+        assert lng.equiv(joined.get("r").lang, sym("a"))
 
     def test_reference_join_is_intersection(self):
-        t = TypeEnv({"r": ActorRefT(lng.alt(sym("a"), sym("b")))})
-        f = TypeEnv({"r": ActorRefT(sym("a"))})
+        t = {"r": ActorRefT(lng.alt(sym("a"), sym("b")))}
+        f = {"r": ActorRefT(sym("a"))}
         joined = env_join(t, f)
-        assert lng.equiv(joined.lookup("r").lang, sym("a"))
+        assert lng.equiv(joined.get("r").lang, sym("a"))
 
     def test_one_sided_binding_dropped(self):
-        t = TypeEnv({"r": ActorRefT(sym("a")), "only": NAT})
-        f = TypeEnv({"r": ActorRefT(sym("a"))})
+        t = {"r": ActorRefT(sym("a")), "only": NAT}
+        f = {"r": ActorRefT(sym("a"))}
         assert "only" not in env_join(t, f)
 
     def test_incompatible_non_reference(self):
-        t = TypeEnv({"x": NAT})
-        f = TypeEnv({"x": UNIT})
+        t = {"x": NAT}
+        f = {"x": UNIT}
         with pytest.raises(TypeCheckError) as exc:
             env_join(t, f)
         assert exc.value.code == ErrorCode.JoinFailure
 
 
+class TestEnvironmentNotMutated:
+    """Judgments copy the environment they are given and never write to it.
+
+    Each judgment gets a read-only view, so any write in place would raise.
+    """
+
+    R_AB = {"r": ActorRefT(cat(sym("a"), sym("b")))}
+
+    @pytest.mark.parametrize("env, text", [
+        (R_AB, "let k = 1 in let u = send[a](r, ()) in send[b](r, ())"),
+        ({"r": ActorRefT(shuffle(sym("a"), sym("b")))},
+         "split r as r1: ActorRef[<a>], r2: ActorRef[<b>]"
+         " in let u = send[a](r1, ()) in send[b](r2, ())"),
+        ({"q": ProdT(NAT, ActorRefT(sym("a")))}, "send[a](q.2, ())"),
+        ({"r": ActorRefT(sym("a")), "n": NAT},
+         "if true then send[a](r, ()) else let m = n in send[a](r, ())"),
+        ({"n": NAT}, "fun f(x: Nat): Nat ! eps => x + n"),
+        (R_AB, "beh[<a>]{ a(x) => beh[eps]{ } }"),
+    ], ids=["let", "split", "send-product-path", "if", "fun", "beh"])
+    def test_infer(self, env, text):
+        before = dict(env)
+        checker = Checker(TEST_PROGRAM, warn_dropped=True)
+        checker.infer(types.MappingProxyType(env), parse_expr(text))
+        assert env == before
+
+    def test_env_join(self):
+        t = {"r": ActorRefT(lng.alt(sym("a"), sym("b"))), "only": NAT}
+        f = {"r": ActorRefT(sym("a"))}
+        joined = env_join(types.MappingProxyType(t), types.MappingProxyType(f))
+        assert lng.equiv(joined["r"].lang, sym("a"))
+        assert t == {"r": ActorRefT(lng.alt(sym("a"), sym("b"))), "only": NAT}
+
+
 class TestBehaviour:
     def test_act_case_settles_the_promise(self):
-        env = TypeEnv.empty()
+        env = {}
         t, out, eff = infer(
             env,
             "beh[<nop>*.<act>.<nop>*]{"
@@ -203,7 +236,7 @@ class TestBehaviour:
     def test_new_self_capability_breaks_conformance(self):
         err = expect_code(
             ErrorCode.BehaviourConformance,
-            TypeEnv.empty(),
+            {},
             "beh[<nop>*.<act>.<nop>*]{"
             " nop(x) => beh[eps]{ }"
             "| act(x) => let dead = self[<act>] in"
@@ -215,21 +248,21 @@ class TestBehaviour:
     def test_duplicate_labels(self):
         expect_code(
             ErrorCode.DuplicateCaseLabel,
-            TypeEnv.empty(),
+            {},
             "beh[<a>]{ a(x) => beh[eps]{ } | a(y) => beh[eps]{ } }",
         )
 
     def test_missing_case_for_admitted_message(self):
         expect_code(
             ErrorCode.BehaviourConformance,
-            TypeEnv.empty(),
+            {},
             "beh[<a>|<b>]{ a(x) => beh[eps]{ } }",
         )
 
     def test_construction_consumes_the_environment(self):
         expect_code(
             ErrorCode.UnboundVariable,
-            TypeEnv({"r": ActorRefT(sym("a"))}),
+            {"r": ActorRefT(sym("a"))},
             "let b = beh[eps]{ } in send[a](r, ())",
         )
 
@@ -237,7 +270,7 @@ class TestBehaviour:
 class TestSpawn:
     def test_restricted_initial_capability(self):
         t, _, _ = infer(
-            TypeEnv.empty(),
+            {},
             "spawn[<act>]((fun k(s: Nat): Beh[<nop>*.<act>.<nop>*] ! eps =>"
             " beh[<nop>*.<act>.<nop>*]{ nop(y) => k s"
             " | act(y) => (fun d(v: Nat): Beh[<nop>*] ! eps => beh[<nop>*]{ nop(w) => d v }) s }) 0)",
@@ -245,13 +278,13 @@ class TestSpawn:
         assert t == ActorRefT(sym("act"))
 
     def test_default_annotation_is_the_full_language(self):
-        t, _, _ = infer(TypeEnv.empty(), "spawn(beh[<a>]{ a(x) => beh[eps]{ } })")
+        t, _, _ = infer({}, "spawn(beh[<a>]{ a(x) => beh[eps]{ } })")
         assert t == ActorRefT(sym("a"))
 
     def test_oversized_capability(self):
         expect_code(
             ErrorCode.SpawnCapabilityTooLarge,
-            TypeEnv.empty(),
+            {},
             "spawn[<a>.<a>](beh[<a>]{ a(x) => beh[eps]{ } })",
         )
 
@@ -273,13 +306,13 @@ class TestSpawn:
 
 class TestFlowSensitivity:
     def test_variable_use_consumes(self):
-        env = TypeEnv({"x": NAT})
+        env = {"x": NAT}
         _, out, _ = infer(env, "x + 1")
         assert "x" not in out
 
     def test_if_effect_is_condition_then_either_branch(self):
         _, _, eff = infer(
-            TypeEnv.empty(),
+            {},
             "if true then let d = self[<a>] in 1 else let d = self[<b>] in 1",
         )
         assert lng.equiv(eff, lng.alt(sym("a"), sym("b")))
@@ -287,23 +320,23 @@ class TestFlowSensitivity:
     def test_branch_types_must_agree(self):
         expect_code(
             ErrorCode.TypeMismatch,
-            TypeEnv.empty(),
+            {},
             "if true then self[<a>] else self[<b>]",
         )
 
     def test_application_shuffles_latent_effect(self):
-        env = TypeEnv({"f": FunT(UNIT, sym("a"), UNIT)})
+        env = {"f": FunT(UNIT, sym("a"), UNIT)}
         _, _, eff = infer(env, "f ()")
         assert lng.equiv(eff, sym("a"))
 
     def test_value_forms_have_empty_effect(self):
         for text in ("1", "true", "()", "(1, true)",
                      "fun f(x: Nat): Nat ! eps => x", "beh[eps]{ }"):
-            _, _, eff = infer(TypeEnv.empty(), text)
+            _, _, eff = infer({}, text)
             assert lng.equiv(eff, EPS), text
 
     def test_lambda_capture_must_be_duplicable(self):
-        env = TypeEnv({"r": ActorRefT(sym("a"))})
+        env = {"r": ActorRefT(sym("a"))}
         expect_code(
             ErrorCode.NonSplittableCapture,
             env,
@@ -311,14 +344,14 @@ class TestFlowSensitivity:
         )
 
     def test_lambda_may_capture_star_reference(self):
-        env = TypeEnv({"r": ActorRefT(star(sym("a")))})
+        env = {"r": ActorRefT(star(sym("a")))}
         t, _, _ = infer(env, "fun g(z: Nat): Unit ! eps => send[a](r, ())")
         assert isinstance(t, FunT)
 
     def test_latent_annotation_bounds_body_effect(self):
         expect_code(
             ErrorCode.TypeMismatch,
-            TypeEnv.empty(),
+            {},
             "fun g(z: Unit): ActorRef[<a>] ! eps => self[<a>]",
         )
 
@@ -435,13 +468,13 @@ def test_send_rebinding_is_capability_monotone():
     for _ in range(80):
         l = langgen.reference_normalize(langgen.random_expr(rng, depth=3))
         for s in sorted(lng.symbols(l)):
-            env = TypeEnv({"r": ActorRefT(l)})
+            env = {"r": ActorRefT(l)}
             try:
                 residual, out = checker.apply_send_path(env, Path("r"), s, Loc(1, 1))
             except TypeCheckError as e:
                 assert e.code == ErrorCode.EmptyResidual
                 continue
-            assert out.lookup("r") == ActorRefT(residual)
+            assert out.get("r") == ActorRefT(residual)
             full = lng.enumerate_words(l, 5)
             for w in lng.enumerate_words(residual, 4):
                 assert (s,) + w in full

@@ -1,7 +1,7 @@
 """Long `let` chains check, run and print without a RecursionError.
 
-The checker and the evaluator walk a chain's right spine in a loop, so its
-length is not bounded by the Python stack.
+The parser, the checker, the evaluator and the printer walk a chain's right
+spine in a loop, so its length is not bounded by the Python stack.
 """
 
 import pathlib
@@ -10,7 +10,7 @@ import sys
 from actorcap.checker import check_program
 from actorcap.cli import main
 from actorcap.runtime import Trace, init_config, run
-from actorcap.syntax import parse_program
+from actorcap.syntax import parse_program, pretty_print
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
 import gen  # noqa: E402  (the benchmark's program generators)
@@ -29,6 +29,12 @@ def test_cli_check_exits_0(tmp_path, capsys):
     path.write_text(SOURCE)
     assert main(["check", str(path)]) == 0
     assert "well typed" in capsys.readouterr().out
+
+
+def test_prints_and_reparses_to_the_same_text():
+    # Texts, not trees, are compared: `Expr.__eq__` recurses down the chain.
+    text = pretty_print(parse_program(SOURCE))
+    assert pretty_print(parse_program(text)) == text
 
 
 def test_unmonitored_run_is_quiescent():

@@ -210,6 +210,29 @@ class TestRun:
         _, outcome = run(cfg, typed=typed, seed=0, max_deliveries=1, trace=tr)
         assert outcome == "budget"
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_no_budget_delivers_nothing(self, budget):
+        prog, typed = load("positive/counter.acap")
+        tr = Trace(seed=0)
+        cfg = init_config(prog, typed=typed, trace=tr)
+        trace, outcome = run(cfg, typed=typed, seed=0, max_deliveries=budget, trace=tr)
+        assert outcome == "budget"
+        assert not any(e.kind == "deliver" for e in trace.events)
+
+    def test_rest_at_the_budget_is_quiescent(self):
+        prog, typed = load("positive/counter.acap")
+        tr = Trace(seed=0)
+        cfg = init_config(prog, typed=typed, trace=tr)
+        _, outcome = run(cfg, typed=typed, seed=0, max_deliveries=1, trace=tr)
+        assert outcome == "quiescent"
+
+    def test_strict_violation_at_the_budget_is_reported(self):
+        prog = parse_program((CORPUS / "negative/double_send.acap").read_text())
+        tr = Trace(seed=0)
+        cfg = init_config(prog, trace=tr)
+        _, outcome = run(cfg, seed=0, strict=True, max_deliveries=1, trace=tr)
+        assert outcome == "violation:SendNotPermitted"
+
     def test_strict_mode_halts_on_violation(self):
         prog = parse_program((CORPUS / "negative/double_send.acap").read_text())
         tr = Trace(seed=0)

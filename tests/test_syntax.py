@@ -19,7 +19,6 @@ from actorcap.syntax import (
     UnitLit,
     Var,
     _Parser,
-    free_vars,
     parse_program,
     pretty_print,
     tokenize,
@@ -125,17 +124,17 @@ class TestRoundTrip:
 class TestFreeVars:
     def test_binders(self):
         e = parse_expr("let x = 1 in x + y")
-        assert free_vars(e) == {"y"}
+        assert e.free == {"y"}
 
     def test_fun_binds_self_and_param(self):
         e = parse_expr("fun f(x: Nat): Nat ! eps => f x + z")
-        assert free_vars(e) == {"z"}
+        assert e.free == {"z"}
 
     def test_split_consumes_and_binds(self):
         e = parse_expr(
             "split p as l: Nat, r: Nat in l + r + q",
         )
-        assert free_vars(e) == {"p", "q"}
+        assert e.free == {"p", "q"}
 
     def test_same_long_chain_parses_twice(self):
         # Free variables live on each node, so two equal 400-deep trees are
@@ -143,7 +142,7 @@ class TestFreeVars:
         lets = "".join(f"let x{i} = {i} in " for i in range(400))
         src = "beh[<Unit>]{ Unit(m) => " + lets + "beh[eps]{ } }"
         for _ in range(2):
-            assert free_vars(parse_program(src).root) == frozenset()
+            assert parse_program(src).root.free == frozenset()
 
 
 class TestLetChains:
