@@ -432,22 +432,31 @@ class Checker:
                     )
                 _, env2 = self.apply_send_path(env1, target, msg, e.loc)
                 return UNIT, env2, eff
-            case Split():
-                return self._infer_split(env, e)
-            case Let():
-                # A chain of lets is walked along its right spine in a loop,
-                # so its length is not bounded by the Python stack; scopes
-                # then close innermost first, as nested calls would close them.
+            case Let() | Split():
+                # A chain of lets and splits is walked along its right spine
+                # in a loop, so its length is not bounded by the Python
+                # stack; scopes then close innermost first, as nested calls
+                # would close them.
                 spine = []
-                while isinstance(e, Let):
-                    tv, env, eff = self.infer(env, e.value)
-                    env = {**env, e.name: tv}
-                    spine.append((e, eff))
+                while True:
+                    if isinstance(e, Let):
+                        tv, env, eff = self.infer(env, e.value)
+                        env = {**env, e.name: tv}
+                        spine.append((e, eff))
+                    elif isinstance(e, Split):
+                        env = self._open_split(env, e)
+                        spine.append((e, None))
+                    else:
+                        break
                     e = e.body
                 tb, env, eff = self.infer(env, e)
-                for let, let_eff in reversed(spine):
-                    env = self._drop(env, let.name, let.loc)
-                    eff = lng.shuffle(let_eff, eff)
+                for head, head_eff in reversed(spine):
+                    if isinstance(head, Let):
+                        env = self._drop(env, head.name, head.loc)
+                        eff = lng.shuffle(head_eff, eff)
+                    else:
+                        env = self._drop(env, head.name1, head.loc)
+                        env = self._drop(env, head.name2, head.loc)
                 return tb, env, eff
         raise TypeCheckError(
             ErrorCode.TypeMismatch, getattr(e, "loc", Loc(0, 0)),
@@ -554,16 +563,13 @@ class Checker:
             )
         return ActorRefT(init), env1, eff
 
-    def _infer_split(self, env: TypeEnv, e: Split) -> tuple[TypeExpr, TypeEnv, LangExpr]:
+    def _open_split(self, env: TypeEnv, e: Split) -> TypeEnv:
+        """The environment inside a split: the halves replace the path's base."""
         t = self._lookup_path(env, e.path, e.loc)
         split_judgment(t, e.type1, e.type2, e.loc)
         if e.path.sels:
             self._note_drop(e.path.base, env[e.path.base], e.loc)
-        inner = {**_without(env, e.path.base), e.name1: e.type1, e.name2: e.type2}
-        tb, env1, eff = self.infer(inner, e.body)
-        env1 = self._drop(env1, e.name1, e.loc)
-        env1 = self._drop(env1, e.name2, e.loc)
-        return tb, env1, eff
+        return {**_without(env, e.path.base), e.name1: e.type1, e.name2: e.type2}
 
 
 def check_program(p: Program, warn_dropped: bool = False) -> TypedProgram:

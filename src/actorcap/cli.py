@@ -261,6 +261,17 @@ def cmd_alg(args) -> int:
     return EXIT_OK
 
 
+def _budget(text: str) -> int:
+    """A budget read from the command line: an int of 0 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="actorcap",
@@ -282,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a program with a seeded scheduler")
     p_run.add_argument("file")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--max-deliveries", type=int, default=DEFAULT_MAX_DELIVERIES)
+    p_run.add_argument("--max-deliveries", type=_budget, default=DEFAULT_MAX_DELIVERIES)
     p_run.add_argument("--no-monitor", action="store_true")
     p_run.add_argument("--monitor-strict", action="store_true",
                        help="halt on the first monitor violation")
@@ -296,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         "explore", help="exhaustively explore delivery orders"
     )
     p_explore.add_argument("file")
-    p_explore.add_argument("--depth", type=int, default=DEFAULT_EXPLORE_DEPTH)
+    p_explore.add_argument("--depth", type=_budget, default=DEFAULT_EXPLORE_DEPTH)
     p_explore.add_argument("--no-monitor", action="store_true")
     p_explore.add_argument("--unchecked", action="store_true")
     p_explore.add_argument("--out", default=None)

@@ -39,6 +39,7 @@ values, so concurrent callers never observe shared mutable state.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 # Derivative pairs one inclusion check may visit; words one enumeration holds.
@@ -615,28 +616,86 @@ def _print(e: LangExpr, ctx: int) -> str:
     return f"({body})" if ctx > lvl else body
 
 
-class _LangCursor:
-    def __init__(self, text: str):
-        self.text = text
+# One match per token: blanks are a prefix of the match. A symbol is `<` and
+# the name after it, which may be empty; the `>` that closes it is a token of
+# its own, so blanks may come before it. Every other character is a token of
+# its own (an operator, a parenthesis, `0`, or one no rule admits), and the
+# empty match at the end of the text ends it.
+_LANG_TOKEN = re.compile(r"\s*(<(\w*)|eps(?!\w)|.|\Z)", re.DOTALL)
+
+_OP_CLASS = {op: cls for cls, (_, op) in _LEVEL.items()}
+_OP_LEVEL = {op: lvl for lvl, op in _LEVEL.values()}
+
+
+class _LangParser:
+    """Precedence climbing over the tokens of one text: `kinds[i]` is the
+    token's text (`<` for a symbol, empty at the end), `names[i]` a symbol's
+    name and `starts[i]` the token's offset, which errors report."""
+
+    def __init__(self, text: str, alphabet):
+        self.kinds: list[str] = []
+        self.names: list[str | None] = []
+        self.starts: list[int] = []
+        for m in _LANG_TOKEN.finditer(text):
+            tok, name = m.group(1, 2)
+            self.kinds.append(tok if name is None else "<")
+            self.names.append(name)
+            self.starts.append(m.start(1))
+            if not tok:
+                break
+        self.alphabet = alphabet
         self.pos = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+    def expect(self, kind: str):
+        if self.kinds[self.pos] != kind:
+            raise LangParseError(f"expected {kind!r}", self.starts[self.pos])
+        self.pos += 1
+
+    def binary(self, min_lvl: int = 1) -> LangExpr:
+        """The operators of `_LEVEL` at `min_lvl` or tighter: the operands
+        of one operator, each parsed a level tighter, are collected and the
+        chain is built once by its smart constructor."""
+        e = self.post()
+        while _OP_LEVEL.get(op := self.kinds[self.pos], 0) >= min_lvl:
+            parts = [e]
+            while self.kinds[self.pos] == op:
+                self.pos += 1
+                parts.append(self.binary(_OP_LEVEL[op] + 1))
+            e = _rebuild(_OP_CLASS[op], parts)
+        return e
+
+    def post(self) -> LangExpr:
+        e = self.atom()
+        while self.kinds[self.pos] == "*":
             self.pos += 1
+            e = star(e)
+        return e
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, ch: str):
-        if not self.take(ch):
-            raise LangParseError(f"expected {ch!r}", self.pos)
+    def atom(self) -> LangExpr:
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "<":
+            name = self.names[i]
+            start = self.starts[i] + 1
+            if not name:
+                raise LangParseError("expected a symbol name", start)
+            self.pos = i + 1
+            self.expect(">")
+            if self.alphabet is not None and name not in self.alphabet:
+                raise LangParseError(f"undeclared symbol <{name}>", start)
+            return Sym(name)
+        if kind == "(":
+            self.pos = i + 1
+            e = self.binary()
+            self.expect(")")
+            return e
+        if kind == "0":
+            self.pos = i + 1
+            return EMPTY
+        if kind == "eps":
+            self.pos = i + 1
+            return EPS
+        raise LangParseError("expected a language atom", self.starts[i])
 
 
 def parse_lang(text: str, alphabet=None) -> LangExpr:
@@ -644,68 +703,8 @@ def parse_lang(text: str, alphabet=None) -> LangExpr:
 
     When `alphabet` is given, symbols outside it are rejected.
     """
-    cur = _LangCursor(text)
-    e = _parse_binary(cur, alphabet)
-    cur.skip_ws()
-    if cur.pos != len(text):
-        raise LangParseError("trailing input", cur.pos)
+    p = _LangParser(text, alphabet)
+    e = p.binary()
+    if p.kinds[p.pos]:
+        raise LangParseError("trailing input", p.starts[p.pos])
     return e
-
-
-def _parse_binary(cur, alphabet, min_lvl: int = 1) -> LangExpr:
-    """The operators of `_LEVEL` at `min_lvl` or tighter, by precedence
-    climbing: the operands of one operator, each parsed a level tighter,
-    are collected and the chain is built once by its smart constructor."""
-    e = _parse_post(cur, alphabet)
-    while True:
-        ch = cur.peek()
-        for cls, (lvl, op) in _LEVEL.items():
-            if op == ch and lvl >= min_lvl:
-                break
-        else:
-            return e
-        parts = [e]
-        while cur.take(op):
-            parts.append(_parse_binary(cur, alphabet, lvl + 1))
-        e = _rebuild(cls, parts)
-
-
-def _parse_post(cur, alphabet) -> LangExpr:
-    e = _parse_atom(cur, alphabet)
-    while cur.take("*"):
-        e = star(e)
-    return e
-
-
-def _parse_atom(cur, alphabet) -> LangExpr:
-    ch = cur.peek()
-    if ch == "0":
-        cur.pos += 1
-        return EMPTY
-    if ch == "(":
-        cur.pos += 1
-        e = _parse_binary(cur, alphabet)
-        cur.expect(")")
-        return e
-    if ch == "<":
-        cur.pos += 1
-        start = cur.pos
-        while cur.pos < len(cur.text) and (
-            cur.text[cur.pos].isalnum() or cur.text[cur.pos] == "_"
-        ):
-            cur.pos += 1
-        name = cur.text[start : cur.pos]
-        if not name:
-            raise LangParseError("expected a symbol name", cur.pos)
-        cur.expect(">")
-        if alphabet is not None and name not in alphabet:
-            raise LangParseError(f"undeclared symbol <{name}>", start)
-        return Sym(name)
-    if cur.text.startswith("eps", cur.pos):
-        after = cur.pos + 3
-        if after >= len(cur.text) or not (
-            cur.text[after].isalnum() or cur.text[after] == "_"
-        ):
-            cur.pos = after
-            return EPS
-    raise LangParseError("expected a language atom", cur.pos)

@@ -380,23 +380,22 @@ class _Eval:
                     "send", src=self.self_id, dst=tv.target, msg=msg
                 )
                 return UNIT_V
-            case Split(path, n1, t1, n2, t2, body):
-                v = self._path_value(env, path)
-                v1, v2 = self._split_value(v, t1, t2)
-                inner_env = dict(env)
-                inner_env[n1] = v1
-                inner_env[n2] = v2
-                return self.eval(inner_env, body)
-            case Let():
-                # A chain of lets is walked along its right spine in a loop,
-                # so its length is not bounded by the Python stack.  No one
-                # keeps the environment of an evaluation, so one copy serves
-                # the whole chain.
+            case Let() | Split():
+                # A chain of lets and splits is walked along its right spine
+                # in a loop, so its length is not bounded by the Python stack.
+                # No one keeps the environment of an evaluation, so one copy
+                # serves the whole chain.
                 inner_env = dict(env)
                 while True:
-                    inner_env[e.name] = self.eval(inner_env, e.value)
+                    if isinstance(e, Let):
+                        inner_env[e.name] = self.eval(inner_env, e.value)
+                    else:
+                        v = self._path_value(inner_env, e.path)
+                        v1, v2 = self._split_value(v, e.type1, e.type2)
+                        inner_env[e.name1] = v1
+                        inner_env[e.name2] = v2
                     e = e.body
-                    if not isinstance(e, Let):
+                    if not isinstance(e, (Let, Split)):
                         return self.eval(inner_env, e)
                     self.steps += 1  # the step a nested call would count
                     if self.steps > LOCAL_STEPS:

@@ -15,12 +15,20 @@ and go on with letters, digits or `_` (Unicode letters included); numbers
 are runs of decimal digits. `[...]` holds a protocol or a message name and
 may span lines. Any other character, a non-decimal digit such as `²`
 included, is a parse error (exit 4).
+
+`tokenize` reads each token with one match of one regular expression,
+blanks and comments before it included, and keeps the tokens as parallel
+lists of kinds, texts and start offsets. A token's line and column are
+computed from a table of line starts only when it becomes a node's
+location or a parse error's.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 from .lang import (
@@ -129,15 +137,18 @@ class Expr:
     """Base of expression nodes.
 
     Every node carries `free`, its free variables, computed once when the
-    node is built.  Children are built first, so this takes constant stack
-    depth however deep the tree; it is not a dataclass field, so equality,
-    hashing and repr ignore it.
+    node is built by its class's `_free`.  Children are built first, so this
+    takes constant stack depth however deep the tree; it is not a dataclass
+    field, so equality, hashing and repr ignore it.
     """
 
     __slots__ = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "free", _free(self))
+        object.__setattr__(self, "free", self._free())
+
+    def _free(self) -> frozenset[str]:
+        return frozenset()
 
 
 @dataclass(frozen=True)
@@ -163,6 +174,9 @@ class Pair(Expr):
     second: Expr
     loc: Loc = field(compare=False, default=NO_LOC)
 
+    def _free(self) -> frozenset[str]:
+        return self.first.free | self.second.free
+
 
 @dataclass(frozen=True)
 class BinOp(Expr):
@@ -171,11 +185,17 @@ class BinOp(Expr):
     right: Expr
     loc: Loc = field(compare=False, default=NO_LOC)
 
+    def _free(self) -> frozenset[str]:
+        return self.left.free | self.right.free
+
 
 @dataclass(frozen=True)
 class Not(Expr):
     expr: Expr
     loc: Loc = field(compare=False, default=NO_LOC)
+
+    def _free(self) -> frozenset[str]:
+        return self.expr.free
 
 
 @dataclass(frozen=True)
@@ -184,6 +204,9 @@ class If(Expr):
     then_branch: Expr
     else_branch: Expr
     loc: Loc = field(compare=False, default=NO_LOC)
+
+    def _free(self) -> frozenset[str]:
+        return self.cond.free | self.then_branch.free | self.else_branch.free
 
 
 @dataclass(frozen=True)
@@ -196,12 +219,18 @@ class Fun(Expr):
     body: Expr
     loc: Loc = field(compare=False, default=NO_LOC)
 
+    def _free(self) -> frozenset[str]:
+        return self.body.free - {self.self_name, self.param}
+
 
 @dataclass(frozen=True)
 class App(Expr):
     fn: Expr
     arg: Expr
     loc: Loc = field(compare=False, default=NO_LOC)
+
+    def _free(self) -> frozenset[str]:
+        return self.fn.free | self.arg.free
 
 
 @dataclass(frozen=True)
@@ -223,12 +252,21 @@ class Beh(Expr):
     cases: tuple[Case, ...]
     loc: Loc = field(compare=False, default=NO_LOC)
 
+    def _free(self) -> frozenset[str]:
+        out = frozenset()
+        for c in self.cases:
+            out |= c.body.free - {c.binder}
+        return out
+
 
 @dataclass(frozen=True)
 class Spawn(Expr):
     init_cap: LangExpr | None  # None means the behaviour's full language
     expr: Expr
     loc: Loc = field(compare=False, default=NO_LOC)
+
+    def _free(self) -> frozenset[str]:
+        return self.expr.free
 
 
 @dataclass(frozen=True)
@@ -237,6 +275,9 @@ class Send(Expr):
     target: Path
     payload: Expr
     loc: Loc = field(compare=False, default=NO_LOC)
+
+    def _free(self) -> frozenset[str]:
+        return frozenset({self.target.base}) | self.payload.free
 
 
 @dataclass(frozen=True)
@@ -249,6 +290,9 @@ class Split(Expr):
     body: Expr
     loc: Loc = field(compare=False, default=NO_LOC)
 
+    def _free(self) -> frozenset[str]:
+        return frozenset({self.path.base}) | (self.body.free - {self.name1, self.name2})
+
 
 @dataclass(frozen=True)
 class Let(Expr):
@@ -257,11 +301,17 @@ class Let(Expr):
     body: Expr
     loc: Loc = field(compare=False, default=NO_LOC)
 
+    def _free(self) -> frozenset[str]:
+        return self.value.free | (self.body.free - {self.name})
+
 
 @dataclass(frozen=True)
 class Var(Expr):
     path: Path
     loc: Loc = field(compare=False, default=NO_LOC)
+
+    def _free(self) -> frozenset[str]:
+        return frozenset({self.path.base})
 
 
 @dataclass(frozen=True)
@@ -285,34 +335,6 @@ class Program:
         raise KeyError(msg)
 
 
-def _free(e: Expr) -> frozenset[str]:
-    match e:
-        case NatLit() | BoolLit() | UnitLit() | SelfCap():
-            return frozenset()
-        case Var(path):
-            return frozenset({path.base})
-        case Pair(a, b) | BinOp(_, a, b) | App(a, b):
-            return a.free | b.free
-        case Not(x) | Spawn(_, x):
-            return x.free
-        case If(c, t, f):
-            return c.free | t.free | f.free
-        case Fun(self_name, param, _, _, _, body):
-            return body.free - {self_name, param}
-        case Beh(_, cases):
-            out = frozenset()
-            for c in cases:
-                out |= c.body.free - {c.binder}
-            return out
-        case Send(_, target, payload):
-            return frozenset({target.base}) | payload.free
-        case Split(path, n1, _, n2, _, body):
-            return frozenset({path.base}) | (body.free - {n1, n2})
-        case Let(name, value, body):
-            return value.free | (body.free - {name})
-    raise TypeError(f"not an expression: {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer
 
@@ -322,58 +344,82 @@ _KEYWORDS = {
     "Bool", "Nat", "Unit", "ActorRef", "Beh",
 }
 
-# Alternatives are tried in order at each offset: blanks and comments are
-# unnamed, so they match and are skipped; `BAD` is any other character.
+# One match per token: blanks and comments are a prefix of the match, and
+# the alternatives are tried in order after it. Keywords come before `NAME`;
+# `WORD` is a name that starts outside ASCII, where `[^\W\d]` also admits
+# non-decimal digits and other numerals; `EOF` ends the scan and `BAD` is any
+# other character.
 _TOKEN = re.compile(r"""
-    (?P<NL>\n)
-  | [ \t\r]+ | --[^\n]*
-  | \[(?P<LANG>[^\]]*)\]
-  | (?P<NAT>\d+)
-  | (?P<WORD>[^\W\d]\w*)
-  | (?P<PUNCT>=> | -> | && | \|\| | [(){}<>,:.*+\-/!=&|#])
-  | (?P<BAD>.)
+    (?:[ \t\r\n]+ | --[^\n]*)*
+    (?:
+        (?P<KW>(?:""" + "|".join(sorted(_KEYWORDS)) + r""")(?!\w))
+      | (?P<NAME>[A-Za-z_]\w*)
+      | (?P<PUNCT>=> | -> | && | \|\| | [(){}<>,:.*+\-/!=&|#])
+      | \[(?P<LANG>[^\]]*)\]
+      | (?P<NAT>\d+)
+      | (?P<WORD>[^\W\d]\w*)
+      | (?P<EOF>\Z)
+      | (?P<BAD>.)
+    )
 """, re.VERBOSE | re.DOTALL)
 
 
-class Token(NamedTuple):
-    kind: str  # NAME, NAT, LANG, EOF, keyword or punctuation text
-    text: str
-    loc: Loc
+class Tokens:
+    """A source's tokens as parallel lists, ending with `EOF`.
+
+    `kinds[i]` is `NAME`, `NAT`, `LANG`, `EOF`, or the keyword or
+    punctuation text; `texts[i]` is the token's text (a `LANG` token's
+    without its brackets), and `starts[i]` its offset in the source.
+    """
+
+    __slots__ = ("kinds", "texts", "starts", "line_starts")
+
+    def __init__(self, src: str):
+        self.kinds: list[str] = []
+        self.texts: list[str] = []
+        self.starts: list[int] = []
+        # Offset of each line's first character; one past the end last.
+        self.line_starts = [0, *accumulate(len(line) + 1 for line in src.split("\n"))]
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def loc(self, i: int) -> Loc:
+        start = self.starts[i]
+        line = bisect_right(self.line_starts, start)
+        return Loc(line, start - self.line_starts[line - 1] + 1)
 
 
-def tokenize(src: str) -> list[Token]:
-    toks: list[Token] = []
-    line, line_start = 1, 0  # line_start: offset of the line's first character
+def tokenize(src: str) -> Tokens:
+    toks = Tokens(src)
+    kinds, texts, starts = toks.kinds, toks.texts, toks.starts
     for m in _TOKEN.finditer(src):
         kind = m.lastgroup
-        if kind is None:
-            continue
-        start = m.start()
-        if kind == "NL":
-            line += 1
-            line_start = start + 1
-            continue
-        text = m.group(kind)
-        loc = Loc(line, start - line_start + 1)
-        if kind == "WORD":
-            # `[^\W\d]` also admits non-decimal digits and other numerals.
-            if not (text[0].isalpha() or text[0] == "_"):
-                raise ParseError(f"unexpected character {text[0]!r}", loc)
-            kind = text if text in _KEYWORDS else "NAME"
-        elif kind == "PUNCT":
+        text = m[kind]
+        start = m.start(kind)
+        if kind == "KW" or kind == "PUNCT":
             kind = text
         elif kind == "LANG":
             # Bracketed annotations (languages, or a message name for send)
             # are captured raw and may span lines; the consumer reads them.
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = start + 2 + text.rindex("\n")
-        elif kind == "BAD":
+            # The token starts at its `[`.
+            start -= 1
+        elif kind == "EOF":
+            break
+        elif kind == "WORD" and text[0].isalpha():
+            kind = "NAME"
+        elif kind == "WORD" or kind == "BAD":
+            # A `WORD` here starts with a non-decimal digit or another numeral.
+            starts.append(start)
             if text == "[":
-                raise ParseError("unterminated '['", loc)
-            raise ParseError(f"unexpected character {text!r}", loc)
-        toks.append(Token(kind, text, loc))
-    toks.append(Token("EOF", "", Loc(line, len(src) - line_start + 1)))
+                raise ParseError("unterminated '['", toks.loc(-1))
+            raise ParseError(f"unexpected character {text[0]!r}", toks.loc(-1))
+        kinds.append(kind)
+        texts.append(text)
+        starts.append(start)
+    kinds.append("EOF")
+    texts.append("")
+    starts.append(len(src))
     return toks
 
 
@@ -386,69 +432,74 @@ _STMT, _OR, _AND, _ADD, _MUL, _UNARY, _APP, _PRIM = range(8)
 _BINOP_LEVEL = {"||": _OR, "&&": _AND, "+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL}
 
 
+_PRIMARY_START = frozenset({"NAT", "true", "false", "(", "self", "beh", "spawn",
+                            "send", "NAME"})
+
+
 class _Parser:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
+    """Recursive descent over a `Tokens`; `pos` indexes its lists."""
+
+    def __init__(self, toks: Tokens):
+        self.kinds = toks.kinds
+        self.texts = toks.texts
+        self.loc = toks.loc
         self.pos = 0
         self.alphabet: set[MsgType] = {UNIT_MSG}
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[self.pos + ahead]
-
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
-        return t
-
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.kinds[self.pos] == kind
 
-    def take(self, kind: str) -> Token | None:
-        if self.at(kind):
-            return self.next()
-        return None
+    def take(self, kind: str) -> bool:
+        if self.kinds[self.pos] == kind:
+            self.pos += 1
+            return True
+        return False
 
-    def expect(self, kind: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
+    def expect(self, kind: str) -> int:
+        """Move past the current token, which must be a `kind`; its index."""
+        i = self.pos
+        if self.kinds[i] != kind:
             raise ParseError(
-                f"unexpected {t.kind or 'end of input'!s} {t.text!r}",
-                t.loc,
+                f"unexpected {self.kinds[i]} {self.texts[i]!r}",
+                self.loc(i),
                 frozenset({kind}),
             )
-        return self.next()
+        self.pos = i + 1
+        return i
+
+    def name(self) -> str:
+        return self.texts[self.expect("NAME")]
 
     # -- languages and message names inside [...] tokens
 
     def lang_token(self) -> LangExpr:
-        t = self.expect("LANG")
+        i = self.expect("LANG")
         try:
-            l = parse_lang(t.text)
+            l = parse_lang(self.texts[i])
         except LangParseError as e:
-            raise ParseError(f"bad language: {e}", t.loc) from None
+            raise ParseError(f"bad language: {e}", self.loc(i)) from None
         undeclared = symbols(l) - self.alphabet
         if undeclared:
             names = ", ".join(sorted(undeclared))
-            raise ParseError(f"undeclared message symbol(s): {names}", t.loc)
+            raise ParseError(f"undeclared message symbol(s): {names}", self.loc(i))
         return l
 
     def msg_token(self) -> MsgType:
-        t = self.expect("LANG")
-        name = t.text.strip()
+        i = self.expect("LANG")
+        text = self.texts[i]
+        name = text.strip()
         if not name.isidentifier():
-            raise ParseError(f"expected a message name, got {t.text!r}", t.loc)
+            raise ParseError(f"expected a message name, got {text!r}", self.loc(i))
         if name not in self.alphabet:
-            raise ParseError(f"undeclared message symbol(s): {name}", t.loc)
+            raise ParseError(f"undeclared message symbol(s): {name}", self.loc(i))
         return name
 
     # -- types
 
     def type_expr(self) -> TypeExpr:
         t = self.type_prod()
-        if self.at("-"):
+        if self.take("-"):
             # latent-effect arrow: T -[L]-> T
-            self.next()
             latent = self.lang_token()
             self.expect("->")
             result = self.type_expr()
@@ -462,7 +513,7 @@ class _Parser:
         return t
 
     def type_atom(self) -> TypeExpr:
-        t = self.peek()
+        i = self.pos
         if self.take("Bool"):
             return BOOL
         if self.take("Nat"):
@@ -478,29 +529,27 @@ class _Parser:
             self.expect(")")
             return inner
         raise ParseError(
-            f"expected a type, got {t.text!r}", t.loc,
+            f"expected a type, got {self.texts[i]!r}", self.loc(i),
             frozenset({"Bool", "Nat", "Unit", "ActorRef", "Beh", "("}),
         )
 
     # -- expressions
 
     def expr(self) -> Expr:
-        t = self.peek()
-        if t.kind == "fun":
+        kind = self.kinds[self.pos]
+        if kind == "let" or kind == "split":
+            return self.chain()
+        if kind == "fun":
             return self.fun_expr()
-        if t.kind == "let":
-            return self.let_expr()
-        if t.kind == "split":
-            return self.split_expr()
-        if t.kind == "if":
+        if kind == "if":
             return self.if_expr()
         return self.binary()
 
     def fun_expr(self) -> Expr:
-        loc = self.expect("fun").loc
-        self_name = self.expect("NAME").text
+        i = self.expect("fun")
+        self_name = self.name()
         self.expect("(")
-        param = self.expect("NAME").text
+        param = self.name()
         self.expect(":")
         param_type = self.type_expr()
         self.expect(")")
@@ -510,143 +559,140 @@ class _Parser:
         latent = self.lang_inline()
         self.expect("=>")
         body = self.expr()
-        return Fun(self_name, param, param_type, ret_type, latent, body, loc)
+        return Fun(self_name, param, param_type, ret_type, latent, body, self.loc(i))
 
     def lang_inline(self) -> LangExpr:
         # A latent effect is written bare (commonly `eps`) or bracketed.
-        if self.at("LANG"):
+        i = self.pos
+        kind, text = self.kinds[i], self.texts[i]
+        if kind == "LANG":
             return self.lang_token()
-        t = self.peek()
-        if t.kind == "NAME" and t.text == "eps":
-            self.next()
+        if kind == "NAME" and text == "eps":
+            self.pos = i + 1
             return EPS
-        if t.kind == "NAT" and t.text == "0":
-            self.next()
+        if kind == "NAT" and text == "0":
+            self.pos = i + 1
             return EMPTY
         raise ParseError(
-            "expected a latent effect (eps, 0 or [language])", t.loc,
+            "expected a latent effect (eps, 0 or [language])", self.loc(i),
             frozenset({"eps", "0", "["}),
         )
 
-    def let_expr(self) -> Expr:
-        # A chain `let x = v in let y = w in ...` is read head by head and
-        # built right to left, so its length costs no stack depth.
+    def chain(self) -> Expr:
+        # A chain of `let x = v in` and `split p as ... in` heads is read head
+        # by head and built right to left, so its length costs no stack depth.
         heads = []
-        while self.at("let"):
-            loc = self.next().loc
-            name = self.expect("NAME").text
-            self.expect("=")
-            value = self.expr()
+        while True:
+            i = self.pos
+            kind = self.kinds[i]
+            if kind == "let":
+                self.pos = i + 1
+                name = self.name()
+                self.expect("=")
+                heads.append((Let, (name, self.expr()), i))
+            elif kind == "split":
+                self.pos = i + 1
+                path = self.path()
+                self.expect("as")
+                n1 = self.name()
+                self.expect(":")
+                t1 = self.type_expr()
+                self.expect(",")
+                n2 = self.name()
+                self.expect(":")
+                t2 = self.type_expr()
+                if n1 == n2:
+                    raise ParseError(
+                        f"split names must be distinct, got {n1!r} twice",
+                        self.loc(i),
+                    )
+                heads.append((Split, (path, n1, t1, n2, t2), i))
+            else:
+                break
             self.expect("in")
-            heads.append((name, value, loc))
         body = self.expr()
-        for name, value, loc in reversed(heads):
-            body = Let(name, value, body, loc)
+        for node, fields, i in reversed(heads):
+            body = node(*fields, body, self.loc(i))
         return body
 
-    def split_expr(self) -> Expr:
-        loc = self.expect("split").loc
-        path = self.path()
-        self.expect("as")
-        n1 = self.expect("NAME").text
-        self.expect(":")
-        t1 = self.type_expr()
-        self.expect(",")
-        n2 = self.expect("NAME").text
-        self.expect(":")
-        t2 = self.type_expr()
-        if n1 == n2:
-            raise ParseError(f"split names must be distinct, got {n1!r} twice", loc)
-        self.expect("in")
-        body = self.expr()
-        return Split(path, n1, t1, n2, t2, body, loc)
-
     def if_expr(self) -> Expr:
-        loc = self.expect("if").loc
+        i = self.expect("if")
         cond = self.expr()
         self.expect("then")
         then_branch = self.expr()
         self.expect("else")
         else_branch = self.expr()
-        return If(cond, then_branch, else_branch, loc)
+        return If(cond, then_branch, else_branch, self.loc(i))
 
     def binary(self, min_lvl: int = _OR) -> Expr:
         """Left-associative binary operators of `_BINOP_LEVEL` at `min_lvl`
         or tighter, by precedence climbing."""
         e = self.unary_expr()
-        while (lvl := _BINOP_LEVEL.get(self.peek().kind, _STMT)) >= min_lvl:
-            op = self.next()
-            e = BinOp(op.kind, e, self.binary(lvl + 1), op.loc)
+        while (lvl := _BINOP_LEVEL.get(self.kinds[self.pos], _STMT)) >= min_lvl:
+            i = self.pos
+            self.pos = i + 1
+            e = BinOp(self.kinds[i], e, self.binary(lvl + 1), self.loc(i))
         return e
 
     def unary_expr(self) -> Expr:
-        if self.at("!"):
-            loc = self.next().loc
-            return Not(self.unary_expr(), loc)
-        return self.app_expr()
-
-    _PRIMARY_START = ("NAT", "true", "false", "(", "self", "beh", "spawn",
-                      "send", "NAME")
-
-    def app_expr(self) -> Expr:
+        """`!` prefixes, then left-associative application."""
+        i = self.pos
+        if self.take("!"):
+            return Not(self.unary_expr(), self.loc(i))
         e = self.primary()
-        while self.peek().kind in self._PRIMARY_START:
-            arg = self.primary()
-            e = App(e, arg, e.loc)
+        while self.kinds[self.pos] in _PRIMARY_START:
+            e = App(e, self.primary(), e.loc)
         return e
 
     def primary(self) -> Expr:
-        t = self.peek()
-        if t.kind == "NAT":
-            self.next()
-            return NatLit(int(t.text), t.loc)
-        if t.kind == "true":
-            self.next()
-            return BoolLit(True, t.loc)
-        if t.kind == "false":
-            self.next()
-            return BoolLit(False, t.loc)
-        if t.kind == "(":
-            self.next()
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "NAME":
+            return Var(self.path(), self.loc(i))
+        if kind not in _PRIMARY_START:
+            raise ParseError(
+                f"expected an expression, got {self.texts[i]!r}", self.loc(i),
+                _PRIMARY_START,
+            )
+        if kind == "beh":
+            return self.beh_expr()
+        self.pos = i + 1
+        loc = self.loc(i)
+        if kind == "NAT":
+            return NatLit(int(self.texts[i]), loc)
+        if kind == "true":
+            return BoolLit(True, loc)
+        if kind == "false":
+            return BoolLit(False, loc)
+        if kind == "(":
             if self.take(")"):
-                return UnitLit(t.loc)
+                return UnitLit(loc)
             first = self.expr()
             if self.take(","):
                 second = self.expr()
                 self.expect(")")
-                return Pair(first, second, t.loc)
+                return Pair(first, second, loc)
             self.expect(")")
             return first
-        if t.kind == "self":
-            self.next()
-            return SelfCap(self.lang_token(), t.loc)
-        if t.kind == "beh":
-            return self.beh_expr()
-        if t.kind == "spawn":
-            self.next()
+        if kind == "self":
+            return SelfCap(self.lang_token(), loc)
+        if kind == "spawn":
             init = self.lang_token() if self.at("LANG") else None
             self.expect("(")
             inner = self.expr()
             self.expect(")")
-            return Spawn(init, inner, t.loc)
-        if t.kind == "send":
-            self.next()
-            msg = self.msg_token()
-            self.expect("(")
-            target = self.path()
-            self.expect(",")
-            payload = self.expr()
-            self.expect(")")
-            return Send(msg, target, payload, t.loc)
-        if t.kind == "NAME":
-            return Var(self.path(), t.loc)
-        raise ParseError(
-            f"expected an expression, got {t.text!r}", t.loc,
-            frozenset(self._PRIMARY_START),
-        )
+            return Spawn(init, inner, loc)
+        # send
+        msg = self.msg_token()
+        self.expect("(")
+        target = self.path()
+        self.expect(",")
+        payload = self.expr()
+        self.expect(")")
+        return Send(msg, target, payload, loc)
 
     def beh_expr(self) -> Expr:
-        loc = self.expect("beh").loc
+        i = self.expect("beh")
         annot = self.lang_token()
         self.expect("{")
         cases: list[Case] = []
@@ -655,62 +701,67 @@ class _Parser:
             while self.take("|"):
                 cases.append(self.case())
         self.expect("}")
-        return Beh(annot, tuple(cases), loc)
+        return Beh(annot, tuple(cases), self.loc(i))
 
     def case(self) -> Case:
-        name_tok = self.next() if self.at("Unit") else self.expect("NAME")
-        label = name_tok.text
+        i = self.pos
+        if not self.take("Unit"):
+            self.expect("NAME")
+        label = self.texts[i]
         if label not in self.alphabet:
-            raise ParseError(f"undeclared message symbol(s): {label}", name_tok.loc)
+            raise ParseError(f"undeclared message symbol(s): {label}", self.loc(i))
         self.expect("(")
-        binder = self.expect("NAME").text
+        binder = self.name()
         self.expect(")")
         self.expect("=>")
         body = self.expr()
         return Case(label, binder, body)
 
     def path(self) -> Path:
-        base = self.expect("NAME").text
+        base = self.name()
+        kinds = self.kinds
         sels: list[int] = []
-        while self.at(".") and self.peek(1).kind == "NAT":
-            self.next()
-            sel_tok = self.expect("NAT")
-            if sel_tok.text not in ("1", "2"):
+        while kinds[self.pos] == "." and kinds[self.pos + 1] == "NAT":
+            i = self.pos + 1
+            text = self.texts[i]
+            if text not in ("1", "2"):
                 raise ParseError(
-                    f"path selector must be 1 or 2, got {sel_tok.text}", sel_tok.loc
+                    f"path selector must be 1 or 2, got {text}", self.loc(i)
                 )
-            sels.append(int(sel_tok.text))
+            sels.append(int(text))
+            self.pos = i + 1
         return Path(base, tuple(sels))
 
     # -- program
 
     def program(self) -> Program:
+        kinds, texts = self.kinds, self.texts
         decls: list[MsgDecl] = []
         names: set[str] = set()
         # Pre-scan declaration names so payload types may reference each
         # other regardless of declaration order.
-        for i, tok in enumerate(self.toks):
-            if tok.kind == "msg" and self.toks[i + 1].kind == "NAME":
-                self.alphabet.add(self.toks[i + 1].text)
+        for i, kind in enumerate(kinds):
+            if kind == "msg" and kinds[i + 1] == "NAME":
+                self.alphabet.add(texts[i + 1])
         while self.at("msg"):
-            loc = self.next().loc
-            name = self.expect("NAME").text
+            i = self.expect("msg")
+            name = self.name()
             if name == "Unit" or name in names:
-                raise ParseError(f"duplicate message declaration {name!r}", loc)
+                raise ParseError(f"duplicate message declaration {name!r}", self.loc(i))
             self.expect(":")
             payload = self.type_expr()
             names.add(name)
             self.alphabet.add(name)
-            decls.append(MsgDecl(name, payload, loc))
+            decls.append(MsgDecl(name, payload, self.loc(i)))
         root = self.expr()
-        eof = self.peek()
-        if eof.kind != "EOF":
-            raise ParseError(f"trailing input {eof.text!r}", eof.loc)
+        eof = self.pos
+        if kinds[eof] != "EOF":
+            raise ParseError(f"trailing input {texts[eof]!r}", self.loc(eof))
         if root.free:
             raise ParseError(
                 "root expression is not closed; unbound: "
                 + ", ".join(sorted(root.free)),
-                eof.loc,
+                self.loc(eof),
             )
         return Program(tuple(decls), root)
 
@@ -800,20 +851,22 @@ def expr_to_text(e: Expr, ctx: int = _STMT) -> str:
                 f"! [{lang_to_text(latent)}] =>\n  {expr_to_text(body)}"
             )
             return _wrap(s, _STMT, ctx)
-        case Let():
-            # A chain of lets is printed along its right spine in a loop, so
-            # its length is not bounded by the Python stack.
+        case Let() | Split():
+            # A chain of lets and splits is printed along its right spine in
+            # a loop, so its length is not bounded by the Python stack.
             heads = []
-            while isinstance(e, Let):
-                heads.append(f"let {e.name} = {expr_to_text(e.value, _OR)}\nin ")
+            while True:
+                if isinstance(e, Let):
+                    heads.append(f"let {e.name} = {expr_to_text(e.value, _OR)}\nin ")
+                elif isinstance(e, Split):
+                    heads.append(
+                        f"split {e.path} as {e.name1}: {type_to_text(e.type1)}, "
+                        f"{e.name2}: {type_to_text(e.type2)}\nin "
+                    )
+                else:
+                    break
                 e = e.body
             return _wrap("".join(heads) + expr_to_text(e), _STMT, ctx)
-        case Split(path, n1, t1, n2, t2, body):
-            s = (
-                f"split {path} as {n1}: {type_to_text(t1)}, "
-                f"{n2}: {type_to_text(t2)}\nin {expr_to_text(body)}"
-            )
-            return _wrap(s, _STMT, ctx)
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -414,6 +414,22 @@ class TestInputErrors:
         assert "invalid int value" in capsys.readouterr().err
         assert main(["--help"]) == 0
 
+    def test_negative_max_deliveries_is_a_usage_error(self, capsys):
+        assert main(["run", COUNTER, "--max-deliveries", "-1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --max-deliveries: must be 0 or more, got -1" in captured.err
+        assert main(["run", COUNTER, "--max-deliveries", "x"]) == 4
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+        assert main(["run", COUNTER, "--max-deliveries", "0"]) == 0
+
+    def test_negative_depth_is_a_usage_error(self, capsys):
+        assert main(["explore", COUNTER, "--depth", "-1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --depth: must be 0 or more, got -1" in captured.err
+        assert main(["explore", COUNTER, "--depth", "0"]) == 0
+
 
 class TestExitCodeContract:
     def test_codes_are_disjoint_over_the_corpus(self):

@@ -1,7 +1,8 @@
-"""Long `let` chains check, run and print without a RecursionError.
+"""Long `let` and `split` chains check, run and print without a RecursionError.
 
 The parser, the checker, the evaluator and the printer walk a chain's right
-spine in a loop, so its length is not bounded by the Python stack.
+spine of `let` and `split` heads in a loop, so its length is not bounded by
+the Python stack.
 """
 
 import pathlib
@@ -62,3 +63,46 @@ beh[<Unit>]{
     typed = check_program(parse_program(source), warn_dropped=True)
     got = [(w.name, w.loc.line, w.loc.col) for w in typed.warnings]
     assert got == [("a", 5, 40), ("a", 5, 22), ("b", 6, 8)]
+
+
+SPLITS = 1500
+SPLIT_SOURCE = (
+    "beh[<Unit>]{\n  Unit(m) =>\n    let x0 = 0\n"
+    + "".join(f"    in split x{i} as x{i + 1}: Nat, y{i}: Nat\n" for i in range(SPLITS))
+    + "    in beh[eps]{ }\n}\n"
+)
+
+
+def test_split_chain_checks_runs_and_prints(tmp_path, capsys):
+    program = parse_program(SPLIT_SOURCE)
+    typed = check_program(program)
+    trace = Trace()
+    config = init_config(program, typed=typed, monitor=True, trace=trace)
+    _, outcome = run(config, typed=typed, monitor=True, trace=trace)
+    assert outcome == "quiescent"
+    text = pretty_print(program)
+    assert text.count("split ") == SPLITS
+    assert pretty_print(parse_program(text)) == text
+    path = tmp_path / "splits.acap"
+    path.write_text(SPLIT_SOURCE)
+    assert main(["check", str(path)]) == 0
+    assert main(["run", str(path)]) == 0
+    assert "quiescent" in capsys.readouterr().out
+
+
+def test_split_and_let_drops_keep_their_order():
+    """Scopes of a mixed chain close innermost first, as nested ones did."""
+    source = """msg d : Unit
+beh[<Unit>]{
+  Unit(m) =>
+    let a = spawn(beh[<d>.<d>]{ d(x) => beh[<d>]{ d(y) => beh[eps]{ } } })
+    in split a as b: ActorRef[<d>], c: ActorRef[<d>]
+    in let u = (let e = b
+                in split c as f: ActorRef[<d>], g: ActorRef[eps]
+                in ())
+    in beh[eps]{ }
+}
+"""
+    typed = check_program(parse_program(source), warn_dropped=True)
+    got = [(w.name, w.loc.line, w.loc.col) for w in typed.warnings]
+    assert got == [("f", 7, 20), ("e", 6, 17)]

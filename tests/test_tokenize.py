@@ -20,7 +20,8 @@ CORPUS = sorted((pathlib.Path(__file__).parent.parent / "corpus").glob("*/*.acap
 
 
 def tokens(src: str) -> list[tuple[str, str, int, int]]:
-    return [(t.kind, t.text, *t.loc) for t in tokenize(src)]
+    toks = tokenize(src)
+    return [(toks.kinds[i], toks.texts[i], *toks.loc(i)) for i in range(len(toks))]
 
 
 def outcome(tokenizer, src: str):
