@@ -511,8 +511,11 @@ def is_empty(l: LangExpr) -> bool:
     term known to hold a word (`_nonempty`) refutes at once, so a union of
     terms without `&` is decided at its first pair.  Below an `&`, that
     fact knows only nullable terms, and the search looks for a nullable
-    term in the partial-derivative closure.
+    term in the partial-derivative closure.  A language known to hold a
+    word is answered by that fact, as the search would at its first pair.
     """
+    if l._nonempty:
+        return False
     return _pair_search(_terms(l), frozenset())
 
 
@@ -520,8 +523,15 @@ def includes(sub: LangExpr, sup: LangExpr) -> bool:
     """Decide language inclusion by derivative-pair coinduction.
 
     Raises StateBudgetExceeded when the pair closure (`_pair_search`)
-    outgrows `STATE_BUDGET` pairs.
+    outgrows `STATE_BUDGET` pairs.  Two cases are answered without it, as
+    it would answer them at its first pairs: a language includes itself
+    (every left term occurs on the right), and `eps` is included exactly
+    where the right side is nullable.
     """
+    if sub is sup:
+        return True
+    if sub is EPS:
+        return nullable(sup)
     return _pair_search(_terms(sub), _terms(sup), STATE_BUDGET)
 
 

@@ -27,7 +27,12 @@ mirroring what the checker guarantees statically:
   or no valid entry, the orders are walked by queue position instead
   (`fifo_residuals`), which yields each distinct residual of the
   behaviour's annotation once, with the first order that reaches it as its
-  witness; inclusion is tested once per residual.
+  witness; inclusion is tested once per residual.  The live tags are those
+  of the references the installed behaviours reach, which each behaviour
+  caches (`Value.refs`), and of the references in flight, which the
+  configuration counts (`Config.inflight`) as messages enter and leave the
+  queues through `Config.append` and `Config.pop_head`, the only two
+  places queues change.  So no check walks a queued payload.
 
 Violations never affect execution; they are reported as trace events.
 Checked programs raise none of them, and programs run with checking
@@ -41,7 +46,7 @@ from typing import NamedTuple
 
 from . import lang as lng
 from .lang import EPS, LangExpr, MsgType, Word, lang_to_text
-from .values import RefValue, Value, iter_refs
+from .values import RefValue, iter_refs
 
 
 SEND_NOT_PERMITTED = "SendNotPermitted"
@@ -254,18 +259,17 @@ def global_invariant(config) -> list[Violation]:
     dropped.  A report names the first interleaving, in `fifo_merges`
     order, whose residual fails.
     """
-    roots: list[Value] = []
-    for behv in config.store.values():
-        roots.extend(behv.env.values())
     inbound: dict[int, list] = {}  # receiver -> its nonempty queues' keys
     for key, q in config.queues.items():
-        roots.extend(v for v, _ in q)
         if q:
             inbound.setdefault(key[1], []).append(key)
-    live = list(iter_refs(roots))
+    # The behaviours' references come cached on them, and the payloads'
+    # are counted as messages enter and leave the queues.
+    live = iter_refs(config.store.values())
+    live.update(dict.fromkeys(config.inflight))
     # Values are immutable, so a reference nothing reaches now stays
     # unreachable: what sends have left of its tag is dropped here.
-    for ref in config.tags.keys() - set(live):
+    for ref in config.tags.keys() - live.keys():
         del config.tags[ref]
     summary = summarize(live, config.tags)
 

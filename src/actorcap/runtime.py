@@ -177,10 +177,15 @@ class Config:
     reference reachable from several places, say under two names or inside
     a closure, is one capability with one remaining tag.  The monitor's
     global check drops the entries of references nothing reaches any more.
+    Two tables are derived state that save the global check work, so
+    `copy` copies them, while `fingerprint` and `==` ignore them.
     `residuals` is the monitor's table of per-actor residuals after their
-    single inbound queue (`monitor.Residual`): derived state that saves the
-    global check work, so `copy` copies it, while `fingerprint` and `==`
-    ignore it.
+    single inbound queue (`monitor.Residual`).  `inflight` maps each
+    reference to the number of queued messages whose payload reaches it
+    (`Value.refs`), so the references in flight are its keys.  Queues
+    change only through `append` and `pop_head`, which keep `inflight`
+    counted on every delivery, monitored or not; a configuration built with
+    queues but without the table counts it from them.
     """
 
     store: dict[int, BehValue] = field(default_factory=dict)
@@ -190,12 +195,44 @@ class Config:
     next_id: int = 0
     tags: dict[RefValue, LangExpr] = field(default_factory=dict)
     residuals: dict[int, mon.Residual] = field(default_factory=dict, compare=False)
+    inflight: dict[RefValue, int] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.inflight is None:
+            self.inflight = {}
+            for q in self.queues.values():
+                for value, _ in q:
+                    self._count(value, 1)
+
+    def _count(self, value: Value, delta: int):
+        inflight = self.inflight
+        for ref in value.refs:
+            n = inflight.get(ref, 0) + delta
+            if n:
+                inflight[ref] = n
+            else:
+                del inflight[ref]
+
+    def append(self, key: tuple[int, int], value: Value, msg: MsgType):
+        """Enqueue `msg` with its payload at the tail of queue `key`."""
+        self.queues.setdefault(key, []).append((value, msg))
+        self._count(value, 1)
+
+    def pop_head(self, key: tuple[int, int]) -> tuple[Value, MsgType]:
+        """Dequeue the head of the nonempty queue `key`; an emptied queue
+        is removed."""
+        q = self.queues[key]
+        value, msg = q.pop(0)
+        if not q:
+            del self.queues[key]
+        self._count(value, -1)
+        return value, msg
 
     def copy(self) -> "Config":
         """An independent branch: fresh containers, shared values."""
         queues = {k: list(q) for k, q in self.queues.items()}
         return Config(dict(self.store), queues, self.next_id, dict(self.tags),
-                      dict(self.residuals))
+                      dict(self.residuals), dict(self.inflight))
 
     def fingerprint(self) -> tuple:
         """A canonical, hashable key: configurations with equal keys have
@@ -438,7 +475,7 @@ def init_config(
     trace = trace if trace is not None else Trace()
     config = Config(next_id=1)
     trace.emit("send", src=0, dst=0, msg=UNIT_MSG)
-    config.queues[(0, 0)] = [(UNIT_V, UNIT_MSG)]
+    config.append((0, 0), UNIT_V, UNIT_MSG)
     ev = _Eval(config, 0, trace, monitor)
     try:
         root_val = ev.eval({}, program.root)
@@ -453,7 +490,7 @@ def init_config(
     config.store[0] = root_val
     config.store.update(ev.spawned)
     for value, m, target in ev.outq:
-        config.queues.setdefault((0, target), []).append((value, m))
+        config.append((0, target), value, m)
     if monitor:
         if typed is not None:
             viol = mon.effect_conformance(typed.root_effect, ev.observed)
@@ -495,12 +532,9 @@ def deliver(
     """
     trace = trace if trace is not None else Trace()
     src, dst = choice
-    q = config.queues.get((src, dst))
-    if not q:
+    if not config.queues.get((src, dst)):
         raise ValueError(f"no pending message on queue {choice}")
-    payload, msg = q.pop(0)
-    if not q:
-        del config.queues[(src, dst)]
+    payload, msg = config.pop_head((src, dst))
     if monitor:
         mon.delivered(config, (src, dst), msg)
     behv = config.store[dst]
@@ -513,7 +547,7 @@ def deliver(
         )
     if monitor:
         pre_existing = set(config.store)
-        pre = mon.summarize(list(behv.env.values()) + [payload], config.tags)
+        pre = mon.summarize([behv, payload], config.tags)
 
     env = dict(behv.env)
     env[case.binder] = payload
@@ -535,7 +569,7 @@ def deliver(
     config.store[dst] = result
     config.store.update(ev.spawned)
     for value, m, target in ev.outq:
-        config.queues.setdefault((dst, target), []).append((value, m))
+        config.append((dst, target), value, m)
 
     if monitor:
         if typed is not None and behv.node is not None:
@@ -544,10 +578,7 @@ def deliver(
                 viol = mon.effect_conformance(static_eff, ev.observed)
                 if viol is not None:
                     trace.violation(viol, dst, dst)
-        post_roots: list[Value] = list(result.env.values())
-        for child in ev.spawned.values():
-            post_roots.extend(child.env.values())
-        post = mon.summarize(post_roots, config.tags)
+        post = mon.summarize([result, *ev.spawned.values()], config.tags)
         transferred = mon.summarize([value for value, _, _ in ev.outq], config.tags)
         sent: dict[int, list[MsgType]] = {}
         for _, m, target in ev.outq:
@@ -657,16 +688,18 @@ def explore(
     (tag tables included).  Each state with a delivery enabled below the
     depth bound is keyed by its `Config.fingerprint()` and depth, and a
     state met again is not expanded again: the memo adds its schedules per
-    outcome class.  Its first visit already recorded every class and
-    violation below it, so only violations raised on the way to the state
-    can be new; when one of them is the first violation seen, the state's
-    first schedule is replayed from the current configuration as the
-    witness.  So the report is the one an enumeration of every schedule
-    gives: `schedules` and `outcomes` count schedules, each witness is the
-    first schedule of its class in depth-first order, and the violation
-    witness is the first schedule raising one.  `states` counts the
-    configurations expanded, and the search raises
-    `lang.StateBudgetExceeded` once it would expand more than `STATE_CAP`.
+    outcome class.  (A state every ancestor of which had one delivery
+    enabled is the only one at its depth, so it is not keyed at all.)  Its
+    first visit already recorded every class and violation below it, so
+    only violations raised on the way to the state can be new; when one of
+    them is the first violation seen, the state's first schedule is
+    replayed from the current configuration as the witness.  So the report
+    is the one an enumeration of every schedule gives: `schedules` and
+    `outcomes` count schedules, each witness is the first schedule of its
+    class in depth-first order, and the violation witness is the first
+    schedule raising one.  `states` counts the configurations expanded,
+    and the search raises `lang.StateBudgetExceeded` once it would expand
+    more than `STATE_CAP`.
     """
     base_events = list(base_trace.events) if base_trace is not None else []
     search = _Search(typed, max_depth, monitor)
@@ -728,16 +761,22 @@ class _Search:
                     self.deliver(branch, choice, tr)
                 report.violation_witness = tr
 
-    def go(self, cfg: Config, events: list[TraceEvent], depth: int) -> _Below:
+    def go(self, cfg: Config, events: list[TraceEvent], depth: int,
+           alone: bool = True) -> _Below:
+        """The schedules below `cfg`.  `alone` says every state above it had
+        one delivery enabled: then `cfg` is the only state at its depth in
+        the whole search, its memo lookup cannot hit, and it is neither
+        fingerprinted nor memoised."""
         enabled = enabled_deliveries(cfg)
         if not enabled:
             return self.record("quiescent", events)
         if depth >= self.max_depth:
             return self.record("depth", events)
-        key = (cfg.fingerprint(), depth)
-        if key in self.memo:
-            self.reuse(cfg, events, self.memo[key])
-            return self.memo[key]
+        if not alone:
+            key = (cfg.fingerprint(), depth)
+            if key in self.memo:
+                self.reuse(cfg, events, self.memo[key])
+                return self.memo[key]
         self.report.states += 1
         if self.report.states > STATE_CAP:
             raise lng.StateBudgetExceeded(
@@ -745,6 +784,7 @@ class _Search:
                 f"{self.max_depth}"
             )
         below = _Below()
+        only_child = alone and len(enabled) == 1
         for src, dst, _ in enabled:
             branch = cfg.copy()
             tr = Trace(events=list(events))
@@ -752,7 +792,8 @@ class _Search:
             if isinstance(res, Stuck):
                 sub = self.record(f"stuck:{res.kind}", tr.events)
             else:
-                sub = self.go(branch, tr.events, depth + 1)
+                sub = self.go(branch, tr.events, depth + 1, only_child)
             below.add((src, dst), sub)
-        self.memo[key] = below
+        if not alone:
+            self.memo[key] = below
         return below

@@ -459,13 +459,16 @@ class _Parser:
         """Move past the current token, which must be a `kind`; its index."""
         i = self.pos
         if self.kinds[i] != kind:
-            raise ParseError(
-                f"unexpected {self.kinds[i]} {self.texts[i]!r}",
-                self.loc(i),
-                frozenset({kind}),
-            )
+            found = self.shown(i)
+            if self.kinds[i] != "EOF":
+                found = f"{self.kinds[i]} {found}"
+            raise ParseError(f"unexpected {found}", self.loc(i), frozenset({kind}))
         self.pos = i + 1
         return i
+
+    def shown(self, i: int) -> str:
+        """Token `i` as an error names it: its quoted text, or `end of input`."""
+        return "end of input" if self.kinds[i] == "EOF" else repr(self.texts[i])
 
     def name(self) -> str:
         return self.texts[self.expect("NAME")]
@@ -529,7 +532,7 @@ class _Parser:
             self.expect(")")
             return inner
         raise ParseError(
-            f"expected a type, got {self.texts[i]!r}", self.loc(i),
+            f"expected a type, got {self.shown(i)}", self.loc(i),
             frozenset({"Bool", "Nat", "Unit", "ActorRef", "Beh", "("}),
         )
 
@@ -651,7 +654,7 @@ class _Parser:
             return Var(self.path(), self.loc(i))
         if kind not in _PRIMARY_START:
             raise ParseError(
-                f"expected an expression, got {self.texts[i]!r}", self.loc(i),
+                f"expected an expression, got {self.shown(i)}", self.loc(i),
                 _PRIMARY_START,
             )
         if kind == "beh":

@@ -22,6 +22,7 @@ from actorcap.lang import (
     includes,
     is_empty,
     member,
+    nullable,
     partial_derivatives,
     shuffle,
     star,
@@ -29,6 +30,7 @@ from actorcap.lang import (
 )
 
 from langgen import ALPHABET, random_expr, reference_normalize
+from naive_includes import naive_includes
 
 A, B, C = ALPHABET
 
@@ -178,3 +180,18 @@ def test_equality_is_identity(seed1, seed2):
     e2 = random_expr(random.Random(seed2))
     assert (e1 == e2) == (e1 is e2) == (repr(e1) == repr(e2))
     assert random_expr(random.Random(seed1)) is e1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**16))
+def test_includes_shortcuts_agree_with_the_search(seed):
+    # `includes` answers `eps <= x` and `x <= x` without the pair search;
+    # the rule-free search and the word oracle give the same answers, and
+    # the canonical rebuild, a different tree when `x` is not canonical,
+    # goes through the search both ways.
+    x = random_expr(random.Random(seed))
+    assert includes(EPS, x) == nullable(x) == naive_includes(EPS, x)
+    assert includes(EPS, x) == (() in enumerate_words(x, 0))
+    assert includes(x, x) and naive_includes(x, x)
+    y = reference_normalize(x)
+    assert includes(x, y) and includes(y, x)

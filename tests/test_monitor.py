@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from actorcap import lang as lng
+from actorcap import monitor as mon
 from actorcap.checker import check_program
 from actorcap.lang import EPS, MsgType, alt, cat, shuffle, star, sym
 from actorcap.monitor import (
@@ -670,3 +671,57 @@ def test_monitored_chain_costs_linear_derivatives(monkeypatch):
     _, outcome = run(cfg, typed=typed, seed=0, trace=tr)
     assert outcome == "quiescent" and tr.violations() == []
     assert calls <= 8 * n
+
+
+def test_monitored_chain_visits_linear_values(monkeypatch):
+    # Rebuilding the live references from every queued payload after every
+    # delivery hands the walk about N*N/2 roots (83,406 at N = 400); cached
+    # `refs` and the in-flight counts hand it six per delivery (2,407).
+    n = 400
+    prog = parse_program(chain_source(n))
+    typed = check_program(prog)
+    roots = 0
+    walk = mon.iter_refs
+
+    def counting(values):
+        nonlocal roots
+        values = list(values)
+        roots += len(values)
+        return walk(values)
+
+    monkeypatch.setattr(mon, "iter_refs", counting)
+    tr = Trace(seed=0)
+    cfg = init_config(prog, typed=typed, trace=tr)
+    _, outcome = run(cfg, typed=typed, seed=0, trace=tr)
+    assert outcome == "quiescent" and tr.violations() == []
+    assert roots <= 12 * n
+
+
+def test_deep_pair_chain_does_not_recurse():
+    # Payloads nested 5,000 pairs deep, built in loops: their references
+    # are found on an explicit stack, with or without a walked value below.
+    refs = [RefValue(i % 3, EPS) for i in range(5000)]
+    v = UNIT_V
+    for r in refs:
+        v = PairV(r, v)
+    assert set(iter_refs([v])) == set(refs)
+    assert summarize([v], {}) == {0: EPS, 1: EPS, 2: EPS}
+    more = [RefValue(3, EPS) for _ in range(5000)]
+    w = v
+    for r in more:
+        w = PairV(w, r)
+    assert set(iter_refs([w])) == set(refs + more)
+    assert summarize([w, v], {}) == {0: EPS, 1: EPS, 2: EPS, 3: EPS}
+
+
+def test_refs_are_cached_once_and_deduplicated():
+    r, s = RefValue(1, sym("a")), RefValue(2, sym("a"))
+    shared = PairV(r, s)
+    v = PairV(shared, PairV(r, shared))
+    assert "refs" not in vars(v)  # nothing is walked until asked
+    assert sorted(v.refs, key=lambda x: x.target) == [r, s]
+    assert vars(v)["refs"] is v.refs
+    assert "refs" not in vars(shared)  # only the value asked keeps a tuple
+    assert r.refs == (r,) and UNIT_V.refs == ()
+    beh = BehValue(EPS, (), {"x": v, "y": s}, Beh(EPS, ()))
+    assert set(beh.refs) == {r, s} and len(beh.refs) == 2

@@ -4,9 +4,9 @@ Each corpus program is cut at each token start and at the end of the input,
 and both parts of every cut are parsed: the part before ends at EOF, and
 the part after fails at tokens in the middle of lines. A part reads `ok`
 or the `str()` of its `ParseError`, which carries the `line:col` the parser
-took from the token it stopped at. The joined results are pinned by a
-digest recorded before the tokenizer kept offsets instead of locations,
-and a few are pinned literally so a failure is readable.
+took from the token it stopped at; an error at the end of a part names
+the `end of input`. The joined results are pinned by a digest, and a few
+are pinned literally so a failure is readable.
 
 Token starts come from the oracle scanner (`naive_tokenize`), whose line and
 column are turned back into offsets, so the cuts do not depend on the
@@ -30,7 +30,7 @@ from naive_tokenize import naive_tokenize
 ROOT = pathlib.Path(__file__).parent.parent
 CORPUS = sorted((ROOT / "corpus").glob("*/*.acap"))
 
-DIGEST = "90d43399421a8e0f172ad46728d1b89e7685b85f850ee7ee2d607ee2bef7b8b5"
+DIGEST = "d990c6dbdd284923a45bc21266d33da567913069476b275d3f54e438df6c89ea"
 LANG_DIGEST = "22fc4cdd7d6633788a178f7df273b2a701978faf4dc09766408d1e644dea5d3a"
 
 
@@ -77,15 +77,15 @@ def test_cuts_of_one_program():
     before = {offset: outcome(src[:offset]) for offset in offsets}
     after = {offset: outcome(src[offset:]) for offset in offsets}
     # After the two comment lines; after `fun`; before the closing `}`.
-    assert before[118] == f"parse error @ 3:1 - expected an expression, got '' {EXPECTED}"
-    assert before[123] == "parse error @ 3:6 - unexpected EOF '' (expected NAME)"
-    assert before[193] == "parse error @ 4:38 - unexpected EOF '' (expected })"
+    assert before[118] == f"parse error @ 3:1 - expected an expression, got end of input {EXPECTED}"
+    assert before[123] == "parse error @ 3:6 - unexpected end of input (expected NAME)"
+    assert before[193] == "parse error @ 4:38 - unexpected end of input (expected })"
     assert before[198] == "ok"
     # From `fun` on; from `eps`; from the last `)`; from the end.
     assert after[119] == "parse error @ 2:39 - trailing input ')'"
     assert after[149] == "parse error @ 1:5 - trailing input '=>'"
     assert after[194] == f"parse error @ 1:1 - expected an expression, got ')' {EXPECTED}"
-    assert after[198] == f"parse error @ 1:1 - expected an expression, got '' {EXPECTED}"
+    assert after[198] == f"parse error @ 1:1 - expected an expression, got end of input {EXPECTED}"
 
 
 def lang_outcome(text: str) -> str:

@@ -1,5 +1,6 @@
 import dataclasses
 import pathlib
+import sys
 
 import pytest
 
@@ -28,11 +29,13 @@ from actorcap.syntax import (
     _Parser,
     tokenize,
 )
-from actorcap.values import BehValue, Num, PairV, RefValue, UNIT_V, UnitV
+from actorcap.values import BehValue, Closure, Num, PairV, RefValue, UNIT_V, UnitV
 
 from local_eval import local_eval
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
+sys.path.insert(0, str(CORPUS.parent / "bench"))
+import gen  # noqa: E402  (the benchmark's program generators)
 A, B = MsgType("a"), MsgType("b")
 
 
@@ -452,3 +455,98 @@ class TestMessageNames:
         assert named == key((UNIT_V, "pair"), (UNIT_V, "a"))
         assert named != paired
         assert key((PairV(UNIT_V, UNIT_V), "pair")) != key((UNIT_V, "pair"))
+
+
+def reachable_refs(value) -> set:
+    """The references under `value`, by a walk that ignores `Value.refs`."""
+    found, stack = set(), [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, RefValue):
+            found.add(v)
+        elif isinstance(v, PairV):
+            stack += (v.first, v.second)
+        elif isinstance(v, (Closure, BehValue)):
+            stack.extend(v.env.values())
+    return found
+
+
+def assert_inflight_counted(cfg: Config):
+    """`Config.inflight` equals a recount from the queues, and each
+    payload's cached `refs` is what a walk of the payload finds."""
+    recount: dict = {}
+    for q in cfg.queues.values():
+        for value, _ in q:
+            assert len(value.refs) == len(set(value.refs))
+            assert set(value.refs) == reachable_refs(value)
+            for ref in value.refs:
+                recount[ref] = recount.get(ref, 0) + 1
+    assert cfg.inflight == recount
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Wraps `runtime.deliver`, which `run` and `explore` call, with
+    `assert_inflight_counted` after every delivery; yields the largest
+    in-flight table seen, so a test can tell it was not always empty."""
+    seen = {"max": 0}
+    real = runtime.deliver
+
+    def checked(cfg, choice, **kw):
+        res = real(cfg, choice, **kw)
+        assert_inflight_counted(cfg)
+        seen["max"] = max(seen["max"], len(cfg.inflight))
+        return res
+
+    monkeypatch.setattr(runtime, "deliver", checked)
+    return seen
+
+
+class TestInflightTable:
+    @pytest.mark.parametrize("monitor", [True, False], ids=["mon", "nomon"])
+    def test_corpus_runs(self, counted, monitor):
+        for path in sorted((CORPUS / "positive").glob("*.acap")):
+            prog, typed = load(f"positive/{path.name}")
+            for seed in range(4):
+                tr = Trace(seed=seed)
+                cfg = init_config(prog, typed=typed, monitor=monitor, trace=tr)
+                assert_inflight_counted(cfg)
+                run(cfg, typed=typed, seed=seed, monitor=monitor, trace=tr)
+        assert counted["max"] > 0  # ping_pong sends a reference
+
+    @pytest.mark.parametrize("monitor", [True, False], ids=["mon", "nomon"])
+    def test_explore_branches(self, counted, monitor):
+        sources = [gen.fanin_program(3, 2, "t")]
+        sources += [p.read_text() for p in sorted((CORPUS / "positive").glob("*.acap"))]
+        for source in sources:
+            prog = parse_program(source)
+            typed = check_program(prog)
+            cfg = init_config(prog, typed=typed, monitor=monitor)
+            assert_inflight_counted(cfg)
+            report = explore(cfg, typed=typed, monitor=monitor)
+            assert report.states > 0
+        assert counted["max"] > 0
+
+    def test_built_by_hand(self):
+        r, s = RefValue(1, sym("a")), RefValue(2, sym("b"))
+        shared = PairV(r, r)
+        cfg = Config(
+            store={0: two_case_receiver(), 1: two_case_receiver()},
+            queues={
+                (1, 0): [(PairV(shared, s), A), (UNIT_V, B)],
+                (2, 1): [(shared, A)],
+            },
+            next_id=3,
+        )
+        assert cfg.inflight == {r: 2, s: 1}
+        assert_inflight_counted(cfg)
+        branch = cfg.copy()
+        assert branch.inflight == cfg.inflight and branch.inflight is not cfg.inflight
+        assert cfg == branch
+        deliver(branch, (1, 0), monitor=False)
+        assert branch.inflight == {r: 1}
+        assert_inflight_counted(branch)
+        assert cfg.inflight == {r: 2, s: 1}
+        deliver(branch, (2, 1), monitor=False)
+        assert branch.inflight == {}
+        assert branch.queues == {(1, 0): [(UNIT_V, B)]}
