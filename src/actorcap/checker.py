@@ -344,120 +344,126 @@ class Checker:
     # -- expressions
 
     def infer(self, env: TypeEnv, e: Expr) -> tuple[TypeExpr, TypeEnv, LangExpr]:
-        match e:
-            case NatLit():
-                return NAT, env, EPS
-            case BoolLit():
-                return BOOL, env, EPS
-            case UnitLit():
-                return UNIT, env, EPS
-            case Var(path):
-                t = self._lookup_path(env, path, e.loc)
-                if path.sels:
-                    self._note_drop(path.base, env[path.base], e.loc)
-                # Use consumes the binding; duplication needs an explicit split.
-                return t, _without(env, path.base), EPS
-            case Pair(a, b):
-                ta, env1, eff1 = self.infer(env, a)
-                tb, env2, eff2 = self.infer(env1, b)
-                return ProdT(ta, tb), env2, lng.shuffle(eff1, eff2)
-            case Not(x):
-                tx, env1, eff = self.infer(env, x)
-                if not isinstance(tx, BoolT):
+        # Dispatch by exact class, the forms most checked first; every form
+        # is handled in this frame or in one method it calls.
+        t = type(e)
+        if t is Var:
+            path = e.path
+            ty = self._lookup_path(env, path, e.loc)
+            if path.sels:
+                self._note_drop(path.base, env[path.base], e.loc)
+            # Use consumes the binding; duplication needs an explicit split.
+            return ty, _without(env, path.base), EPS
+        if t is Send:
+            msg = e.msg
+            declared = self.program.payload_type(msg)
+            tp, env1, eff = self.infer(env, e.payload)
+            if not types_equal(tp, declared):
+                raise TypeCheckError(
+                    ErrorCode.TypeMismatch, e.loc,
+                    f"payload of <{msg}> must be "
+                    f"{type_to_text(declared)}, got {type_to_text(tp)}",
+                )
+            _, env2 = self.apply_send_path(env1, e.target, msg, e.loc)
+            return UNIT, env2, eff
+        if t is App:
+            tf, env1, eff1 = self.infer(env, e.fn)
+            if not isinstance(tf, FunT):
+                raise TypeCheckError(
+                    ErrorCode.TypeMismatch, e.loc,
+                    f"applied expression is {type_to_text(tf)}, not a function",
+                )
+            ta, env2, eff2 = self.infer(env1, e.arg)
+            if not types_equal(ta, tf.param):
+                raise TypeCheckError(
+                    ErrorCode.TypeMismatch, e.loc,
+                    f"argument type {type_to_text(ta)} does not match "
+                    f"parameter type {type_to_text(tf.param)}",
+                )
+            return tf.result, env2, lng.shuffle(lng.shuffle(eff1, eff2), tf.latent)
+        if t is Beh:
+            return self.check_behaviour(env, e)
+        if t is Let or t is Split:
+            # A chain of lets and splits is walked along its right spine
+            # in a loop, so its length is not bounded by the Python
+            # stack; scopes then close innermost first, as nested calls
+            # would close them.
+            spine = []
+            while True:
+                if t is Let:
+                    tv, env, eff = self.infer(env, e.value)
+                    env = {**env, e.name: tv}
+                    spine.append((e, eff))
+                elif t is Split:
+                    env = self._open_split(env, e)
+                    spine.append((e, None))
+                else:
+                    break
+                e = e.body
+                t = type(e)
+            tb, env, eff = self.infer(env, e)
+            for head, head_eff in reversed(spine):
+                if type(head) is Let:
+                    env = self._drop(env, head.name, head.loc)
+                    eff = lng.shuffle(head_eff, eff)
+                else:
+                    env = self._drop(env, head.name1, head.loc)
+                    env = self._drop(env, head.name2, head.loc)
+            return tb, env, eff
+        if t is UnitLit:
+            return UNIT, env, EPS
+        if t is NatLit:
+            return NAT, env, EPS
+        if t is BoolLit:
+            return BOOL, env, EPS
+        if t is Pair:
+            ta, env1, eff1 = self.infer(env, e.first)
+            tb, env2, eff2 = self.infer(env1, e.second)
+            return ProdT(ta, tb), env2, lng.shuffle(eff1, eff2)
+        if t is Not:
+            tx, env1, eff = self.infer(env, e.expr)
+            if not isinstance(tx, BoolT):
+                raise TypeCheckError(
+                    ErrorCode.TypeMismatch, e.loc,
+                    f"operand of ! must be Bool, got {type_to_text(tx)}",
+                )
+            return BOOL, env1, eff
+        if t is BinOp:
+            op = e.op
+            want: TypeExpr = BOOL if op in ("&&", "||") else NAT
+            ta, env1, eff1 = self.infer(env, e.left)
+            tb, env2, eff2 = self.infer(env1, e.right)
+            for tt in (ta, tb):
+                if not types_equal(tt, want):
                     raise TypeCheckError(
                         ErrorCode.TypeMismatch, e.loc,
-                        f"operand of ! must be Bool, got {type_to_text(tx)}",
+                        f"operands of {op} must be {type_to_text(want)}, "
+                        f"got {type_to_text(tt)}",
                     )
-                return BOOL, env1, eff
-            case BinOp(op, a, b):
-                want: TypeExpr = BOOL if op in ("&&", "||") else NAT
-                ta, env1, eff1 = self.infer(env, a)
-                tb, env2, eff2 = self.infer(env1, b)
-                for tt in (ta, tb):
-                    if not types_equal(tt, want):
-                        raise TypeCheckError(
-                            ErrorCode.TypeMismatch, e.loc,
-                            f"operands of {op} must be {type_to_text(want)}, "
-                            f"got {type_to_text(tt)}",
-                        )
-                return want, env2, lng.shuffle(eff1, eff2)
-            case If(c, t_branch, f_branch):
-                tc, envc, effc = self.infer(env, c)
-                if not isinstance(tc, BoolT):
-                    raise TypeCheckError(
-                        ErrorCode.TypeMismatch, e.loc,
-                        f"condition must be Bool, got {type_to_text(tc)}",
-                    )
-                tt, envt, efft = self.infer(envc, t_branch)
-                tf, envf, efff = self.infer(envc, f_branch)
-                if not types_equal(tt, tf):
-                    raise TypeCheckError(
-                        ErrorCode.TypeMismatch, e.loc,
-                        f"branches disagree: {type_to_text(tt)} vs "
-                        f"{type_to_text(tf)}",
-                    )
-                joined = env_join(envt, envf, e.loc)
-                return tt, joined, lng.shuffle(effc, lng.alt(efft, efff))
-            case SelfCap(l):
-                return ActorRefT(l), env, l
-            case Fun():
-                return self._infer_fun(env, e)
-            case App(f, a):
-                tf, env1, eff1 = self.infer(env, f)
-                if not isinstance(tf, FunT):
-                    raise TypeCheckError(
-                        ErrorCode.TypeMismatch, e.loc,
-                        f"applied expression is {type_to_text(tf)}, not a function",
-                    )
-                ta, env2, eff2 = self.infer(env1, a)
-                if not types_equal(ta, tf.param):
-                    raise TypeCheckError(
-                        ErrorCode.TypeMismatch, e.loc,
-                        f"argument type {type_to_text(ta)} does not match "
-                        f"parameter type {type_to_text(tf.param)}",
-                    )
-                return tf.result, env2, lng.shuffle(lng.shuffle(eff1, eff2), tf.latent)
-            case Beh():
-                return self.check_behaviour(env, e)
-            case Spawn():
-                return self.check_spawn(env, e)
-            case Send(msg, target, payload):
-                declared = self.program.payload_type(msg)
-                tp, env1, eff = self.infer(env, payload)
-                if not types_equal(tp, declared):
-                    raise TypeCheckError(
-                        ErrorCode.TypeMismatch, e.loc,
-                        f"payload of <{msg}> must be "
-                        f"{type_to_text(declared)}, got {type_to_text(tp)}",
-                    )
-                _, env2 = self.apply_send_path(env1, target, msg, e.loc)
-                return UNIT, env2, eff
-            case Let() | Split():
-                # A chain of lets and splits is walked along its right spine
-                # in a loop, so its length is not bounded by the Python
-                # stack; scopes then close innermost first, as nested calls
-                # would close them.
-                spine = []
-                while True:
-                    if isinstance(e, Let):
-                        tv, env, eff = self.infer(env, e.value)
-                        env = {**env, e.name: tv}
-                        spine.append((e, eff))
-                    elif isinstance(e, Split):
-                        env = self._open_split(env, e)
-                        spine.append((e, None))
-                    else:
-                        break
-                    e = e.body
-                tb, env, eff = self.infer(env, e)
-                for head, head_eff in reversed(spine):
-                    if isinstance(head, Let):
-                        env = self._drop(env, head.name, head.loc)
-                        eff = lng.shuffle(head_eff, eff)
-                    else:
-                        env = self._drop(env, head.name1, head.loc)
-                        env = self._drop(env, head.name2, head.loc)
-                return tb, env, eff
+            return want, env2, lng.shuffle(eff1, eff2)
+        if t is If:
+            tc, envc, effc = self.infer(env, e.cond)
+            if not isinstance(tc, BoolT):
+                raise TypeCheckError(
+                    ErrorCode.TypeMismatch, e.loc,
+                    f"condition must be Bool, got {type_to_text(tc)}",
+                )
+            tt, envt, efft = self.infer(envc, e.then_branch)
+            tf, envf, efff = self.infer(envc, e.else_branch)
+            if not types_equal(tt, tf):
+                raise TypeCheckError(
+                    ErrorCode.TypeMismatch, e.loc,
+                    f"branches disagree: {type_to_text(tt)} vs "
+                    f"{type_to_text(tf)}",
+                )
+            joined = env_join(envt, envf, e.loc)
+            return tt, joined, lng.shuffle(effc, lng.alt(efft, efff))
+        if t is Fun:
+            return self._infer_fun(env, e)
+        if t is SelfCap:
+            return ActorRefT(e.lang), env, e.lang
+        if t is Spawn:
+            return self.check_spawn(env, e)
         raise TypeCheckError(
             ErrorCode.TypeMismatch, getattr(e, "loc", Loc(0, 0)),
             f"unhandled expression form {type(e).__name__}",

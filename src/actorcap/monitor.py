@@ -32,7 +32,14 @@ mirroring what the checker guarantees statically:
   caches (`Value.refs`), and of the references in flight, which the
   configuration counts (`Config.inflight`) as messages enter and leave the
   queues through `Config.append` and `Config.pop_head`, the only two
-  places queues change.  So no check walks a queued payload.
+  places queues change.  So no check walks a queued payload.  After a
+  quiet turn, one whose payload and the receiver's old and new behaviours
+  reach no reference and that sends, spawns and creates none, no tag and
+  no live reference has changed, and no queue but the receiver's inbound
+  one: the turn builds no summary, conservation has no target, and the
+  global check takes the combined live tags from the last check
+  (`Config.check_memo`, kept until the next delivery takes it out)
+  instead of summarizing them again.
 
 Violations never affect execution; they are reported as trace events.
 Checked programs raise none of them, and programs run with checking
@@ -244,7 +251,9 @@ def _queue_residual(config, actor: int, annot: LangExpr, queue, q) -> LangExpr:
     return residual
 
 
-def global_invariant(config) -> list[Violation]:
+def global_invariant(
+    config, summary: dict[int, LangExpr] | None = None
+) -> list[Violation]:
     """Check global consistency at a quiescent point (between deliveries).
 
     For every actor, every FIFO-consistent interleaving of the messages in
@@ -258,20 +267,26 @@ def global_invariant(config) -> list[Violation]:
     inclusion runs once per distinct residual, and the actor's entry is
     dropped.  A report names the first interleaving, in `fifo_merges`
     order, whose residual fails.
+
+    With `summary`, the check after a quiet turn (`runtime.deliver`),
+    which changed no tag and no live reference: the combined tags are the
+    last check's, so they are taken as they are, not summarized again.
+    Either way a completed check leaves them in `config.check_memo`.
     """
     inbound: dict[int, list] = {}  # receiver -> its nonempty queues' keys
     for key, q in config.queues.items():
         if q:
             inbound.setdefault(key[1], []).append(key)
-    # The behaviours' references come cached on them, and the payloads'
-    # are counted as messages enter and leave the queues.
-    live = iter_refs(config.store.values())
-    live.update(dict.fromkeys(config.inflight))
-    # Values are immutable, so a reference nothing reaches now stays
-    # unreachable: what sends have left of its tag is dropped here.
-    for ref in config.tags.keys() - live.keys():
-        del config.tags[ref]
-    summary = summarize(live, config.tags)
+    if summary is None:
+        # The behaviours' references come cached on them, and the payloads'
+        # are counted as messages enter and leave the queues.
+        live = iter_refs(config.store.values())
+        live.update(dict.fromkeys(config.inflight))
+        # Values are immutable, so a reference nothing reaches now stays
+        # unreachable: what sends have left of its tag is dropped here.
+        for ref in config.tags.keys() - live.keys():
+            del config.tags[ref]
+        summary = summarize(live, config.tags)
 
     violations: list[Violation] = []
     for actor, behv in sorted(config.store.items()):
@@ -315,6 +330,7 @@ def global_invariant(config) -> list[Violation]:
                     )
                 )
                 break  # at most one report per actor per check
+    config.check_memo = summary
     return violations
 
 
@@ -340,7 +356,9 @@ def conservation(
         | post.keys()
         | transferred.keys()
         | sent.keys()
-        | {acting}  # its observed effect counts even with no tags anywhere
+        # its observed effect counts even with no tags anywhere, but an
+        # `eps` effect toward an actor with none passes anyway
+        | ({acting} if observed is not EPS else set())
     ) & pre_existing
     violations: list[Violation] = []
     for target in sorted(targets):

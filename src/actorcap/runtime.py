@@ -177,15 +177,21 @@ class Config:
     reference reachable from several places, say under two names or inside
     a closure, is one capability with one remaining tag.  The monitor's
     global check drops the entries of references nothing reaches any more.
-    Two tables are derived state that save the global check work, so
-    `copy` copies them, while `fingerprint` and `==` ignore them.
+    Three tables are derived state that save the global check work, so
+    `copy` carries them, while `fingerprint` and `==` ignore them.
     `residuals` is the monitor's table of per-actor residuals after their
     single inbound queue (`monitor.Residual`).  `inflight` maps each
     reference to the number of queued messages whose payload reaches it
     (`Value.refs`), so the references in flight are its keys.  Queues
     change only through `append` and `pop_head`, which keep `inflight`
     counted on every delivery, monitored or not; a configuration built with
-    queues but without the table counts it from them.
+    queues but without the table counts it from them.  `check_memo` is the
+    combined live tags toward each actor that the last global check
+    summarized, which the check after a quiet turn reuses.  Every
+    `deliver` takes it out first, and only a completed global check puts
+    a new one back, so after an unmonitored or stuck delivery, and in a
+    configuration built by hand, there is none and the next check is a
+    full one.  `copy` shares it: it is replaced, never updated in place.
     """
 
     store: dict[int, BehValue] = field(default_factory=dict)
@@ -196,6 +202,7 @@ class Config:
     tags: dict[RefValue, LangExpr] = field(default_factory=dict)
     residuals: dict[int, mon.Residual] = field(default_factory=dict, compare=False)
     inflight: dict[RefValue, int] = field(default=None, compare=False)
+    check_memo: dict[int, LangExpr] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.inflight is None:
@@ -232,7 +239,7 @@ class Config:
         """An independent branch: fresh containers, shared values."""
         queues = {k: list(q) for k, q in self.queues.items()}
         return Config(dict(self.store), queues, self.next_id, dict(self.tags),
-                      dict(self.residuals), dict(self.inflight))
+                      dict(self.residuals), dict(self.inflight), self.check_memo)
 
     def fingerprint(self) -> tuple:
         """A canonical, hashable key: configurations with equal keys have
@@ -339,104 +346,108 @@ class _Eval:
         return v, v
 
     def eval(self, env: dict[str, Value], e: Expr) -> Value:
+        # Dispatch by exact class, the forms most evaluated first.  Every
+        # form is handled in this frame, so a nested evaluation costs one
+        # Python frame, which sets how deep a handler may recurse before
+        # the stack ends it as diverged.
         self.steps += 1
         if self.steps > LOCAL_STEPS:
             raise BudgetExhausted(f"step budget of {LOCAL_STEPS} exhausted")
-        match e:
-            case NatLit(v):
-                return Num(v)
-            case BoolLit(v):
-                return BoolV(v)
-            case UnitLit():
-                return UNIT_V
-            case Var(path):
-                return self._path_value(env, path)
-            case Pair(a, b):
-                return PairV(self.eval(env, a), self.eval(env, b))
-            case Not(x):
-                v = self.eval(env, x)
-                if not isinstance(v, BoolV):
-                    raise DynamicTypeError("! applied to a non-boolean")
-                return BoolV(not v.value)
-            case BinOp(op, a, b):
-                return self._binop(op, self.eval(env, a), self.eval(env, b))
-            case If(c, t, f):
-                cv = self.eval(env, c)
-                if not isinstance(cv, BoolV):
-                    raise DynamicTypeError("if condition is not a boolean")
-                return self.eval(env, t if cv.value else f)
-            case Fun():
-                return Closure(e, self._capture(env, e.free))
-            case App(f, a):
-                fv = self.eval(env, f)
-                if not isinstance(fv, Closure):
-                    raise DynamicTypeError("application of a non-function")
-                av = self.eval(env, a)
-                call_env = dict(fv.env)
-                call_env[fv.fun.self_name] = fv
-                call_env[fv.fun.param] = av
-                return self.eval(call_env, fv.fun.body)
-            case SelfCap(l):
-                self.observed = lng.shuffle(self.observed, l)
-                self.trace.emit(
-                    "selfcap", src=self.self_id, dst=self.self_id,
-                    lang=lang_to_text(l),
-                )
-                return RefValue(self.self_id, l)
-            case Beh():
-                return BehValue(
-                    e.annot, e.cases, self._capture(env, e.free), e
-                )
-            case Spawn(init, inner):
-                bv = self.eval(env, inner)
-                if not isinstance(bv, BehValue):
-                    raise DynamicTypeError("spawn of a non-behaviour")
-                child = self.config.next_id
-                self.config.next_id += 1
-                self.spawned[child] = bv
-                tag = init if init is not None else bv.annot
-                self.trace.emit(
-                    "spawn", src=self.self_id, dst=child, lang=lang_to_text(tag)
-                )
-                return RefValue(child, tag)
-            case Send(msg, target, payload):
-                tv = self._path_value(env, target)
-                if not isinstance(tv, RefValue):
-                    raise DynamicTypeError(f"send target {target} is not a reference")
-                pv = self.eval(env, payload)
-                if self.monitor:
-                    tag = self.config.tags.get(tv, tv.tag)
-                    res = mon.check_send_tag(tag, msg)
-                    if isinstance(res, mon.Violation):
-                        self.trace.violation(res, self.self_id, tv.target)
-                    # The tag always tracks the derivative, so after k sends
-                    # it equals the word derivative of the birth tag.
-                    self.config.tags[tv] = lng.derivative(msg, tag)
-                self.outq.append((pv, msg, tv.target))
-                self.trace.emit(
-                    "send", src=self.self_id, dst=tv.target, msg=msg
-                )
-                return UNIT_V
-            case Let() | Split():
-                # A chain of lets and splits is walked along its right spine
-                # in a loop, so its length is not bounded by the Python stack.
-                # No one keeps the environment of an evaluation, so one copy
-                # serves the whole chain.
-                inner_env = dict(env)
-                while True:
-                    if isinstance(e, Let):
-                        inner_env[e.name] = self.eval(inner_env, e.value)
-                    else:
-                        v = self._path_value(inner_env, e.path)
-                        v1, v2 = self._split_value(v, e.type1, e.type2)
-                        inner_env[e.name1] = v1
-                        inner_env[e.name2] = v2
-                    e = e.body
-                    if not isinstance(e, (Let, Split)):
-                        return self.eval(inner_env, e)
-                    self.steps += 1  # the step a nested call would count
-                    if self.steps > LOCAL_STEPS:
-                        raise BudgetExhausted(f"step budget of {LOCAL_STEPS} exhausted")
+        t = type(e)
+        if t is Var:
+            return self._path_value(env, e.path)
+        if t is Send:
+            target = e.target
+            tv = self._path_value(env, target)
+            if not isinstance(tv, RefValue):
+                raise DynamicTypeError(f"send target {target} is not a reference")
+            pv = self.eval(env, e.payload)
+            msg = e.msg
+            if self.monitor:
+                tag = self.config.tags.get(tv, tv.tag)
+                res = mon.check_send_tag(tag, msg)
+                if isinstance(res, mon.Violation):
+                    self.trace.violation(res, self.self_id, tv.target)
+                # The tag always tracks the derivative, so after k sends
+                # it equals the word derivative of the birth tag.
+                self.config.tags[tv] = lng.derivative(msg, tag)
+            self.outq.append((pv, msg, tv.target))
+            self.trace.emit("send", src=self.self_id, dst=tv.target, msg=msg)
+            return UNIT_V
+        if t is App:
+            fv = self.eval(env, e.fn)
+            if not isinstance(fv, Closure):
+                raise DynamicTypeError("application of a non-function")
+            av = self.eval(env, e.arg)
+            call_env = dict(fv.env)
+            call_env[fv.fun.self_name] = fv
+            call_env[fv.fun.param] = av
+            return self.eval(call_env, fv.fun.body)
+        if t is Beh:
+            return BehValue(e.annot, e.cases, self._capture(env, e.free), e)
+        if t is Let or t is Split:
+            # A chain of lets and splits is walked along its right spine
+            # in a loop, so its length is not bounded by the Python stack.
+            # No one keeps the environment of an evaluation, so one copy
+            # serves the whole chain.
+            inner_env = dict(env)
+            while True:
+                if t is Let:
+                    inner_env[e.name] = self.eval(inner_env, e.value)
+                else:
+                    v = self._path_value(inner_env, e.path)
+                    v1, v2 = self._split_value(v, e.type1, e.type2)
+                    inner_env[e.name1] = v1
+                    inner_env[e.name2] = v2
+                e = e.body
+                t = type(e)
+                if t is not Let and t is not Split:
+                    return self.eval(inner_env, e)
+                self.steps += 1  # the step a nested call would count
+                if self.steps > LOCAL_STEPS:
+                    raise BudgetExhausted(f"step budget of {LOCAL_STEPS} exhausted")
+        if t is UnitLit:
+            return UNIT_V
+        if t is NatLit:
+            return Num(e.value)
+        if t is BoolLit:
+            return BoolV(e.value)
+        if t is Pair:
+            return PairV(self.eval(env, e.first), self.eval(env, e.second))
+        if t is Not:
+            v = self.eval(env, e.expr)
+            if not isinstance(v, BoolV):
+                raise DynamicTypeError("! applied to a non-boolean")
+            return BoolV(not v.value)
+        if t is BinOp:
+            return self._binop(e.op, self.eval(env, e.left), self.eval(env, e.right))
+        if t is If:
+            cv = self.eval(env, e.cond)
+            if not isinstance(cv, BoolV):
+                raise DynamicTypeError("if condition is not a boolean")
+            return self.eval(env, e.then_branch if cv.value else e.else_branch)
+        if t is Fun:
+            return Closure(e, self._capture(env, e.free))
+        if t is SelfCap:
+            l = e.lang
+            self.observed = lng.shuffle(self.observed, l)
+            self.trace.emit(
+                "selfcap", src=self.self_id, dst=self.self_id,
+                lang=lang_to_text(l),
+            )
+            return RefValue(self.self_id, l)
+        if t is Spawn:
+            bv = self.eval(env, e.expr)
+            if not isinstance(bv, BehValue):
+                raise DynamicTypeError("spawn of a non-behaviour")
+            child = self.config.next_id
+            self.config.next_id += 1
+            self.spawned[child] = bv
+            tag = e.init_cap if e.init_cap is not None else bv.annot
+            self.trace.emit(
+                "spawn", src=self.self_id, dst=child, lang=lang_to_text(tag)
+            )
+            return RefValue(child, tag)
         raise DynamicTypeError(f"unhandled expression form {type(e).__name__}")
 
     def _binop(self, op: str, a: Value, b: Value) -> Value:
@@ -535,6 +546,7 @@ def deliver(
     if not config.queues.get((src, dst)):
         raise ValueError(f"no pending message on queue {choice}")
     payload, msg = config.pop_head((src, dst))
+    memo, config.check_memo = config.check_memo, None
     if monitor:
         mon.delivered(config, (src, dst), msg)
     behv = config.store[dst]
@@ -547,7 +559,9 @@ def deliver(
         )
     if monitor:
         pre_existing = set(config.store)
-        pre = mon.summarize([behv, payload], config.tags)
+        # Values that reach no reference hold no capability.
+        reached = behv.refs or payload.refs
+        pre = mon.summarize([behv, payload], config.tags) if reached else {}
 
     env = dict(behv.env)
     env[case.binder] = payload
@@ -578,8 +592,16 @@ def deliver(
                 viol = mon.effect_conformance(static_eff, ev.observed)
                 if viol is not None:
                     trace.violation(viol, dst, dst)
-        post = mon.summarize([result, *ev.spawned.values()], config.tags)
-        transferred = mon.summarize([value for value, _, _ in ev.outq], config.tags)
+        # A quiet turn started from values that reach no reference, sent,
+        # spawned and created none, and installed a behaviour that reaches
+        # none: it changed no tag and no live reference, so it holds and
+        # transfers nothing, and the global check reuses the last summary.
+        quiet = not (reached or ev.outq or ev.spawned or ev.observed is not EPS
+                     or result.refs)
+        post = transferred = {}
+        if not quiet:
+            post = mon.summarize([result, *ev.spawned.values()], config.tags)
+            transferred = mon.summarize([value for value, _, _ in ev.outq], config.tags)
         sent: dict[int, list[MsgType]] = {}
         for _, m, target in ev.outq:
             sent.setdefault(target, []).append(m)
@@ -587,7 +609,7 @@ def deliver(
             dst, pre, sent, ev.observed, post, transferred, pre_existing
         ):
             trace.violation(viol, dst, viol.actor)
-        for viol in mon.global_invariant(config):
+        for viol in mon.global_invariant(config, memo if quiet else None):
             trace.violation(viol, None, viol.actor)
     return config
 

@@ -27,6 +27,7 @@ from actorcap.runtime import (
     Trace,
     deliver,
     enabled_deliveries,
+    explore,
     init_config,
     run,
 )
@@ -499,22 +500,46 @@ def assert_table_agrees(cfg: Config):
     assert kept.residuals == fresh.residuals
 
 
-def differential_run(source: str, seed: int, checked: bool = True):
-    """A seeded monitored run, `assert_table_agrees` after every delivery."""
+def assert_memo_agrees(cfg: Config, tr: Trace):
+    """The check memo changes no report: the violations the global check
+    of the delivery traced in `tr` reported (those with no source), the
+    memo it left and the tag and residual tables equal a full check's on a
+    copy of `cfg` without the memo."""
+    full = cfg.copy()
+    full.check_memo = None
+    violations = global_invariant(full)
+    got = [(e.violation, e.dst, e.detail) for e in tr.violations() if e.src is None]
+    assert got == [(v.kind, v.actor, v.detail) for v in violations]
+    assert full.check_memo == cfg.check_memo
+    assert full.tags == cfg.tags and full.residuals == cfg.residuals
+
+
+def differential_run(source: str, seed: int, checked: bool = True) -> int:
+    """A seeded monitored run, `assert_table_agrees` and `assert_memo_agrees`
+    after every delivery.  Returns how many of the checks came after a quiet
+    turn, took the last check's summary and reported a violation."""
     prog = parse_program(source)
     typed = check_program(prog) if checked else None
     cfg = init_config(prog, typed=typed)
     assert_table_agrees(cfg)
     rng = random.Random(seed)
+    reused = 0
     for _ in range(DEFAULT_MAX_DELIVERIES):
         enabled = enabled_deliveries(cfg)
         if not enabled:
             break
         src, dst, _ = enabled[rng.randrange(len(enabled))]
-        res = deliver(cfg, (src, dst), typed=typed)
+        before = cfg.check_memo
+        tr = Trace()
+        res = deliver(cfg, (src, dst), typed=typed, trace=tr)
         assert_table_agrees(cfg)
         if isinstance(res, Stuck):
+            assert cfg.check_memo is None
             break
+        assert_memo_agrees(cfg, tr)
+        if cfg.check_memo is before:  # a quiet turn's check
+            reused += any(e.src is None for e in tr.violations())
+    return reused
 
 
 def deliver_and_agree(cfg: Config, *choices):
@@ -524,7 +549,8 @@ def deliver_and_agree(cfg: Config, *choices):
 
 
 class TestResidualTable:
-    """`Config.residuals` is derived: with it or without, the same reports."""
+    """`Config.residuals` and `Config.check_memo` are derived: with them or
+    without, the same reports."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize(
@@ -547,10 +573,11 @@ class TestResidualTable:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize(
         "source",
-        [chain_source(200), fanin_source(3, 3), fanin_source(3, 3, star=True),
-         fanin_source(4, 3), fanin_source(4, 3, star=True)],
-        ids=["chain-200", "fanin-3x3", "fanin-3x3-star", "fanin-4x3",
-             "fanin-4x3-star"],
+        [chain_source(200), chain_source(400), fanin_source(3, 3),
+         fanin_source(3, 3, star=True), fanin_source(4, 3),
+         fanin_source(4, 3, star=True), fanin_source(3, 2, star=True)],
+        ids=["chain-200", "chain-400", "fanin-3x3", "fanin-3x3-star",
+             "fanin-4x3", "fanin-4x3-star", "fanin-3x2-star"],
     )
     def test_generated(self, source, seed):
         differential_run(source, seed)
@@ -648,6 +675,105 @@ beh[<Unit>]{ Unit(m) =>
         fresh = cfg.copy()
         fresh.residuals.clear()
         assert cfg.fingerprint() == fresh.fingerprint()
+
+
+class TestCheckMemo:
+    """`Config.check_memo` after the runs of `TestResidualTable`, and on
+    programs made to exercise it."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_standing_violations_reported_again(self, seed):
+        # Actor 1 promises <e> and has no case for it; that violation stands
+        # while actor 2 takes quiet turns, whose checks reuse the last
+        # summary and must report it again.  (No negative corpus program has
+        # a quiet turn while another actor's violation stands.)
+        assert differential_run("""msg d : Unit
+msg e : Unit
+beh[<Unit>]{ Unit(m) =>
+  let b = spawn(beh[<e>]{ d(x) => beh[eps]{ } })
+  in let t = spawn((fun mk(s: Nat): Beh[<d>*] ! eps => beh[<d>*]{ d(x) => mk s }) 0)
+  in let u1 = send[d](t, ()) in let u2 = send[d](t, ()) in beh[eps]{ }
+}
+""", seed, checked=False) == 2
+
+    def test_self_capability_at_eps_is_not_quiet(self):
+        # `self[eps]` leaves the observed effect `eps`, but the behaviour
+        # the turn installs reaches the new reference, a live tag toward
+        # the receiver that a quiet turn's reused summary would lack.
+        differential_run("""msg d : Unit
+beh[<Unit>]{ Unit(m) =>
+  let t = spawn(beh[<d>*]{ d(x) => let s = self[eps]
+    in beh[<d>*]{ d(y) => let z = s in beh[eps]{ } } })
+  in let u1 = send[d](t, ()) in let u2 = send[d](t, ()) in beh[eps]{ }
+}
+""", 0, checked=False)
+
+    @pytest.mark.parametrize("star", [False, True], ids=["exact", "star"])
+    def test_explore_matches_full_checks(self, monkeypatch, star):
+        # The naive explorer clears the memo before every delivery, so each
+        # of its checks is a full one.
+        import naive_explore
+
+        def full_check_deliver(cfg, choice, **kw):
+            cfg.check_memo = None
+            return deliver(cfg, choice, **kw)
+
+        monkeypatch.setattr(naive_explore, "deliver", full_check_deliver)
+        prog = parse_program(fanin_source(3, 2, star=star))
+        typed = check_program(prog)
+        reports = []
+        for explorer in (explore, naive_explore.naive_explore):
+            base = Trace()
+            cfg = init_config(prog, typed=typed, trace=base)
+            report = explorer(cfg, typed=typed, max_depth=12, base_trace=base)
+            reports.append((
+                report.schedules,
+                report.outcomes,
+                {k: w.to_jsonl() for k, w in report.witnesses.items()},
+                report.violation_kinds,
+            ))
+        assert reports[0] == reports[1]
+
+    def test_lifetime(self):
+        prog = parse_program(chain_source(3))
+        cfg = init_config(prog, monitor=False)
+        assert cfg.check_memo is None  # no check yet
+        assert global_invariant(cfg) == [] and cfg.check_memo is not None
+        memo = cfg.check_memo
+        branch = cfg.copy()
+        assert branch.check_memo is memo  # shared, never updated in place
+        deliver(branch, (0, 0))
+        assert branch.check_memo is not memo and cfg.check_memo is memo
+        assert memo == {}
+        monitored, unmonitored = branch.copy(), branch.copy()
+        deliver(monitored, (0, 1))
+        deliver(unmonitored, (0, 1), monitor=False)
+        assert monitored.check_memo is not None and unmonitored.check_memo is None
+        assert monitored.fingerprint() == unmonitored.fingerprint()
+        assert monitored == unmonitored
+
+
+def test_monitored_chain_summarizes_a_few_times(monkeypatch):
+    # Every delivery to the receiver is quiet: its payload, old and new
+    # behaviour reach no reference and it sends nothing, so the turn needs
+    # no capability summary (1,601 at N = 400 when every turn made four).
+    n = 400
+    prog = parse_program(chain_source(n))
+    typed = check_program(prog)
+    calls = 0
+    summarize = mon.summarize
+
+    def counting(roots, tags):
+        nonlocal calls
+        calls += 1
+        return summarize(roots, tags)
+
+    monkeypatch.setattr(mon, "summarize", counting)
+    tr = Trace(seed=0)
+    cfg = init_config(prog, typed=typed, trace=tr)
+    _, outcome = run(cfg, typed=typed, seed=0, trace=tr)
+    assert outcome == "quiescent" and tr.violations() == []
+    assert calls <= 8
 
 
 def test_monitored_chain_costs_linear_derivatives(monkeypatch):

@@ -276,6 +276,36 @@ class TestRun:
         assert isinstance(res, Stuck) and res.kind == "HandlerDiverged"
         assert "evaluation depth" in res.detail
 
+    def test_nested_evaluation_is_one_frame(self):
+        # The sender's loop nests two evaluations per send: the call, then
+        # the let around the send.  With 400 frames to spare it sends about
+        # 197 times at one Python frame per evaluation, and about 98 at two.
+        prog = parse_program("""msg d : Unit
+msg go : Unit
+beh[<Unit>]{ Unit(m) =>
+  let t = spawn((fun mk(s: Nat): Beh[<d>*] ! eps => beh[<d>*]{ d(x) => mk s }) 0)
+  in let w = spawn((fun mw(r: ActorRef[<d>*]): Beh[<go>] ! eps =>
+       beh[<go>]{ go(x) => (fun f(n: Nat): Beh[eps] ! eps => let u = send[d](r, ()) in f n) 0 }) t)
+  in let g = send[go](w, ())
+  in beh[eps]{ }
+}
+""")
+        typed = check_program(prog)
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 400)
+        try:
+            tr = Trace(seed=0)
+            cfg = init_config(prog, typed=typed, trace=tr)
+            _, outcome = run(cfg, typed=typed, seed=0, trace=tr)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert outcome == "stuck:HandlerDiverged"
+        sends = [e for e in tr.events if e.kind == "send" and (e.src, e.dst) == (2, 1)]
+        assert len(sends) >= 190
+
     def test_store_monotone_and_ids_sequential(self):
         prog, typed = load("positive/fanin.acap")
         cfg = init_config(prog, typed=typed)
