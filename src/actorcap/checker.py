@@ -128,7 +128,7 @@ def _without(env: TypeEnv, name: str) -> TypeEnv:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DroppedBinding:
     loc: Loc
     name: str

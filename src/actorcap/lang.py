@@ -33,8 +33,8 @@ even without these identities.
 
 All operations are pure.  The node table and the memo tables that remain
 (the `lru_cache`s of `derivative`, `partial_derivatives` and the oracle's
-`_words_upto` and `_interleavings`) are append-only and keyed by immutable
-values, so concurrent callers never observe shared mutable state.
+`_words_upto`) are append-only and keyed by immutable values, so
+concurrent callers never observe shared mutable state.
 """
 
 from __future__ import annotations
@@ -356,21 +356,6 @@ def member(w, l: LangExpr) -> bool:
     return nullable(word_derivative(w, l))
 
 
-@lru_cache(maxsize=None)
-def _interleavings(u: Word, v: Word) -> frozenset[Word]:
-    """Every interleaving of u and v, each once.
-
-    Memoised on the pair, so the interleavings of two suffixes are built
-    once however many pairs of words share them.
-    """
-    if not u or not v:
-        return frozenset({u + v})
-    out = {u[:1] + w for w in _interleavings(u[1:], v)}
-    out.update(v[:1] + w for w in _interleavings(u, v[1:]))
-    _bound(out)
-    return frozenset(out)
-
-
 def _bound(words) -> None:
     # No word set the enumeration builds may hold more than STATE_BUDGET
     # words; `enumerate_words` gives the refusal its message.
@@ -433,16 +418,68 @@ def _words_upto(e: LangExpr, k: int) -> frozenset[Word]:
                 frontier = fresh
             return frozenset(out)
         case Shuffle(a, b):
-            right = _by_length(_words_upto(b, k), k)
-            out = set()
-            for u in _words_upto(a, k):
-                for j, vs in right.items():
-                    if len(u) + j <= k:
-                        for v in vs:
-                            out |= _interleavings(u, v)
-                            _bound(out)
-            return frozenset(out)
+            return _shuffle_upto(_words_upto(a, k), _words_upto(b, k), k)
     raise TypeError(f"not a language expression: {e!r}")
+
+
+def _prefix_tree(words) -> tuple[list[dict[MsgType, int]], list[int]]:
+    """The prefix tree of a nonempty set of words, as two lists over its
+    nodes.  Node 0 is the empty prefix, and `children[n]` maps a symbol to
+    the node one symbol longer.  `short[n]` is the length still needed
+    from node n to the end of a word: 0 where a word ends."""
+    children: list[dict[MsgType, int]] = [{}]
+    ends = set()
+    for w in words:
+        n = 0
+        for s in w:
+            nxt = children[n].get(s)
+            if nxt is None:
+                nxt = children[n][s] = len(children)
+                children.append({})
+            n = nxt
+        ends.add(n)
+    # Every node is numbered after its parent, so one backward pass works.
+    short = [0] * len(children)
+    for n in range(len(children) - 1, -1, -1):
+        if n not in ends:
+            short[n] = 1 + min(short[c] for c in children[n].values())
+    return children, short
+
+
+def _shuffle_upto(left, right, k: int) -> frozenset[Word]:
+    """Each interleaving of a word of `left` with a word of `right`, up to
+    length k, built once.
+
+    The prefixes of those interleavings are walked on an explicit stack.
+    A prefix carries the pairs of nodes, one in each side's prefix tree,
+    that it interleaves; its extensions are grouped by their next symbol,
+    so each word is reached along one path only.  A pair whose shortest
+    completion would pass length k is dropped, so every prefix walked
+    begins a word that is kept.
+    """
+    if not left or not right:
+        return frozenset()
+    lkids, lshort = _prefix_tree(left)
+    rkids, rshort = _prefix_tree(right)
+    out = set()
+    stack = [((), {(0, 0)})]
+    while stack:
+        w, pairs = stack.pop()
+        room = k - len(w) - 1  # what a pair one symbol longer may still need
+        nexts: dict[MsgType, set[tuple[int, int]]] = {}
+        for i, j in pairs:
+            li, rj = lshort[i], rshort[j]
+            if li == rj == 0:
+                out.add(w)
+            for s, i2 in lkids[i].items():
+                if lshort[i2] + rj <= room:
+                    nexts.setdefault(s, set()).add((i2, j))
+            for s, j2 in rkids[j].items():
+                if li + rshort[j2] <= room:
+                    nexts.setdefault(s, set()).add((i, j2))
+        _bound(out)
+        stack += [(w + (s,), p) for s, p in nexts.items()]
+    return frozenset(out)
 
 
 def enumerate_words(l: LangExpr, max_len: int) -> set[Word]:

@@ -61,7 +61,7 @@ GLOBAL_INVARIANT_BROKEN = "GlobalInvariantBroken"
 EFFECT_EXCEEDED = "EffectExceeded"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Violation:
     kind: str
     actor: int | None

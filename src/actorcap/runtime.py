@@ -89,7 +89,7 @@ class RootEvaluationDiverged(Exception):
 # Traces
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     step: int
     kind: str  # deliver | send | spawn | selfcap | violation
@@ -157,7 +157,7 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Stuck:
     kind: str  # UnhandledMessage | HandlerDiverged | NonBehaviourResult | DynamicTypeError
     detail: str = ""

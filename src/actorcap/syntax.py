@@ -6,8 +6,12 @@ message `Unit` (payload `Unit`) is always declared.  Splitting an actor
 reference is an explicit expression form, which keeps type environments
 plain maps and the checker syntax-directed.
 
-Locations are attached to every expression node but excluded from equality,
-so a pretty-printed program re-parses to an equal `Program`.
+AST nodes and types are slotted dataclasses, immutable by convention:
+nothing assigns to a field once the record is built, and
+`tests/test_immutability.py` scans the source for such stores.  Types
+compare structurally.  Expression nodes and `Case`s compare and hash by
+identity, so two parses of one text are two trees; a pretty-printed
+program re-parses to a tree that differs only in its locations.
 
 Lexical syntax: blanks are space, tab, CR and LF, and `--` starts a
 comment that runs to the end of the line. Names start with a letter or `_`
@@ -77,40 +81,40 @@ class TypeExpr:
         return type_to_text(self)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BoolT(TypeExpr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NatT(TypeExpr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class UnitT(TypeExpr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ProdT(TypeExpr):
     first: TypeExpr
     second: TypeExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FunT(TypeExpr):
     param: TypeExpr
     latent: LangExpr
     result: TypeExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ActorRefT(TypeExpr):
     lang: LangExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BehT(TypeExpr):
     lang: LangExpr
 
@@ -124,7 +128,7 @@ UNIT = UnitT()
 # Expressions
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Path:
     base: str
     sels: tuple[int, ...] = ()
@@ -133,83 +137,90 @@ class Path:
         return self.base + "".join(f".{i}" for i in self.sels)
 
 
+_CLOSED: frozenset[str] = frozenset()  # the free variables of a closed node
+
+
+@dataclass(slots=True, eq=False)
 class Expr:
     """Base of expression nodes.
 
-    Every node carries `free`, its free variables, computed once when the
-    node is built by its class's `_free`.  Children are built first, so this
-    takes constant stack depth however deep the tree; it is not a dataclass
-    field, so equality, hashing and repr ignore it.
+    Nodes compare and hash by identity, so `==` and `hash` take constant
+    time and stack however deep the tree; two parses of one text are two
+    trees.  Nodes are immutable by convention: nothing assigns to a field
+    once the node is built (`tests/test_immutability.py` checks the source).
+
+    Every node carries `free`, its free variables, computed once by its
+    class's `__post_init__` from its children's; a literal has none.
+    Children are built first, so this takes constant stack depth however
+    deep the tree; it is not an `__init__` argument, and repr leaves it
+    out.
     """
 
-    __slots__ = ()
+    free: frozenset[str] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "free", self._free())
-
-    def _free(self) -> frozenset[str]:
-        return frozenset()
+        self.free = _CLOSED
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class NatLit(Expr):
     value: int
-    loc: Loc = field(compare=False, default=NO_LOC)
+    loc: Loc = NO_LOC
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class BoolLit(Expr):
     value: bool
-    loc: Loc = field(compare=False, default=NO_LOC)
+    loc: Loc = NO_LOC
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class UnitLit(Expr):
-    loc: Loc = field(compare=False, default=NO_LOC)
+    loc: Loc = NO_LOC
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class Pair(Expr):
     first: Expr
     second: Expr
-    loc: Loc = field(compare=False, default=NO_LOC)
+    loc: Loc = NO_LOC
 
-    def _free(self) -> frozenset[str]:
-        return self.first.free | self.second.free
+    def __post_init__(self):
+        self.free = self.first.free | self.second.free
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class BinOp(Expr):
     op: str  # one of + - * / && ||
     left: Expr
     right: Expr
-    loc: Loc = field(compare=False, default=NO_LOC)
+    loc: Loc = NO_LOC
 
-    def _free(self) -> frozenset[str]:
-        return self.left.free | self.right.free
+    def __post_init__(self):
+        self.free = self.left.free | self.right.free
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class Not(Expr):
     expr: Expr
-    loc: Loc = field(compare=False, default=NO_LOC)
+    loc: Loc = NO_LOC
 
-    def _free(self) -> frozenset[str]:
-        return self.expr.free
+    def __post_init__(self):
+        self.free = self.expr.free
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class If(Expr):
     cond: Expr
     then_branch: Expr
     else_branch: Expr
-    loc: Loc = field(compare=False, default=NO_LOC)
+    loc: Loc = NO_LOC
 
-    def _free(self) -> frozenset[str]:
-        return self.cond.free | self.then_branch.free | self.else_branch.free
+    def __post_init__(self):
+        self.free = self.cond.free | self.then_branch.free | self.else_branch.free
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class Fun(Expr):
     self_name: str
     param: str
@@ -217,70 +228,70 @@ class Fun(Expr):
     ret_type: TypeExpr
     latent: LangExpr
     body: Expr
-    loc: Loc = field(compare=False, default=NO_LOC)
+    loc: Loc = NO_LOC
 
-    def _free(self) -> frozenset[str]:
-        return self.body.free - {self.self_name, self.param}
+    def __post_init__(self):
+        self.free = self.body.free - {self.self_name, self.param}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class App(Expr):
     fn: Expr
     arg: Expr
-    loc: Loc = field(compare=False, default=NO_LOC)
+    loc: Loc = NO_LOC
 
-    def _free(self) -> frozenset[str]:
-        return self.fn.free | self.arg.free
+    def __post_init__(self):
+        self.free = self.fn.free | self.arg.free
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class SelfCap(Expr):
     lang: LangExpr
-    loc: Loc = field(compare=False, default=NO_LOC)
+    loc: Loc = NO_LOC
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class Case:
     label: MsgType
     binder: str
     body: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class Beh(Expr):
     annot: LangExpr
     cases: tuple[Case, ...]
-    loc: Loc = field(compare=False, default=NO_LOC)
+    loc: Loc = NO_LOC
 
-    def _free(self) -> frozenset[str]:
-        out = frozenset()
+    def __post_init__(self):
+        out = _CLOSED
         for c in self.cases:
             out |= c.body.free - {c.binder}
-        return out
+        self.free = out
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class Spawn(Expr):
     init_cap: LangExpr | None  # None means the behaviour's full language
     expr: Expr
-    loc: Loc = field(compare=False, default=NO_LOC)
+    loc: Loc = NO_LOC
 
-    def _free(self) -> frozenset[str]:
-        return self.expr.free
+    def __post_init__(self):
+        self.free = self.expr.free
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class Send(Expr):
     msg: MsgType
     target: Path
     payload: Expr
-    loc: Loc = field(compare=False, default=NO_LOC)
+    loc: Loc = NO_LOC
 
-    def _free(self) -> frozenset[str]:
-        return frozenset({self.target.base}) | self.payload.free
+    def __post_init__(self):
+        self.free = frozenset({self.target.base}) | self.payload.free
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class Split(Expr):
     path: Path
     name1: str
@@ -288,40 +299,40 @@ class Split(Expr):
     name2: str
     type2: TypeExpr
     body: Expr
-    loc: Loc = field(compare=False, default=NO_LOC)
+    loc: Loc = NO_LOC
 
-    def _free(self) -> frozenset[str]:
-        return frozenset({self.path.base}) | (self.body.free - {self.name1, self.name2})
+    def __post_init__(self):
+        self.free = frozenset({self.path.base}) | (self.body.free - {self.name1, self.name2})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class Let(Expr):
     name: str
     value: Expr
     body: Expr
-    loc: Loc = field(compare=False, default=NO_LOC)
+    loc: Loc = NO_LOC
 
-    def _free(self) -> frozenset[str]:
-        return self.value.free | (self.body.free - {self.name})
+    def __post_init__(self):
+        self.free = self.value.free | (self.body.free - {self.name})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class Var(Expr):
     path: Path
-    loc: Loc = field(compare=False, default=NO_LOC)
+    loc: Loc = NO_LOC
 
-    def _free(self) -> frozenset[str]:
-        return frozenset({self.path.base})
+    def __post_init__(self):
+        self.free = frozenset({self.path.base})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MsgDecl:
     name: str
     payload: TypeExpr
     loc: Loc = field(compare=False, default=NO_LOC)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Program:
     msg_decls: tuple[MsgDecl, ...]
     root: Expr

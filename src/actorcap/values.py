@@ -1,10 +1,14 @@
 """Runtime values.
 
-All values are immutable.  An actor reference carries the protocol tag it
-was created with; what sends have left of that tag is run state, kept per
-reference in the configuration (`runtime.Config.tags`), so a reference
-reachable from several places is still one capability.  Tags are
-instrumentation only and never influence evaluation.
+All values are immutable by convention: nothing assigns to a field once
+the value is built (`tests/test_immutability.py` checks the source).
+Scalars and references are slotted dataclasses; a pair, closure or
+behaviour keeps a `__dict__` for its cached `refs`.  An actor reference
+carries the protocol tag it was created with; what sends have left of
+that tag is run state, kept per reference in the configuration
+(`runtime.Config.tags`), so a reference reachable from several places is
+still one capability.  Tags are instrumentation only and never influence
+evaluation.
 
 A value's `refs` is the tuple of references it reaches, each once (by
 identity): none for a number, a boolean or unit, itself for a reference.
@@ -39,8 +43,7 @@ def _reach(root: Value) -> tuple[RefValue, ...]:
         if id(v) in seen:
             continue
         seen.add(id(v))
-        cached = vars(v).get("refs")
-        if cached is None and isinstance(v, (PairV, Closure, BehValue)):
+        if isinstance(v, (PairV, Closure, BehValue)) and "refs" not in vars(v):
             stack.extend(_children(v))
         else:
             found.update(dict.fromkeys(v.refs))
@@ -53,17 +56,17 @@ def _children(v: Value) -> list[Value]:
     return list(v.env.values())
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Num(Value):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BoolV(Value):
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class UnitV(Value):
     pass
 
@@ -71,7 +74,7 @@ class UnitV(Value):
 UNIT_V = UnitV()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PairV(Value):
     first: Value
     second: Value
@@ -79,7 +82,7 @@ class PairV(Value):
     refs = cached_property(_reach)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Closure(Value):
     fun: Fun
     env: dict[str, Value] = field(compare=False)
@@ -87,7 +90,7 @@ class Closure(Value):
     refs = cached_property(_reach)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class BehValue(Value):
     annot: LangExpr
     cases: tuple[Case, ...]
@@ -103,7 +106,7 @@ class BehValue(Value):
         return None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class RefValue(Value):
     """Reference to an actor, tagged with the protocol it was created with.
 

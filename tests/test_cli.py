@@ -212,6 +212,13 @@ class TestAlg:
         words = capsys.readouterr().out.split()
         assert words == ["eps"] + ["a" * n for n in range(1, 23)]
 
+    def test_enumerate_long_shuffle_of_one_symbol(self, capsys):
+        # 601 words up to length 600; the shuffle is walked in a loop, not
+        # by one stack frame per letter.
+        assert main(["alg", "enumerate", "<a>*#<a>*", "600"]) == 0
+        words = capsys.readouterr().out.split()
+        assert words == ["eps"] + ["a" * n for n in range(1, 601)]
+
     def test_enumerate_time_does_not_follow_the_length_bound(self, capsys):
         start = time.perf_counter()
         for expr in ("<a>.<b>", "<a>#<b>"):

@@ -23,6 +23,7 @@ from actorcap.syntax import (
     pretty_print,
     tokenize,
 )
+from tree_equal import same_tree
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -41,11 +42,11 @@ class TestParse:
         root = prog.root
         assert isinstance(root, Beh)
         assert root.annot == star(sym("tick"))
-        assert root.cases[0].body == SelfCap(EMPTY)
+        assert same_tree(root.cases[0].body, SelfCap(EMPTY))
 
     def test_send_through_path(self):
         e = parse_expr("send[tick](r.1, ())", "tick")
-        assert e == Send(MsgType("tick"), Path("r", (1,)), UnitLit())
+        assert same_tree(e, Send(MsgType("tick"), Path("r", (1,)), UnitLit()))
 
     def test_split_carries_annotations(self):
         e = parse_expr(
@@ -63,7 +64,7 @@ class TestParse:
 
     def test_var_path(self):
         e = parse_expr("q.1.2")
-        assert e == Var(Path("q", (1, 2)))
+        assert same_tree(e, Var(Path("q", (1, 2))))
 
 
 class TestParseErrors:
@@ -108,7 +109,7 @@ class TestRoundTrip:
     def test_corpus_roundtrip(self, path):
         prog = parse_program(path.read_text())
         printed = pretty_print(prog)
-        assert parse_program(printed) == prog
+        assert same_tree(parse_program(printed), prog)
 
     def test_roundtrip_is_a_fixpoint(self):
         prog = parse_program((CORPUS / "positive" / "fanin.acap").read_text())
@@ -118,7 +119,7 @@ class TestRoundTrip:
     def test_nested_operators_keep_parens(self):
         src = "beh[<Unit>]{ Unit(m) => let z = (1 + 2) * (3 - 4 / 2) in beh[eps]{ } }"
         prog = parse_program(src)
-        assert parse_program(pretty_print(prog)) == prog
+        assert same_tree(parse_program(pretty_print(prog)), prog)
 
 
 class TestFreeVars:
@@ -148,11 +149,22 @@ class TestFreeVars:
 class TestLetChains:
     def test_chain_builds_nested_lets(self):
         e = parse_expr("let x = let y = 1 in y in let z = x in z")
-        assert e == Let(
+        assert same_tree(e, Let(
             "x", Let("y", NatLit(1), Var(Path("y"))),
             Let("z", Var(Path("x")), Var(Path("z"))),
-        )
+        ))
         assert (e.loc.col, e.body.loc.col) == (1, 27)
+
+    def test_equality_and_hash_of_a_deep_chain_do_not_recurse(self):
+        # Nodes compare by identity: two parses of one 5,000-let chain are
+        # two trees, and neither `==` nor `hash` walks them.
+        lets = "".join(f"let x{i} = {i} in " for i in range(5000))
+        a, b = (parse_program(lets + "beh[<Unit>]{ }").root for _ in range(2))
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+        assert same_tree(a, b)
+        changed = parse_program(lets.replace("x4999 = 4999", "x4999 = 0") + "beh[<Unit>]{ }")
+        assert not same_tree(a, changed.root)
 
     def test_800_let_chain_checks_and_runs_monitored(self):
         sends = "".join(f"let u{i} = send[d](t, ()) in " for i in range(1, 800))
@@ -186,5 +198,5 @@ class TestProgramHelpers:
     def test_locations_do_not_affect_equality(self):
         a = parse_program("beh[<Unit>]{ Unit(m) =>\n beh[eps]{ } }")
         b = parse_program("beh[<Unit>]{ Unit(m) => beh[eps]{ } }")
-        assert a == b
+        assert same_tree(a, b)
         assert isinstance(a, Program)
