@@ -7,15 +7,18 @@ Everything else in the package reduces to the operations here:
 nullability, derivatives (Antimirov's partial derivatives, whose canonical
 union is `derivative`), the shuffle product (all interleavings of two
 languages), intersection, emptiness and inclusion (one derivative-pair
-search, `_pair_search`), and equivalence.  The search
-discharges a pair, without expanding it, when its right side is nullable
-and steps back to itself on every symbol of the left term: such a right
-side holds every word over those symbols, so an n-way shuffle against a
-star of its symbols holds at its first pair instead of its 2**n-th.  It
-refutes a pair whose right side is empty as soon as the left term is known
-to hold a word (the `_nonempty` fact), and it visits left terms and
-symbols in their structural order, so its verdicts, its cost and any
-budget refusal do not depend on the hash seed.
+search, `_pair_search`), and equivalence.  The search is depth-first and
+derives a pair's successors only when it steps to them, one symbol at a
+time, so a refutation derives the pairs on and beside its path and not
+every successor of every pair it passes.  It discharges a pair, without
+expanding it, when its right side is nullable and steps back to itself on
+every symbol of the left term: such a right side holds every word over
+those symbols, so an n-way shuffle against a star of its symbols holds at
+its first pair instead of its 2**n-th.  It refutes a pair whose right side
+is empty as soon as the left term is known to hold a word (the `_nonempty`
+fact), and it visits left terms and symbols in their structural order, so
+its verdicts, its cost and any budget refusal do not depend on the hash
+seed.
 
 Expressions are hash-consed (see `LangExpr`): every constructor, raw or
 smart, returns the one interned node for its operands, so equality is
@@ -31,10 +34,11 @@ Canonical form keeps the sets of derivatives small, so it decides how fast
 inclusion runs, not whether it ends: partial derivatives are finitely many
 even without these identities.
 
-All operations are pure.  The node table and the memo tables that remain
-(the `lru_cache`s of `derivative`, `partial_derivatives` and the oracle's
-`_words_upto`) are append-only and keyed by immutable values, so
-concurrent callers never observe shared mutable state.
+All operations are pure.  The node table and the two process-wide memo
+tables (the `lru_cache`s of `derivative` and `partial_derivatives`) are
+append-only and keyed by immutable values, so concurrent callers never
+observe shared mutable state.  The word enumeration's memo and the
+search's set of pairs live for one call only.
 """
 
 from __future__ import annotations
@@ -284,10 +288,14 @@ def _rebuild(cls, parts: list[LangExpr]) -> LangExpr:
     """The smart constructor of `cls` over the chains of all `parts`."""
     # A unit of the class adds nothing to the chain, and a lone canonical
     # part is already the result: so a derivative step that leaves eps
-    # before a long chain returns the chain instead of rebuilding it.
-    rest = [p for p in parts if p is not _UNIT.get(cls)]
+    # before a long chain returns the chain instead of rebuilding it, and
+    # parts that are all the unit make the unit.
+    unit = _UNIT.get(cls)
+    rest = [p for p in parts if p is not unit]
     if len(rest) == 1:
         return rest[0]
+    if not rest:
+        return unit
     return _SMART[cls]([x for p in parts for x in _chain(cls, p)])
 
 
@@ -371,39 +379,42 @@ def _by_length(words, limit: int):
     return buckets
 
 
-@lru_cache(maxsize=None)
-def _words_upto(e: LangExpr, k: int) -> frozenset[Word]:
+def _words_upto(e: LangExpr, k: int, memo: dict) -> frozenset[Word]:
     # Bottom-up denotational evaluation of the length-bounded word set.
     # Deliberately free of derivatives and nullability: this is the
     # independent oracle the derivative engine is tested against.  Each
     # set is checked (`_bound`) as it grows, so a refusal comes once one
-    # set passes STATE_BUDGET words, before the whole set is built.
+    # set passes STATE_BUDGET words, before the whole set is built.  `memo`
+    # holds the sets of the subterms met so far, for one enumeration and
+    # one k.
+    out = memo.get(e)
+    if out is not None:
+        return out
     match e:
         case Empty():
-            return frozenset()
+            out = frozenset()
         case Eps():
-            return frozenset({()})
+            out = frozenset({()})
         case Sym(s):
-            return frozenset({(s,)}) if k >= 1 else frozenset()
+            out = frozenset({(s,)}) if k >= 1 else frozenset()
         case Alt(a, b):
-            out = _words_upto(a, k) | _words_upto(b, k)
+            out = _words_upto(a, k, memo) | _words_upto(b, k, memo)
             _bound(out)
-            return out
         case And(a, b):
-            return _words_upto(a, k) & _words_upto(b, k)
+            out = _words_upto(a, k, memo) & _words_upto(b, k, memo)
         case Cat(a, b):
-            right = _by_length(_words_upto(b, k), k)
-            out = set()
-            for u in _words_upto(a, k):
+            right = _by_length(_words_upto(b, k, memo), k)
+            words = set()
+            for u in _words_upto(a, k, memo):
                 for j, vs in right.items():
                     if len(u) + j <= k:
                         for v in vs:
-                            out.add(u + v)
-                            _bound(out)
-            return frozenset(out)
+                            words.add(u + v)
+                            _bound(words)
+            out = frozenset(words)
         case Star(a):
-            pieces = [w for w in _words_upto(a, k) if w]
-            out = {()}
+            pieces = [w for w in _words_upto(a, k, memo) if w]
+            words = {()}
             frontier = [()]
             while frontier:
                 fresh = []
@@ -411,15 +422,20 @@ def _words_upto(e: LangExpr, k: int) -> frozenset[Word]:
                     for u in pieces:
                         if len(u) + len(v) <= k:
                             w = v + u
-                            if w not in out:
-                                out.add(w)
-                                _bound(out)
+                            if w not in words:
+                                words.add(w)
+                                _bound(words)
                                 fresh.append(w)
                 frontier = fresh
-            return frozenset(out)
+            out = frozenset(words)
         case Shuffle(a, b):
-            return _shuffle_upto(_words_upto(a, k), _words_upto(b, k), k)
-    raise TypeError(f"not a language expression: {e!r}")
+            out = _shuffle_upto(
+                _words_upto(a, k, memo), _words_upto(b, k, memo), k
+            )
+        case _:
+            raise TypeError(f"not a language expression: {e!r}")
+    memo[e] = out
+    return out
 
 
 def _prefix_tree(words) -> tuple[list[dict[MsgType, int]], list[int]]:
@@ -493,7 +509,7 @@ def enumerate_words(l: LangExpr, max_len: int) -> set[Word]:
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     try:
-        return set(_words_upto(l, max_len))
+        return set(_words_upto(l, max_len, {}))
     except StateBudgetExceeded:
         raise StateBudgetExceeded(
             f"enumeration exceeded {STATE_BUDGET} words up to length {max_len}"
@@ -586,45 +602,75 @@ def _pair_search(
     memoized hypothesis set is per call, so concurrent callers share
     nothing.  Raises StateBudgetExceeded past `cap` pairs, if one is given.
 
-    The walk is depth-first, and its order is fixed by the expressions:
-    left terms, symbols and each set of partial derivatives are pushed in
-    descending structural order (`_order`, symbol names), so they are
-    visited in ascending order.  Verdicts, pair counts and budget refusals
-    are then the same under every PYTHONHASHSEED.
-
-    A pair (t, rights) also holds, and is not expanded, when some right
-    term is nullable and the right successor set is `rights` itself for
-    every symbol of t.  By induction on length, `rights` then holds every
-    word over `symbols(t)`: the empty word because it is nullable, and s.w
-    because its s-derivative is `rights` again.  Every word of t is
-    spelled in `symbols(t)`, so the pair holds.  The successor sets are
-    computed once per symbol, for the rule and the expansion alike; an
-    empty right side is never nullable, so `is_empty` never uses the rule.
+    The walk is depth-first over a stack of successor iterators, one per
+    pair on the path from a first pair to the current one (`_successors`),
+    and its order is fixed by the expressions: left terms, symbols and
+    each set of partial derivatives are visited in ascending structural
+    order (`_order`, symbol names).  Verdicts, pair counts and budget
+    refusals are then the same under every PYTHONHASHSEED.  A pair's
+    successors are derived when the walk steps to them, so a refutation
+    derives only the pairs on and beside its path.
     """
     seen: set[tuple[LangExpr, frozenset[LangExpr]]] = set()
-    stack = [(t, right0) for t in sorted(lefts, key=_key, reverse=True)]
-    while stack:
-        t, rights = stack.pop()
-        if t in rights or (t, rights) in seen:
-            continue
-        accepts = any(nullable(r) for r in rights)
-        if nullable(t) and not accepts or t._nonempty and not rights:
-            return False
-        seen.add((t, rights))
-        if cap is not None and len(seen) > cap:
-            raise StateBudgetExceeded(
-                f"inclusion check exceeded {cap} derivative pairs"
-            )
-        steps = [
-            (s, frozenset().union(*(partial_derivatives(s, r) for r in rights)))
-            for s in sorted(symbols(t), reverse=True)
-        ]
-        if accepts and all(succ_r == rights for _, succ_r in steps):
-            continue  # `rights` holds every word over symbols(t)
-        for s, succ_r in steps:
-            for t2 in sorted(partial_derivatives(s, t), key=_key, reverse=True):
-                stack.append((t2, succ_r))
+    walk = [iter([(t, right0) for t in sorted(lefts, key=_key)])]
+    while walk:
+        for t, rights in walk[-1]:
+            if t in rights or (t, rights) in seen:
+                continue
+            accepts = any(r._nullable for r in rights)
+            if t._nullable and not accepts or t._nonempty and not rights:
+                return False
+            seen.add((t, rights))
+            if cap is not None and len(seen) > cap:
+                raise StateBudgetExceeded(
+                    f"inclusion check exceeded {cap} derivative pairs"
+                )
+            walk.append(_successors(t, rights, accepts))
+            break
+        else:
+            walk.pop()
     return True
+
+
+def _successors(t: LangExpr, rights: frozenset[LangExpr], accepts: bool):
+    """The pairs one symbol after (t, rights), in the walk's order.
+
+    There are none to walk when `accepts` (some right term is nullable) and
+    the right successor set is `rights` itself for every symbol of t.  By induction
+    on length, `rights` then holds every word over `symbols(t)`: the empty
+    word because it is nullable, and s.w because its s-derivative is
+    `rights` again.  Every word of t is spelled in `symbols(t)`, so the
+    pair holds without being expanded.  The rule stops at the first symbol
+    whose set differs; the sets it computed are kept for the expansion,
+    which computes the rest, and the left term's partial derivatives, one
+    symbol at a time.  An empty right side is never nullable, so
+    `is_empty` never uses the rule.
+    """
+    syms = sorted(t._symbols)
+    known = {}
+    if accepts:
+        for s in syms:
+            known[s] = step = _step(s, rights)
+            if step != rights:
+                break
+        else:
+            return  # `rights` holds every word over symbols(t)
+    for s in syms:
+        terms = partial_derivatives(s, t)
+        if terms:
+            step = known.get(s)
+            if step is None:
+                step = _step(s, rights)
+            for t2 in sorted(terms, key=_key):
+                yield t2, step
+
+
+def _step(s: MsgType, rights: frozenset[LangExpr]) -> frozenset[LangExpr]:
+    """The terms the right side reaches from `rights` by `s`."""
+    if len(rights) == 1:  # the cached set itself, without a copy
+        for r in rights:
+            return partial_derivatives(s, r)
+    return frozenset().union(*[partial_derivatives(s, r) for r in rights])
 
 
 def equiv(l1: LangExpr, l2: LangExpr) -> bool:

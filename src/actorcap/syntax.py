@@ -20,11 +20,15 @@ are runs of decimal digits. `[...]` holds a protocol or a message name and
 may span lines. Any other character, a non-decimal digit such as `²`
 included, is a parse error (exit 4).
 
-`tokenize` reads each token with one match of one regular expression,
-blanks and comments before it included, and keeps the tokens as parallel
-lists of kinds, texts and start offsets. A token's line and column are
-computed from a table of line starts only when it becomes a node's
-location or a parse error's.
+`tokenize` reads each token's text with one match of one regular
+expression, blanks and comments before it included, and keeps the tokens
+as parallel lists of kinds, texts and start offsets. A token's kind comes
+from its text afterwards: keywords and punctuation by one table lookup,
+names and numbers by their first character, and only bracketed texts,
+text outside ASCII and bad characters by a slower test. A token's line
+and column are computed from a table of line starts only when it becomes
+a node's location or a parse error's. The parser parses each distinct
+`[...]` text of a program once.
 """
 
 from __future__ import annotations
@@ -355,24 +359,58 @@ _KEYWORDS = {
     "Bool", "Nat", "Unit", "ActorRef", "Beh",
 }
 
-# One match per token: blanks and comments are a prefix of the match, and
-# the alternatives are tried in order after it. Keywords come before `NAME`;
-# `WORD` is a name that starts outside ASCII, where `[^\W\d]` also admits
-# non-decimal digits and other numerals; `EOF` ends the scan and `BAD` is any
-# other character.
+# Keyword and punctuation tokens are their own kind; `_TOKEN` below admits
+# the same punctuation.
+_PUNCT = ("=>", "->", "&&", "||", *"(){}<>,:.*+-/!=&|#")
+_FIXED = {text: text for text in (*_KEYWORDS, *_PUNCT)}
+_FIXED[""] = "EOF"
+# The kind of any other token that starts with an ASCII character, by that
+# character.
+_FIRST = dict.fromkeys("0123456789", "NAT")
+_FIRST.update(dict.fromkeys(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "NAME"))
+
+# One match per token, its text the one group: a run of blanks, then
+# comments each with the blanks after it, are a prefix of the match. A name
+# (keywords included) comes first; a word that starts outside ASCII, where
+# `[^\W\d]` also admits non-decimal digits and other numerals, comes after
+# the numbers; the empty match at the end of the text ends it, and any
+# other character is a token of its own.
 _TOKEN = re.compile(r"""
-    (?:[ \t\r\n]+ | --[^\n]*)*
-    (?:
-        (?P<KW>(?:""" + "|".join(sorted(_KEYWORDS)) + r""")(?!\w))
-      | (?P<NAME>[A-Za-z_]\w*)
-      | (?P<PUNCT>=> | -> | && | \|\| | [(){}<>,:.*+\-/!=&|#])
-      | \[(?P<LANG>[^\]]*)\]
-      | (?P<NAT>\d+)
-      | (?P<WORD>[^\W\d]\w*)
-      | (?P<EOF>\Z)
-      | (?P<BAD>.)
+    [ \t\r\n]* (?:--[^\n]*[ \t\r\n]*)*
+    ( [A-Za-z_]\w*
+    | => | -> | && | \|\| | [(){}<>,:.*+\-/!=&|#]
+    | \[[^\]]*\]
+    | \d+
+    | [^\W\d]\w*
+    | \Z
+    | .
     )
 """, re.VERBOSE | re.DOTALL)
+
+
+def _other_kind(text: str) -> str:
+    """The kind of a token neither `_FIXED` nor `_FIRST` names: a bracketed
+    text, a name or number outside ASCII, or `BAD` (an unclosed `[`, a word
+    that starts with a non-decimal digit or another numeral, or a character
+    no token admits)."""
+    c = text[0]
+    if c == "[":
+        return "LANG" if len(text) > 1 else "BAD"
+    if c.isdecimal():
+        return "NAT"
+    return "NAME" if c.isalpha() else "BAD"
+
+
+def _indices(items: list, item):
+    """The positions of `item` in `items`, in order, each found by `index`."""
+    i = -1
+    try:
+        while True:
+            i = items.index(item, i + 1)
+            yield i
+    except ValueError:
+        return
 
 
 class Tokens:
@@ -398,39 +436,37 @@ class Tokens:
     def loc(self, i: int) -> Loc:
         start = self.starts[i]
         line = bisect_right(self.line_starts, start)
-        return Loc(line, start - self.line_starts[line - 1] + 1)
+        # tuple.__new__ skips the Python frame of the NamedTuple's __new__.
+        return _new_tuple(Loc, (line, start - self.line_starts[line - 1] + 1))
+
+
+_new_tuple = tuple.__new__
 
 
 def tokenize(src: str) -> Tokens:
     toks = Tokens(src)
-    kinds, texts, starts = toks.kinds, toks.texts, toks.starts
+    texts, starts = toks.texts, toks.starts
+    add_text, add_start = texts.append, starts.append
     for m in _TOKEN.finditer(src):
-        kind = m.lastgroup
-        text = m[kind]
-        start = m.start(kind)
-        if kind == "KW" or kind == "PUNCT":
-            kind = text
-        elif kind == "LANG":
-            # Bracketed annotations (languages, or a message name for send)
-            # are captured raw and may span lines; the consumer reads them.
-            # The token starts at its `[`.
-            start -= 1
-        elif kind == "EOF":
-            break
-        elif kind == "WORD" and text[0].isalpha():
-            kind = "NAME"
-        elif kind == "WORD" or kind == "BAD":
-            # A `WORD` here starts with a non-decimal digit or another numeral.
-            starts.append(start)
-            if text == "[":
-                raise ParseError("unterminated '['", toks.loc(-1))
-            raise ParseError(f"unexpected character {text[0]!r}", toks.loc(-1))
-        kinds.append(kind)
-        texts.append(text)
-        starts.append(start)
-    kinds.append("EOF")
-    texts.append("")
-    starts.append(len(src))
+        add_text(m[1])
+        add_start(m.start(1))
+    if len(texts) > 1 and not texts[-2]:
+        # After a tail of blanks or a comment, the end matches once more.
+        texts.pop()
+        starts.pop()
+    toks.kinds = kinds = [_FIXED.get(t) or _FIRST.get(t[0]) or _other_kind(t)
+                          for t in texts]
+    if "BAD" in kinds:
+        i = kinds.index("BAD")
+        text = texts[i]
+        if text == "[":
+            raise ParseError("unterminated '['", toks.loc(i))
+        raise ParseError(f"unexpected character {text[0]!r}", toks.loc(i))
+    # Bracketed annotations (languages, or a message name for send) are
+    # captured raw and may span lines; the consumer reads them. The token
+    # starts at its `[`.
+    for i in _indices(kinds, "LANG"):
+        texts[i] = texts[i][1:-1]
     return toks
 
 
@@ -456,6 +492,8 @@ class _Parser:
         self.loc = toks.loc
         self.pos = 0
         self.alphabet: set[MsgType] = {UNIT_MSG}
+        # Each distinct `[...]` text is parsed once per program.
+        self.langs: dict[str, LangExpr] = {}
 
     def at(self, kind: str) -> bool:
         return self.kinds[self.pos] == kind
@@ -488,10 +526,13 @@ class _Parser:
 
     def lang_token(self) -> LangExpr:
         i = self.expect("LANG")
-        try:
-            l = parse_lang(self.texts[i])
-        except LangParseError as e:
-            raise ParseError(f"bad language: {e}", self.loc(i)) from None
+        text = self.texts[i]
+        l = self.langs.get(text)
+        if l is None:
+            try:
+                l = self.langs[text] = parse_lang(text)
+            except LangParseError as e:
+                raise ParseError(f"bad language: {e}", self.loc(i)) from None
         undeclared = symbols(l) - self.alphabet
         if undeclared:
             names = ", ".join(sorted(undeclared))
@@ -754,8 +795,8 @@ class _Parser:
         names: set[str] = set()
         # Pre-scan declaration names so payload types may reference each
         # other regardless of declaration order.
-        for i, kind in enumerate(kinds):
-            if kind == "msg" and kinds[i + 1] == "NAME":
+        for i in _indices(kinds, "msg"):
+            if kinds[i + 1] == "NAME":
                 self.alphabet.add(texts[i + 1])
         while self.at("msg"):
             i = self.expect("msg")

@@ -10,6 +10,10 @@ nonempty, so right sides that are `0` or an `&` term are drawn too.
 
 The search walks pairs in an order fixed by the expressions, so its
 verdicts and the derivatives it computes do not depend on the hash seed.
+It derives a pair's successors only when it steps to them, so it must
+agree with the search that derived them all at once (`eager_includes`) on
+each verdict and on the pair at which a state budget is refused, and a
+refutation must cache fewer partial derivatives.
 """
 
 import functools
@@ -21,15 +25,33 @@ import subprocess
 import sys
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 import actorcap
-from actorcap.lang import EMPTY, And, Sym, alt, cat, includes, is_empty, shuffle, star
+from actorcap import lang
+from actorcap.lang import (
+    EMPTY,
+    EPS,
+    And,
+    StateBudgetExceeded,
+    Sym,
+    alt,
+    cat,
+    includes,
+    is_empty,
+    parse_lang,
+    partial_derivatives,
+    shuffle,
+    star,
+)
 
 from langgen import ALPHABET, random_expr
-from naive_includes import naive_includes
+from naive_includes import eager_includes, naive_includes
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+import gen  # noqa: E402  (the benchmark's query generators)
 
 exprs = st.integers(0, 2**16).map(lambda seed: random_expr(random.Random(seed)))
 stars = st.lists(st.sampled_from(ALPHABET), min_size=1, unique=True).map(
@@ -40,12 +62,33 @@ stars_under = st.builds(
     st.sampled_from([alt, cat, shuffle]), st.booleans(), stars, exprs,
 )
 conjunctions = st.builds(And, st.one_of(exprs, stars), exprs)
+rights = st.one_of(exprs, stars, stars_under, conjunctions, st.just(EMPTY))
 
 
 @settings(max_examples=400, deadline=None)
-@given(exprs, st.one_of(exprs, stars, stars_under, conjunctions, st.just(EMPTY)))
+@given(exprs, rights)
 def test_includes_agrees_with_the_rule_free_search(e1, e2):
     assert includes(e1, e2) == naive_includes(e1, e2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(exprs, rights)
+def test_includes_agrees_with_the_eager_search(e1, e2):
+    assert includes(e1, e2) == eager_includes(e1, e2)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(exprs, stars_under), rights)
+def test_budget_is_refused_where_the_eager_search_passes_it(e1, e2):
+    verdict, pairs = eager_includes(e1, e2)
+    for k in range(1, pairs + 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lang, "STATE_BUDGET", k)
+            if pairs > k:
+                with pytest.raises(StateBudgetExceeded):
+                    includes(e1, e2)
+            else:
+                assert includes(e1, e2) == verdict
 
 
 @settings(max_examples=400, deadline=None)
@@ -112,3 +155,28 @@ def test_search_does_not_depend_on_the_hash_seed():
     # same query reaches 196,546 derivatives under hash seed 2 and 236,054
     # under seed 3.
     assert sizes["self_split-7"] < 2_000
+
+
+def cached_derivatives(query) -> int:
+    """Partial derivatives cached while `includes` refutes `query`."""
+    sub, sup = map(parse_lang, query)
+    partial_derivatives.cache_clear()
+    assert not includes(sub, sup)
+    return partial_derivatives.cache_info().currsize
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_a_self_split_derives_linearly_many_terms(n):
+    # Deriving every successor of every pair the walk passed cached 144,
+    # 264, 420, 612 and 840: a square in n.
+    assert cached_derivatives(gen.self_split_query(n, "x")) <= 10 * n
+
+
+def test_a_near_miss_derives_fewer_terms_than_every_successor():
+    assert cached_derivatives(gen.shuffle_star_query(16, "x", True)) < 736
+
+
+def test_rebuilding_units_gives_the_unit():
+    assert shuffle(EPS, EPS) is EPS
+    assert cat(EPS, EPS) is EPS
+    assert alt(EMPTY, EMPTY) is EMPTY

@@ -7,6 +7,7 @@ import pathlib
 import pickle
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -131,6 +132,18 @@ class TestEnumerate:
     def test_rejects_negative_bound(self):
         with pytest.raises(ValueError):
             enumerate_words(EPS, -1)
+
+    def test_keeps_nothing_once_the_result_is_dropped(self):
+        # The memo of subterm word sets lives for one call: a process-wide
+        # cache kept 8.8 MB of them after this enumeration returned.
+        e = parse_lang("(<a>.<b>)*#(<c>.<d>)*")
+        tracemalloc.start()
+        try:
+            assert len(enumerate_words(e, 16)) > 10_000
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 1_000_000
 
 
 class TestIsEmpty:

@@ -2,8 +2,9 @@ import pathlib
 
 import pytest
 
+from actorcap import syntax
 from actorcap.checker import check_program
-from actorcap.lang import EMPTY, MsgType, star, sym
+from actorcap.lang import EMPTY, MsgType, parse_lang, star, sym
 from actorcap.runtime import Trace, init_config, run
 from actorcap.syntax import (
     ActorRefT,
@@ -65,6 +66,23 @@ class TestParse:
     def test_var_path(self):
         e = parse_expr("q.1.2")
         assert same_tree(e, Var(Path("q", (1, 2))))
+
+    def test_each_bracketed_text_is_parsed_once(self, monkeypatch):
+        texts = []
+
+        def counted(text, alphabet=None):
+            texts.append(text)
+            return parse_lang(text, alphabet)
+
+        monkeypatch.setattr(syntax, "parse_lang", counted)
+        prog = parse_program(
+            "msg a : Unit\n"
+            "let x = spawn[<a>*](beh[<a>*]{ a(m) => self[0] }) in\n"
+            "let y = spawn[<a>*](beh[<a>*]{ a(m) => self[0] }) in ()"
+        )
+        assert sorted(texts) == ["0", "<a>*"]
+        x, y = prog.root.value, prog.root.body.value
+        assert x.init_cap is y.init_cap is star(sym("a"))
 
 
 class TestParseErrors:
