@@ -23,23 +23,23 @@ mirroring what the checker guarantees statically:
   order, and the residual after it is a left fold of derivatives: the
   actor's entry in `Config.residuals` keeps it, `global_invariant` extends
   it by one derivative per message enqueued since the last check, and
-  `delivered` carries it past a delivered head.  With two or more senders,
-  or no valid entry, the orders are walked by queue position instead
-  (`fifo_residuals`), which yields each distinct residual of the
-  behaviour's annotation once, with the first order that reaches it as its
-  witness; inclusion is tested once per residual.  The live tags are those
-  of the references the installed behaviours reach, which each behaviour
-  caches (`Value.refs`), and of the references in flight, which the
-  configuration counts (`Config.inflight`) as messages enter and leave the
-  queues through `Config.append` and `Config.pop_head`, the only two
-  places queues change.  So no check walks a queued payload.  After a
-  quiet turn, one whose payload and the receiver's old and new behaviours
-  reach no reference and that sends, spawns and creates none, no tag and
-  no live reference has changed, and no queue but the receiver's inbound
-  one: the turn builds no summary, conservation has no target, and the
-  global check takes the combined live tags from the last check
-  (`Config.check_memo`, kept until the next delivery takes it out)
-  instead of summarizing them again.
+  `delivered` carries it past a delivered head.  With two or more senders
+  the orders are the shuffle of the queues' words, so one inclusion
+  decides them all: the orders followed by the live tags must lie within
+  the annotation.  Only a failed check looks for its witness, the first
+  failing order, one delivery at a time.  The live tags are those of the
+  references the installed behaviours reach, which each value joins from
+  its children when it is built (`Value.refs`), and of the references in
+  flight, which the configuration counts (`Config.inflight`) as messages
+  enter and leave the queues through `Config.append` and
+  `Config.pop_head`, the only two places queues change.  So no check walks
+  a queued payload.  After a quiet turn, one whose payload and the
+  receiver's old and new behaviours reach no reference and that sends,
+  spawns and creates none, no tag and no live reference has changed, and
+  no queue but the receiver's inbound one: the turn builds no summary,
+  conservation has no target, and the global check takes the combined live
+  tags from the last check (`Config.check_memo`, kept until the next
+  delivery takes it out) instead of summarizing them again.
 
 Violations never affect execution; they are reported as trace events.
 Checked programs raise none of them, and programs run with checking
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import lang as lng
-from .lang import EPS, LangExpr, MsgType, Word, lang_to_text
+from .lang import EPS, LangExpr, MsgType, lang_to_text
 from .values import RefValue, iter_refs
 
 
@@ -133,8 +133,8 @@ def effect_conformance(
 def fifo_merges(seqs: list[tuple[MsgType, ...]]):
     """All interleavings of the per-sender sequences, preserving each order.
 
-    The reference enumeration for `fifo_residuals`, kept for its tests; the
-    monitor itself never lists the interleavings.
+    The reference enumeration for the global check, kept for its tests;
+    the monitor itself never lists the interleavings.
     """
     seqs = [s for s in seqs if s]
     out: list[tuple[MsgType, ...]] = []
@@ -153,45 +153,41 @@ def fifo_merges(seqs: list[tuple[MsgType, ...]]):
     return out
 
 
-def fifo_residuals(
-    seqs: list[tuple[MsgType, ...]], annot: LangExpr
-) -> list[tuple[LangExpr, Word]]:
-    """Each distinct residual of `annot` after a FIFO merge of `seqs`.
+def _holds(seqs, combined: LangExpr, annot: LangExpr) -> bool:
+    """Whether every FIFO merge `w` of `seqs` leaves `∂_w annot` covering
+    `combined`: one inclusion, since the merges are the shuffle of the
+    sequences, each written as the `cat` chain of its message names."""
+    merges = EPS
+    for seq in seqs:
+        word = EPS
+        for m in reversed(seq):
+            word = lng.cat(lng.sym(m), word)
+        merges = lng.shuffle(merges, word)
+    return lng.includes(lng.cat(merges, combined), annot)
 
-    Equal, pair for pair and in order, to the residuals
-    `word_derivative(w, annot)` for `w` in `fifo_merges(seqs)`, each kept
-    with the first `w` that yields it.  The merges are walked one delivery
-    at a time: a state is the position reached in each sender's queue plus
-    the residual so far, and merges that reach the same state cannot be
-    told apart afterwards, so each state is kept once, with the first merge
-    that reaches it (as a cons list, newest message first).  Expanding a
-    layer's states in order, senders in index order, keeps every layer in
-    `fifo_merges` order, so the last one lists the residuals as the
-    enumeration first produces them.
+
+def _first_failing_merge(
+    seqs, combined: LangExpr, annot: LangExpr
+) -> tuple[LangExpr, list[MsgType]]:
+    """The first FIFO merge `w` of `seqs`, in `fifo_merges` order, whose
+    residual `∂_w annot` does not cover `combined`, with that residual.
+
+    Called only when `_holds` fails, it takes one delivery at a time: the
+    first sender, in order, whose head leaves a remainder that fails too.
+    `fifo_merges` lists the merges through an earlier sender's head first,
+    so the one reached is the first that fails.
     """
-    seqs = [s for s in seqs if s]
-    layer: dict = {((0,) * len(seqs), annot): None}
-    for _ in range(sum(map(len, seqs))):
-        nxt: dict = {}
-        for (pos, residual), merged in layer.items():
-            for i, s in enumerate(seqs):
-                if pos[i] < len(s):
-                    m = s[pos[i]]
-                    state = (
-                        pos[:i] + (pos[i] + 1,) + pos[i + 1 :],
-                        lng.derivative(m, residual),
-                    )
-                    if state not in nxt:
-                        nxt[state] = (m, merged)
-        layer = nxt
-    out = []
-    for (_, residual), merged in layer.items():
-        word: list[MsgType] = []
-        while merged is not None:
-            m, merged = merged
-            word.append(m)
-        out.append((residual, tuple(reversed(word))))
-    return out
+    word: list[MsgType] = []
+    while any(seqs):
+        for i, seq in enumerate(seqs):
+            if seq:
+                rest = seqs[:i] + [seq[1:]] + seqs[i + 1 :]
+                after = lng.derivative(seq[0], annot)
+                if not _holds(rest, combined, after):
+                    break
+        word.append(seq[0])
+        seqs, annot = rest, after
+    return annot, word
 
 
 class Residual(NamedTuple):
@@ -201,8 +197,9 @@ class Residual(NamedTuple):
     queue `queue`, the last of them the queue item `last`.  It counts only
     while `annot` is the actor's annotation and `last` is still the queue's
     item at position `folded - 1`, so a queue changed where the monitor did
-    not see it (an unmonitored delivery, an edit by hand) falls back to the
-    walk.  Entries are derived state: the walk gives the same residual.
+    not see it (an unmonitored delivery, an edit by hand) is folded again
+    from its head.  Entries are derived state: folding the whole queue
+    gives the same residual.
     """
 
     annot: LangExpr
@@ -258,15 +255,17 @@ def global_invariant(
 
     For every actor, every FIFO-consistent interleaving of the messages in
     flight to it must leave a residual of its behaviour's protocol that
-    covers the shuffle of all live tags targeting it.  With no messages in
-    flight the residual is the protocol itself.  With one sender in flight
-    it is the actor's `Config.residuals` entry, extended by one derivative
-    per message enqueued since the last check; a missing or discarded
-    entry is rebuilt by folding the whole queue.  With two or more senders
-    the interleavings are walked by queue position (`fifo_residuals`), so
-    inclusion runs once per distinct residual, and the actor's entry is
-    dropped.  A report names the first interleaving, in `fifo_merges`
-    order, whose residual fails.
+    covers the shuffle of all live tags targeting it.  Each actor takes one
+    inclusion (`_holds`).  With one sender in flight there is one
+    interleaving, and its residual is the actor's `Config.residuals`
+    entry, extended by one derivative per message enqueued since the last
+    check (a missing or discarded entry is rebuilt by folding the whole
+    queue); the combined tags must lie within it.  With none or several,
+    the actor's entry is dropped, and the interleavings followed by the
+    combined tags, `cat(shuffle(q1, ..., qk), combined)`, must lie within
+    the protocol.  A report names the first interleaving, in `fifo_merges`
+    order, whose residual fails, found one delivery at a time only when
+    the check fails (`_first_failing_merge`).
 
     With `summary`, the check after a quiet turn (`runtime.deliver`),
     which changed no tag and no live reference: the combined tags are the
@@ -278,8 +277,8 @@ def global_invariant(
         if q:
             inbound.setdefault(key[1], []).append(key)
     if summary is None:
-        # The behaviours' references come cached on them, and the payloads'
-        # are counted as messages enter and leave the queues.
+        # The behaviours' references come with them, and the payloads' are
+        # counted as messages enter and leave the queues.
         live = iter_refs(config.store.values())
         live.update(dict.fromkeys(config.inflight))
         # Values are immutable, so a reference nothing reaches now stays
@@ -302,34 +301,31 @@ def global_invariant(
                 )
             )
         combined = summary.get(actor, EPS)
-        annot = behv.annot
         keys = sorted(inbound.get(actor, ()))
-        if not keys:
-            config.residuals.pop(actor, None)
-            candidates = [(annot, ())]
-        elif len(keys) == 1:
+        if len(keys) == 1:
+            # One order, whose residual the actor's entry keeps: no merges
+            # are left after it.
             q = config.queues[keys[0]]
-            # The witness is the whole queue, spelled out only on failure.
-            residual = _queue_residual(config, actor, annot, keys[0], q)
-            candidates = [(residual, (m for _, m in q))]
+            start = _queue_residual(config, actor, behv.annot, keys[0], q)
+            seqs = []
         else:
             config.residuals.pop(actor, None)
-            seqs = [tuple(m for _, m in config.queues[k]) for k in keys]
-            candidates = fifo_residuals(seqs, annot)
-        for residual, w in candidates:
-            if not lng.includes(combined, residual):
-                word = "".join(w) or "eps"
-                violations.append(
-                    Violation(
-                        GLOBAL_INVARIANT_BROKEN,
-                        actor,
-                        f"live tags {lang_to_text(combined)} escape "
-                        f"{lang_to_text(residual)} (behaviour "
-                        f"{lang_to_text(behv.annot)} after in-flight "
-                        f"{word!r})",
-                    )
+            q, start = (), behv.annot
+            seqs = [[m for _, m in config.queues[k]] for k in keys]
+        if not _holds(seqs, combined, start):
+            # The witness, with the single queue, is spelled out only here.
+            residual, rest = _first_failing_merge(seqs, combined, start)
+            word = "".join([m for _, m in q] + rest) or "eps"
+            violations.append(
+                Violation(
+                    GLOBAL_INVARIANT_BROKEN,
+                    actor,
+                    f"live tags {lang_to_text(combined)} escape "
+                    f"{lang_to_text(residual)} (behaviour "
+                    f"{lang_to_text(behv.annot)} after in-flight "
+                    f"{word!r})",
                 )
-                break  # at most one report per actor per check
+            )
     config.check_memo = summary
     return violations
 

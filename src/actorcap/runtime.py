@@ -180,9 +180,11 @@ class Config:
     Three tables are derived state that save the global check work, so
     `copy` carries them, while `fingerprint` and `==` ignore them.
     `residuals` is the monitor's table of per-actor residuals after their
-    single inbound queue (`monitor.Residual`).  `inflight` maps each
-    reference to the number of queued messages whose payload reaches it
-    (`Value.refs`), so the references in flight are its keys.  Queues
+    single inbound queue (`monitor.Residual`); an actor with none or
+    several has no entry, since one inclusion checks it from its protocol.
+    `inflight` maps each reference to the number of queued messages whose
+    payload reaches it (`Value.refs`, set when the payload is built), so
+    the references in flight are its keys.  Queues
     change only through `append` and `pop_head`, which keep `inflight`
     counted on every delivery, monitored or not; a configuration built with
     queues but without the table counts it from them.  `check_memo` is the

@@ -2,26 +2,23 @@
 
 All values are immutable by convention: nothing assigns to a field once
 the value is built (`tests/test_immutability.py` checks the source).
-Scalars and references are slotted dataclasses; a pair, closure or
-behaviour keeps a `__dict__` for its cached `refs`.  An actor reference
-carries the protocol tag it was created with; what sends have left of
-that tag is run state, kept per reference in the configuration
-(`runtime.Config.tags`), so a reference reachable from several places is
-still one capability.  Tags are instrumentation only and never influence
-evaluation.
+Every value is a slotted dataclass.  An actor reference carries the
+protocol tag it was created with; what sends have left of that tag is run
+state, kept per reference in the configuration (`runtime.Config.tags`), so
+a reference reachable from several places is still one capability.  Tags
+are instrumentation only and never influence evaluation.
 
 A value's `refs` is the tuple of references it reaches, each once (by
 identity): none for a number, a boolean or unit, itself for a reference.
-A pair, closure or behaviour computes it on first use, from the cached
-tuples of the values under it where they have one, and keeps it; values
-are immutable, so the tuple never goes stale, and a run that never asks
-never builds it.
+A pair, closure or behaviour joins its children's tuples when it is
+built, as an expression node computes its free variables, and shares a
+lone nonempty child tuple instead of copying it; values are immutable, so
+the tuple never goes stale, and asking for it walks nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .lang import LangExpr, lang_to_text
 from .syntax import Beh, Case, Fun
@@ -32,28 +29,13 @@ class Value:
     refs: tuple[RefValue, ...] = ()  # a scalar reaches no reference
 
 
-def _reach(root: Value) -> tuple[RefValue, ...]:
-    """The references under `root`, each once, walked on an explicit stack:
-    a value met with its `refs` already cached adds that tuple whole."""
-    found: dict[RefValue, None] = {}
-    seen: set[int] = set()
-    stack = _children(root)
-    while stack:
-        v = stack.pop()
-        if id(v) in seen:
-            continue
-        seen.add(id(v))
-        if isinstance(v, (PairV, Closure, BehValue)) and "refs" not in vars(v):
-            stack.extend(_children(v))
-        else:
-            found.update(dict.fromkeys(v.refs))
-    return tuple(found)
-
-
-def _children(v: Value) -> list[Value]:
-    if isinstance(v, PairV):
-        return [v.first, v.second]
-    return list(v.env.values())
+def _join(values) -> tuple[RefValue, ...]:
+    """The references the `values` reach, each once, in the order they
+    first reach them."""
+    parts = [v.refs for v in values if v.refs]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(dict.fromkeys(r for p in parts for r in p))
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -74,30 +56,36 @@ class UnitV(Value):
 UNIT_V = UnitV()
 
 
-@dataclass(unsafe_hash=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PairV(Value):
     first: Value
     second: Value
+    refs: tuple[RefValue, ...] = field(init=False, repr=False, compare=False)
 
-    refs = cached_property(_reach)
+    def __post_init__(self):
+        self.refs = _join((self.first, self.second))
 
 
-@dataclass(unsafe_hash=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Closure(Value):
     fun: Fun
     env: dict[str, Value] = field(compare=False)
+    refs: tuple[RefValue, ...] = field(init=False, repr=False, compare=False)
 
-    refs = cached_property(_reach)
+    def __post_init__(self):
+        self.refs = _join(self.env.values())
 
 
-@dataclass(unsafe_hash=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BehValue(Value):
     annot: LangExpr
     cases: tuple[Case, ...]
     env: dict[str, Value] = field(compare=False)
     node: Beh | None = field(compare=False, default=None)
+    refs: tuple[RefValue, ...] = field(init=False, repr=False, compare=False)
 
-    refs = cached_property(_reach)
+    def __post_init__(self):
+        self.refs = _join(self.env.values())
 
     def case_for(self, label) -> Case | None:
         for c in self.cases:

@@ -15,7 +15,6 @@ from actorcap.monitor import (
     conservation,
     effect_conformance,
     fifo_merges,
-    fifo_residuals,
     global_invariant,
     split_tag,
     summarize,
@@ -31,7 +30,7 @@ from actorcap.runtime import (
     init_config,
     run,
 )
-from actorcap.syntax import Beh, parse_program
+from actorcap.syntax import Beh, Case, parse_program
 from actorcap.values import BehValue, PairV, RefValue, UNIT_V, iter_refs
 
 from langgen import ALPHABET, random_expr
@@ -117,27 +116,69 @@ queues = st.lists(
 )
 
 
+def receiver(annot, seqs) -> Config:
+    """Actor 0 installed with `annot` and a case for each of its symbols,
+    and the queue `seqs[i]` from actor i + 1 to it, with unit payloads."""
+    done = Beh(EPS, ())
+    cases = tuple(Case(s, "x", done) for s in sorted(lng.symbols(annot)))
+    node = Beh(annot, cases)
+    return Config(
+        store={0: BehValue(annot, node.cases, {}, node)},
+        queues={
+            (i, 0): [(UNIT_V, m) for m in seq] for i, seq in enumerate(seqs, 1)
+        },
+        next_id=len(seqs) + 1,
+    )
+
+
+def report(combined, residual, annot, word) -> str:
+    return (
+        f"live tags {lng.lang_to_text(combined)} escape "
+        f"{lng.lang_to_text(residual)} (behaviour {lng.lang_to_text(annot)} "
+        f"after in-flight {''.join(word) or 'eps'!r})"
+    )
+
+
 @settings(max_examples=300, deadline=None)
-@given(queues, st.integers(0, 2**32))
-def test_fifo_residuals_match_enumerated_merges(seqs, annot_seed):
-    # Reference: the first merge, in enumeration order, for each residual.
+@given(queues, st.integers(0, 2**32), st.integers(0, 2**32))
+def test_global_check_matches_enumerated_merges(seqs, annot_seed, combined_seed):
+    # Reference: the residual after every merge, in enumeration order; the
+    # report names the first merge whose residual fails, with it.
     annot = random_expr(random.Random(annot_seed), depth=3)
-    first = {}
+    combined = random_expr(random.Random(combined_seed), depth=3)
+    expected = []
     for w in fifo_merges(seqs):
-        first.setdefault(lng.word_derivative(w, annot), w)
-    assert fifo_residuals(seqs, annot) == list(first.items())
+        residual = lng.word_derivative(w, annot)
+        if not lng.includes(combined, residual):
+            expected = [report(combined, residual, annot, w)]
+            break
+    got = global_invariant(receiver(annot, seqs), {0: combined})
+    assert [(v.kind, v.actor, v.detail) for v in got] == [
+        ("GlobalInvariantBroken", 0, d) for d in expected
+    ]
 
 
-class TestFifoResiduals:
+class TestMergeCheck:
     def test_long_single_queue(self):
-        out = fifo_residuals([(NOP,) * 400 + (ACT,)], NOP_ACT_NOP)
-        assert out == [(star(sym("nop")), (NOP,) * 400 + (ACT,))]
+        # One sender: the residual is folded once and kept, and the report
+        # spells out the whole queue.
+        seqs = [(NOP,) * 400 + (ACT,)]
+        cfg = receiver(NOP_ACT_NOP, seqs)
+        assert global_invariant(cfg, {0: star(sym("nop"))}) == []
+        assert cfg.residuals[0].residual is star(sym("nop"))
+        [v] = global_invariant(cfg, {0: sym("act")})
+        assert v.detail == report(sym("act"), star(sym("nop")), NOP_ACT_NOP, seqs[0])
 
     def test_no_cap_on_interleavings(self):
-        # 18!/(3!)**6, about 1.4e8 merges, but a handful of states per layer.
+        # 18!/(3!)**6, about 1.4e8 merges, decided by one inclusion; the
+        # first merge in enumeration order takes each queue whole in turn.
         seqs = [(A, B, A)] * 6
-        out = fifo_residuals(seqs, star(alt(sym("a"), sym("b"))))
-        assert out == [(star(alt(sym("a"), sym("b"))), (A, B, A) * 6)]
+        ab = star(alt(sym("a"), sym("b")))
+        cfg = receiver(ab, seqs)
+        assert global_invariant(cfg, {0: ab}) == []
+        assert 0 not in cfg.residuals
+        [v] = global_invariant(cfg, {0: sym("c")})
+        assert v.detail == report(sym("c"), ab, ab, (A, B, A) * 6)
 
 
 class TestGlobalInvariant:
@@ -824,8 +865,8 @@ def test_monitored_chain_visits_linear_values(monkeypatch):
 
 
 def test_deep_pair_chain_does_not_recurse():
-    # Payloads nested 5,000 pairs deep, built in loops: their references
-    # are found on an explicit stack, with or without a walked value below.
+    # Payloads nested 5,000 pairs deep, built in loops: each pair joins
+    # its children's references as it is built, so asking recurses nowhere.
     refs = [RefValue(i % 3, EPS) for i in range(5000)]
     v = UNIT_V
     for r in refs:
@@ -840,14 +881,13 @@ def test_deep_pair_chain_does_not_recurse():
     assert summarize([w, v], {}) == {0: EPS, 1: EPS, 2: EPS, 3: EPS}
 
 
-def test_refs_are_cached_once_and_deduplicated():
+def test_refs_are_joined_once_and_deduplicated():
     r, s = RefValue(1, sym("a")), RefValue(2, sym("a"))
     shared = PairV(r, s)
     v = PairV(shared, PairV(r, shared))
-    assert "refs" not in vars(v)  # nothing is walked until asked
     assert sorted(v.refs, key=lambda x: x.target) == [r, s]
-    assert vars(v)["refs"] is v.refs
-    assert "refs" not in vars(shared)  # only the value asked keeps a tuple
+    assert v.refs is v.refs  # kept from construction, not walked again
+    assert PairV(UNIT_V, shared).refs is shared.refs  # a lone tuple is shared
     assert r.refs == (r,) and UNIT_V.refs == ()
     beh = BehValue(EPS, (), {"x": v, "y": s}, Beh(EPS, ()))
     assert set(beh.refs) == {r, s} and len(beh.refs) == 2
