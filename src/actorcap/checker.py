@@ -128,6 +128,15 @@ def _without(env: TypeEnv, name: str) -> TypeEnv:
     return out
 
 
+def _replace(t: TypeExpr, sels: tuple[int, ...], new: TypeExpr) -> TypeExpr:
+    """`t` with its part at the product selectors `sels` replaced by `new`."""
+    if not sels:
+        return new
+    if sels[0] == 1:
+        return ProdT(_replace(t.first, sels[1:], new), t.second)
+    return ProdT(t.first, _replace(t.second, sels[1:], new))
+
+
 @dataclass(slots=True, unsafe_hash=True)
 class DroppedBinding:
     loc: Loc
@@ -142,11 +151,11 @@ class TypedProgram:
     program: Program
     root_type: TypeExpr
     root_effect: LangExpr = EPS
-    case_effects: dict[int, dict[MsgType, LangExpr]] = field(default_factory=dict)
+    case_effects: dict[Beh, dict[MsgType, LangExpr]] = field(default_factory=dict)
     warnings: list[DroppedBinding] = field(default_factory=list)
 
     def static_case_effect(self, beh_node: Beh, label: MsgType) -> LangExpr | None:
-        table = self.case_effects.get(id(beh_node))
+        table = self.case_effects.get(beh_node)
         if table is None:
             return None
         return table.get(label)
@@ -287,42 +296,21 @@ class Checker:
         allow sending `msg` now.
         """
         loc = loc or Loc(0, 0)
-        base = env.get(path.base)
-        if base is None:
+        t = self._lookup_path(env, path, loc)
+        if not isinstance(t, ActorRefT):
             raise TypeCheckError(
-                ErrorCode.UnboundVariable, loc, f"unbound variable {path.base!r}"
+                ErrorCode.TypeMismatch, loc,
+                f"send target {path} is {type_to_text(t)}, not an actor reference",
             )
-
-        def update(t: TypeExpr, sels: tuple[int, ...]) -> tuple[TypeExpr, LangExpr]:
-            if not sels:
-                if not isinstance(t, ActorRefT):
-                    raise TypeCheckError(
-                        ErrorCode.TypeMismatch, loc,
-                        f"send target {path} is {type_to_text(t)}, "
-                        "not an actor reference",
-                    )
-                residual = lng.derivative(msg, t.lang)
-                if lng.is_empty(residual):
-                    raise TypeCheckError(
-                        ErrorCode.EmptyResidual, loc,
-                        f"protocol of {path} does not allow sending "
-                        f"<{msg}> here",
-                        required_language=lng.Sym(msg),
-                        declared_language=t.lang,
-                    )
-                return ActorRefT(residual), residual
-            if not isinstance(t, ProdT):
-                raise TypeCheckError(
-                    ErrorCode.TypeMismatch, loc,
-                    f"path {path} selects into non-product {type_to_text(t)}",
-                )
-            if sels[0] == 1:
-                new_first, residual = update(t.first, sels[1:])
-                return ProdT(new_first, t.second), residual
-            new_second, residual = update(t.second, sels[1:])
-            return ProdT(t.first, new_second), residual
-
-        new_base, residual = update(base, path.sels)
+        residual = lng.derivative(msg, t.lang)
+        if lng.is_empty(residual):
+            raise TypeCheckError(
+                ErrorCode.EmptyResidual, loc,
+                f"protocol of {path} does not allow sending <{msg}> here",
+                required_language=lng.Sym(msg),
+                declared_language=t.lang,
+            )
+        new_base = _replace(env[path.base], path.sels, ActorRefT(residual))
         return residual, {**env, path.base: new_base}
 
     # -- scope bookkeeping
@@ -544,7 +532,7 @@ class Checker:
                     declared_language=tb.lang,
                 )
             effects[c.label] = eff
-        self.typed.case_effects[id(e)] = effects
+        self.typed.case_effects[e] = effects
         if self.warn_dropped:
             for name, t in env.items():
                 if name not in e.free:

@@ -17,22 +17,25 @@ those symbols, so an n-way shuffle against a star of its symbols holds at
 its first pair instead of its 2**n-th.  It refutes a pair whose right side
 is empty as soon as the left term is known to hold a word (the `_nonempty`
 fact), and it visits left terms and symbols in their structural order, so
-its verdicts, its cost and any budget refusal do not depend on the hash
-seed.
+its verdicts, its cost and any budget refusal are the same in every
+process.
 
 Expressions are hash-consed (see `LangExpr`): every constructor, raw or
 smart, returns the one interned node for its operands, so equality is
-identity.  Expressions are canonical by construction: they come from the
-smart constructors (`alt`, `cat`, `shuffle`, `conj`, `star`) or from
-`parse_lang`, which builds through them, and every operation here builds
-its results the same way.  In canonical form chains are right-nested,
-unions are flattened, sorted and deduplicated, unit and annihilator laws
-are applied, and the commutative operators have sorted operands.  The node
-classes are for matching, printing, interning and pickling; a tree built
-from them by hand is still decided correctly, just not canonicalised.
-Canonical form keeps the sets of derivatives small, so it decides how fast
-inclusion runs, not whether it ends: partial derivatives are finitely many
-even without these identities.
+identity, and so is hashing.  No result depends on the order of a set of
+nodes, which follows their addresses: every order comes from the
+structural order key (`_order`) or from symbol names.  Expressions are
+canonical by construction: they come from the smart constructors (`alt`,
+`cat`, `shuffle`, `conj`, `star`) or from `parse_lang`, which builds
+through them, and every operation here builds its results the same way.
+In canonical form chains are right-nested, unions are flattened, sorted
+and deduplicated, unit and annihilator laws are applied, and the
+commutative operators have sorted operands.  The node classes are for
+matching, printing, interning and pickling; a tree built from them by hand
+is still decided correctly, just not canonicalised.  Canonical form keeps
+the sets of derivatives small, so it decides how fast inclusion runs, not
+whether it ends: partial derivatives are finitely many even without these
+identities.
 
 All operations are pure.  The node table and the two process-wide memo
 tables (the `lru_cache`s of `derivative` and `partial_derivatives`) are
@@ -46,14 +49,15 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-# Derivative pairs one inclusion check may visit; words one enumeration holds.
+# Derivative pairs one inclusion check may visit; words one enumerated set holds.
 STATE_BUDGET = 100_000
 
 
 class StateBudgetExceeded(Exception):
-    """A search outgrew its budget: the derivative-pair closure or the
-    enumerated word set past `STATE_BUDGET`, or explore past
-    `runtime.STATE_CAP` expanded configurations."""
+    """A search outgrew its budget: the derivative-pair closure or an
+    enumerated word set past `STATE_BUDGET` (or a word set past 20 times
+    that many symbols), or explore past `runtime.STATE_CAP` expanded
+    configurations."""
 
 
 class LangParseError(ValueError):
@@ -78,16 +82,16 @@ class LangExpr:
     """Base class for language expressions: interned, immutable nodes.
 
     Construction looks up (class, operands) in one module-level table, so
-    structurally equal expressions are one object.  A new node computes its
-    facts once, from its operands': the hash a frozen dataclass of the same
-    fields would have (never a memory address, so set order, and with it
-    every printed result, depends on PYTHONHASHSEED alone), and the four
-    facts of `_facts`: the structural order key, nullability, the symbol
-    set and whether the language is known to hold a word.  The operand of
-    a `Sym` is a message name, and the other operands are nodes.
+    structurally equal expressions are one object, and `==` and `hash` are
+    those of `object`: identity.  Set order is then a matter of memory
+    addresses, so nothing is read in it; where an order matters it comes
+    from `_order`.  A new node computes the four facts of `_facts` once,
+    from its operands': the structural order key, nullability, its symbols
+    (a sorted tuple) and whether the language is known to hold a word.  The
+    operand of a `Sym` is a message name, and the other operands are nodes.
     """
 
-    __slots__ = ("_hash", "_order", "_nullable", "_symbols", "_nonempty")
+    __slots__ = ("_order", "_nullable", "_symbols", "_nonempty")
     __match_args__: tuple[str, ...] = ()
 
     def __new__(cls, *operands):
@@ -100,7 +104,7 @@ class LangExpr:
         node = object.__new__(cls)
         for name, value in zip(cls.__match_args__, operands):
             object.__setattr__(node, name, value)
-        for name, value in zip(LangExpr.__slots__, (hash(operands), *_facts(node))):
+        for name, value in zip(LangExpr.__slots__, _facts(node)):
             object.__setattr__(node, name, value)
         # setdefault keeps one node per key even if two callers race here.
         return _NODES.setdefault(key, node)
@@ -109,9 +113,6 @@ class LangExpr:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
@@ -175,8 +176,10 @@ class And(_Binary):
     _rank = 6
 
 
-def _union(a: frozenset, b: frozenset) -> frozenset:
-    return a if b <= a else b if a <= b else a | b
+def _union(a: tuple, b: tuple) -> tuple:
+    # The sorted symbols of both, sharing a side's tuple if it has them all.
+    both = tuple(sorted({*a, *b}))
+    return a if both == a else b if both == b else both
 
 
 def _facts(e: LangExpr):
@@ -188,11 +191,11 @@ def _facts(e: LangExpr):
     """
     match e:
         case Empty():
-            return (0,), False, frozenset(), False
+            return (0,), False, (), False
         case Eps():
-            return (1,), True, frozenset(), True
+            return (1,), True, (), True
         case Sym(s):
-            return (2, s), False, frozenset({s}), True
+            return (2, s), False, (s,), True
         case Star(i):
             return (3, i._order), True, i._symbols, True
         case Alt(l, r):
@@ -284,7 +287,7 @@ _SMART = {Alt: _alt, Cat: _cat, Shuffle: _shuffle, And: _conj}
 _UNIT = {Alt: EMPTY, Cat: EPS, Shuffle: EPS}
 
 
-def _rebuild(cls, parts: list[LangExpr]) -> LangExpr:
+def _rebuild(cls, parts: list[LangExpr] | tuple[LangExpr, ...]) -> LangExpr:
     """The smart constructor of `cls` over the chains of all `parts`."""
     # A unit of the class adds nothing to the chain, and a lone canonical
     # part is already the result: so a derivative step that leaves eps
@@ -329,7 +332,7 @@ def nullable(l: LangExpr) -> bool:
 
 
 def symbols(l: LangExpr) -> frozenset[MsgType]:
-    return l._symbols
+    return frozenset(l._symbols)
 
 
 @lru_cache(maxsize=None)
@@ -338,7 +341,7 @@ def derivative(s: MsgType, l: LangExpr) -> LangExpr:
 
     The canonical union of the partial derivatives.
     """
-    return _rebuild(Alt, list(partial_derivatives(s, l)))
+    return _rebuild(Alt, partial_derivatives(s, l))
 
 
 def first_unhandled(l: LangExpr, handled) -> MsgType | None:
@@ -347,7 +350,7 @@ def first_unhandled(l: LangExpr, handled) -> MsgType | None:
     A behaviour must have a case for every message its protocol may deliver
     first, otherwise a permitted send could arrive unhandled.
     """
-    for s in sorted(symbols(l)):
+    for s in l._symbols:
         if s not in handled and not is_empty(derivative(s, l)):
             return s
     return None
@@ -364,29 +367,31 @@ def member(w, l: LangExpr) -> bool:
     return nullable(word_derivative(w, l))
 
 
-def _bound(words) -> None:
-    # No word set the enumeration builds may hold more than STATE_BUDGET
-    # words; `enumerate_words` gives the refusal its message.
-    if len(words) > STATE_BUDGET:
-        raise StateBudgetExceeded
+class _Words(set):
+    """A word set of the enumeration, refused past STATE_BUDGET words or 20
+    times that many symbols (`size`): a word may be as long as the length
+    bound, so its count alone does not bound memory."""
 
+    size = 0
 
-def _by_length(words, limit: int):
-    buckets: dict[int, list[Word]] = {}
-    for w in words:
-        if len(w) <= limit:
-            buckets.setdefault(len(w), []).append(w)
-    return buckets
+    def add(self, w: Word) -> None:
+        n = len(self)
+        set.add(self, w)
+        if len(self) > n:
+            self.size += len(w)
+            if len(self) > STATE_BUDGET:
+                raise StateBudgetExceeded(f"{STATE_BUDGET} words")
+            if self.size > 20 * STATE_BUDGET:
+                raise StateBudgetExceeded(f"{20 * STATE_BUDGET} symbols")
 
 
 def _words_upto(e: LangExpr, k: int, memo: dict) -> frozenset[Word]:
     # Bottom-up denotational evaluation of the length-bounded word set.
     # Deliberately free of derivatives and nullability: this is the
     # independent oracle the derivative engine is tested against.  Each
-    # set is checked (`_bound`) as it grows, so a refusal comes once one
-    # set passes STATE_BUDGET words, before the whole set is built.  `memo`
-    # holds the sets of the subterms met so far, for one enumeration and
-    # one k.
+    # set is a `_Words`, bounded as it grows, so a refusal comes once one set
+    # passes its budget, before the whole set is built.  `memo` holds the
+    # sets of the subterms met so far, for one enumeration and one k.
     out = memo.get(e)
     if out is not None:
         return out
@@ -398,23 +403,24 @@ def _words_upto(e: LangExpr, k: int, memo: dict) -> frozenset[Word]:
         case Sym(s):
             out = frozenset({(s,)}) if k >= 1 else frozenset()
         case Alt(a, b):
-            out = _words_upto(a, k, memo) | _words_upto(b, k, memo)
-            _bound(out)
+            out = _Words()
+            for w in _words_upto(a, k, memo) | _words_upto(b, k, memo):
+                out.add(w)
         case And(a, b):
             out = _words_upto(a, k, memo) & _words_upto(b, k, memo)
         case Cat(a, b):
-            right = _by_length(_words_upto(b, k, memo), k)
-            words = set()
+            right: dict[int, list[Word]] = {}  # b's words by their length
+            for v in _words_upto(b, k, memo):
+                right.setdefault(len(v), []).append(v)
+            out = _Words()
             for u in _words_upto(a, k, memo):
                 for j, vs in right.items():
                     if len(u) + j <= k:
                         for v in vs:
-                            words.add(u + v)
-                            _bound(words)
-            out = frozenset(words)
+                            out.add(u + v)
         case Star(a):
             pieces = [w for w in _words_upto(a, k, memo) if w]
-            words = {()}
+            out = _Words([()])
             frontier = [()]
             while frontier:
                 fresh = []
@@ -422,19 +428,17 @@ def _words_upto(e: LangExpr, k: int, memo: dict) -> frozenset[Word]:
                     for u in pieces:
                         if len(u) + len(v) <= k:
                             w = v + u
-                            if w not in words:
-                                words.add(w)
-                                _bound(words)
+                            if w not in out:
+                                out.add(w)
                                 fresh.append(w)
                 frontier = fresh
-            out = frozenset(words)
         case Shuffle(a, b):
             out = _shuffle_upto(
                 _words_upto(a, k, memo), _words_upto(b, k, memo), k
             )
         case _:
             raise TypeError(f"not a language expression: {e!r}")
-    memo[e] = out
+    memo[e] = out = frozenset(out)
     return out
 
 
@@ -477,7 +481,7 @@ def _shuffle_upto(left, right, k: int) -> frozenset[Word]:
         return frozenset()
     lkids, lshort = _prefix_tree(left)
     rkids, rshort = _prefix_tree(right)
-    out = set()
+    out = _Words()
     stack = [((), {(0, 0)})]
     while stack:
         w, pairs = stack.pop()
@@ -493,7 +497,6 @@ def _shuffle_upto(left, right, k: int) -> frozenset[Word]:
             for s, j2 in rkids[j].items():
                 if li + rshort[j2] <= room:
                     nexts.setdefault(s, set()).add((i, j2))
-        _bound(out)
         stack += [(w + (s,), p) for s, p in nexts.items()]
     return frozenset(out)
 
@@ -504,21 +507,23 @@ def enumerate_words(l: LangExpr, max_len: int) -> set[Word]:
     Computed by a denotational evaluator over length-bounded word sets,
     independently of the derivative engine, so the result can serve as an
     oracle for `member`, `includes` and `equiv`.  Raises StateBudgetExceeded
-    when a word set it builds would hold more than `STATE_BUDGET` words.
+    when a word set it builds would hold more than `STATE_BUDGET` words, or
+    more than 20 times that many symbols in all.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     try:
         return set(_words_upto(l, max_len, {}))
-    except StateBudgetExceeded:
+    except StateBudgetExceeded as e:
         raise StateBudgetExceeded(
-            f"enumeration exceeded {STATE_BUDGET} words up to length {max_len}"
+            f"enumeration exceeded {e} up to length {max_len}"
         ) from None
 
 
 @lru_cache(maxsize=None)
-def partial_derivatives(s: MsgType, e: LangExpr) -> frozenset[LangExpr]:
-    """Partial derivatives: a set of terms whose union is `derivative(s, e)`.
+def partial_derivatives(s: MsgType, e: LangExpr) -> tuple[LangExpr, ...]:
+    """Partial derivatives: the terms whose union is `derivative(s, e)`,
+    without `EMPTY`, sorted once by `_order` so every user walks them as is.
 
     Keeping the union as a set of alternation-free-at-the-top terms keeps
     state spaces small where full derivatives would aggregate exponentially
@@ -526,31 +531,30 @@ def partial_derivatives(s: MsgType, e: LangExpr) -> frozenset[LangExpr]:
     """
     match e:
         case Empty() | Eps():
-            return frozenset()
+            return ()
         case Sym(t):
-            return frozenset({EPS}) if t == s else frozenset()
+            return (EPS,) if t == s else ()
         case Alt(a, b):
-            return partial_derivatives(s, a) | partial_derivatives(s, b)
+            out = {*partial_derivatives(s, a), *partial_derivatives(s, b)}
         case Cat(a, b):
             out = {cat(da, b) for da in partial_derivatives(s, a)}
             if nullable(a):
-                out |= partial_derivatives(s, b)
-            return frozenset(out) - {EMPTY}
+                out.update(partial_derivatives(s, b))
         case Star(a):
-            return frozenset(
-                {cat(da, e) for da in partial_derivatives(s, a)}
-            ) - {EMPTY}
+            out = {cat(da, e) for da in partial_derivatives(s, a)}
         case Shuffle(a, b):
             out = {shuffle(da, b) for da in partial_derivatives(s, a)}
-            out |= {shuffle(a, db) for db in partial_derivatives(s, b)}
-            return frozenset(out) - {EMPTY}
+            out.update(shuffle(a, db) for db in partial_derivatives(s, b))
         case And(a, b):
-            return frozenset(
+            out = {
                 conj(da, db)
                 for da in partial_derivatives(s, a)
                 for db in partial_derivatives(s, b)
-            ) - {EMPTY}
-    raise TypeError(f"not a language expression: {e!r}")
+            }
+        case _:
+            raise TypeError(f"not a language expression: {e!r}")
+    out.discard(EMPTY)
+    return tuple(sorted(out, key=_key))
 
 
 def _terms(e: LangExpr) -> frozenset[LangExpr]:
@@ -606,8 +610,9 @@ def _pair_search(
     pair on the path from a first pair to the current one (`_successors`),
     and its order is fixed by the expressions: left terms, symbols and
     each set of partial derivatives are visited in ascending structural
-    order (`_order`, symbol names).  Verdicts, pair counts and budget
-    refusals are then the same under every PYTHONHASHSEED.  A pair's
+    order (`_order`, symbol names); only the left terms are sorted here.
+    Verdicts, pair counts and budget refusals are then the same in every
+    process, whatever the hash seed or the nodes' addresses.  A pair's
     successors are derived when the walk steps to them, so a refutation
     derives only the pairs on and beside its path.
     """
@@ -646,30 +651,24 @@ def _successors(t: LangExpr, rights: frozenset[LangExpr], accepts: bool):
     symbol at a time.  An empty right side is never nullable, so
     `is_empty` never uses the rule.
     """
-    syms = sorted(t._symbols)
     known = {}
     if accepts:
-        for s in syms:
+        for s in t._symbols:
             known[s] = step = _step(s, rights)
             if step != rights:
                 break
         else:
             return  # `rights` holds every word over symbols(t)
-    for s in syms:
+    for s in t._symbols:
         terms = partial_derivatives(s, t)
         if terms:
-            step = known.get(s)
-            if step is None:
-                step = _step(s, rights)
-            for t2 in sorted(terms, key=_key):
+            step = known[s] if s in known else _step(s, rights)
+            for t2 in terms:
                 yield t2, step
 
 
 def _step(s: MsgType, rights: frozenset[LangExpr]) -> frozenset[LangExpr]:
     """The terms the right side reaches from `rights` by `s`."""
-    if len(rights) == 1:  # the cached set itself, without a copy
-        for r in rights:
-            return partial_derivatives(s, r)
     return frozenset().union(*[partial_derivatives(s, r) for r in rights])
 
 

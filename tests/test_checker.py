@@ -409,7 +409,7 @@ class TestProgramChecking:
             "      beh[<hum>]{ hum(h) => let d = rr in beh[eps]{ } }) r }"
         )
         typed = check_program(prog)
-        root_effects = typed.case_effects[id(prog.root)]
+        root_effects = typed.case_effects[prog.root]
         assert lng.equiv(root_effects[MsgType("Unit")], sym("hum"))
 
     def test_warn_dropped_surfaces_leftover_capabilities(self):

@@ -291,6 +291,31 @@ class TestAlg:
             f"{lang.STATE_BUDGET} words up to length {length}\n"
         )
 
+    def test_enumerate_symbol_budget_bounds_memory(self):
+        # <a>* up to 100,000 is 100,001 words, within the word budget, but
+        # their symbols number about 5e9.  The set is refused by the symbols
+        # it holds.  The child runs under a 1 GB address-space limit, so a
+        # set that outgrows memory fails here instead of the machine.
+        pytest.importorskip("resource")
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from actorcap.cli import main\n"
+            "sys.exit(main(['alg', 'enumerate', '<a>*', '100000']))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert time.perf_counter() - start < 5
+        assert (proc.returncode, proc.stdout) == (5, "")
+        assert proc.stderr == (
+            "error: state budget exceeded: enumeration exceeded "
+            f"{20 * lang.STATE_BUDGET} symbols up to length 100000\n"
+        )
+
     def test_state_budget_during_run_exit_5(self, tmp_path, capsys,
                                             monkeypatch):
         # The stage holds the spawn tag <add>.<stop> while its work message

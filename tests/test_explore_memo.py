@@ -130,6 +130,17 @@ def test_fanin_4x3_depth_13_is_under_the_cap():
     assert not report.violation_kinds
 
 
+def test_monitored_fanin_5x3_depth_16_is_under_the_budget(tmp_path, capsys):
+    # Monitor on: each global check with several senders in flight is one
+    # inclusion over the shuffle of their queues, which must stay under the
+    # state budget (a refusal exits 5).
+    program = tmp_path / "fanin.acap"
+    program.write_text(gen.fanin_program(5, 3, "t"))
+    assert main(["explore", str(program), "--depth", "16"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == "schedules explored: 8681673000"
+
+
 class TestStateCap:
     """The cap counts expanded configurations; memo hits do not count."""
 

@@ -30,6 +30,7 @@ from hypothesis import given, settings
 
 import actorcap
 from actorcap import lang
+from actorcap.cli import main
 from actorcap.lang import (
     EMPTY,
     EPS,
@@ -174,6 +175,14 @@ def test_a_self_split_derives_linearly_many_terms(n):
 
 def test_a_near_miss_derives_fewer_terms_than_every_successor():
     assert cached_derivatives(gen.shuffle_star_query(16, "x", True)) < 736
+
+
+def test_cli_18_way_shuffle_into_the_star_of_its_symbols(capsys):
+    # Holds at its first derivative pair; walked in full, the 2**18
+    # derivatives of the shuffle exceed the state budget (exit 5).
+    syms = [f"<a{i}>" for i in range(1, 19)]
+    code = main(["alg", "includes", "#".join(syms), "(" + "|".join(syms) + ")*"])
+    assert (code, capsys.readouterr().out) == (0, "true\n")
 
 
 def test_rebuilding_units_gives_the_unit():

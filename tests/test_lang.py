@@ -39,6 +39,7 @@ from actorcap.lang import (
     member,
     nullable,
     parse_lang,
+    partial_derivatives,
     shuffle,
     star,
     sym,
@@ -302,16 +303,31 @@ class TestInterning:
         chain = Sym(A)
         for i in range(5000):
             chain = Cat(Sym((A, B)[i % 2]), chain)
-        assert hash(chain) == hash((chain.left, chain.right))
+        # Nodes hash by identity, which is what their interned `==` is.
+        assert hash(chain) == object.__hash__(chain)
         assert {chain: 1}[chain] == 1
         assert not nullable(chain)
         assert symbols(chain) == {A, B}
         assert derivative(B, chain) is chain.right
         assert derivative(A, chain) is EMPTY
 
+    def test_partial_derivatives_come_in_structural_order(self):
+        # A tuple sorted by `_order`, so no user reads an order from a set.
+        e = parse_lang(
+            "(<a>.<b>|<a>.<c>|<a>.<d>*|<a>.(<b>|<c>)*)"
+            " # (<a>|<a>.<a>|<a>*.<b>) # <a>*.(<c>|<d>)"
+        )
+        terms = partial_derivatives(A, e)
+        assert type(terms) is tuple
+        assert len(terms) > 5
+        orders = [t._order for t in terms]
+        assert orders == sorted(orders) and len(set(terms)) == len(terms)
+        assert EMPTY not in terms
+        assert derivative(A, e) is lang._rebuild(Alt, list(terms))
+
     def test_iteration_order_ignores_allocation_history(self):
-        # Set order follows the hash; a hash derived from memory addresses
-        # would let unrelated allocations reorder partial derivatives.
+        # Nodes hash by address, so set order follows unrelated allocations;
+        # partial derivatives come sorted by `_order` and do not follow it.
         script = (
             "import sys\n"
             "junk = [object() for _ in range(int(sys.argv[1]))]\n"
