@@ -3,9 +3,12 @@
 Judgments thread a type environment through every expression: checking
 returns the expression's type, the environment after it runs, and its effect
 (a language over-approximating the self-capabilities it creates).  The
-environment is a plain dict from variable names to types.  Judgments copy it
-to bind, consume or update a name and never mutate the dict they are given,
-so both arms of a conditional start from the same environment.
+environment is a plain dict from variable names to types.  The public
+`Checker.infer` copies it once; below that, a judgment owns the dict it is
+given and binds, consumes and updates names in it in place, so checking a
+chain of n bindings takes time linear in n.  A dict is copied only where two
+judgments must start from one environment: the then-arm of a conditional,
+each case of a behaviour and a function body.
 Sequentially evaluated subexpressions have their effects shuffled together;
 the two arms of a conditional are joined with union, and their output
 environments are intersected.
@@ -116,16 +119,9 @@ class TypeCheckError(Exception):
         return obj
 
 
-# A type environment maps variable names to types; judgments copy it, never
-# write to the one they are given.
+# A type environment maps variable names to types; a judgment updates the one
+# it is given in place.
 TypeEnv = dict[str, TypeExpr]
-
-
-def _without(env: TypeEnv, name: str) -> TypeEnv:
-    """`env` minus `name`'s binding, as a copy."""
-    out = dict(env)
-    del out[name]
-    return out
 
 
 def _replace(t: TypeExpr, sels: tuple[int, ...], new: TypeExpr) -> TypeExpr:
@@ -163,6 +159,8 @@ class TypedProgram:
 
 def types_equal(t1: TypeExpr, t2: TypeExpr) -> bool:
     """Structural equality with embedded languages compared by equivalence."""
+    if t1 is t2:
+        return True
     match (t1, t2):
         case (BoolT(), BoolT()) | (NatT(), NatT()) | (UnitT(), UnitT()):
             return True
@@ -291,9 +289,9 @@ class Checker:
     ) -> tuple[LangExpr, TypeEnv]:
         """Consume one permitted send of `msg` through the reference at `path`.
 
-        The reference's protocol is replaced, in a copy of the environment,
-        by its derivative; an empty derivative means the protocol does not
-        allow sending `msg` now.
+        The reference's protocol is replaced by its derivative in `env`
+        itself, which is returned with the residual; an empty derivative
+        means the protocol does not allow sending `msg` now.
         """
         loc = loc or Loc(0, 0)
         t = self._lookup_path(env, path, loc)
@@ -310,16 +308,15 @@ class Checker:
                 required_language=lng.Sym(msg),
                 declared_language=t.lang,
             )
-        new_base = _replace(env[path.base], path.sels, ActorRefT(residual))
-        return residual, {**env, path.base: new_base}
+        env[path.base] = _replace(env[path.base], path.sels, ActorRefT(residual))
+        return residual, env
 
     # -- scope bookkeeping
 
-    def _drop(self, env: TypeEnv, name: str, loc: Loc) -> TypeEnv:
-        if name not in env:
-            return env
-        self._note_drop(name, env[name], loc)
-        return _without(env, name)
+    def _drop(self, env: TypeEnv, name: str, loc: Loc) -> None:
+        t = env.pop(name, None)
+        if t is not None:
+            self._note_drop(name, t, loc)
 
     def _note_drop(self, name: str, t: TypeExpr, loc: Loc):
         if not self.warn_dropped:
@@ -332,6 +329,12 @@ class Checker:
     # -- expressions
 
     def infer(self, env: TypeEnv, e: Expr) -> tuple[TypeExpr, TypeEnv, LangExpr]:
+        """The type, output environment and effect of `e`; `env` is left as is."""
+        return self._infer(dict(env), e)
+
+    def _infer(self, env: TypeEnv, e: Expr) -> tuple[TypeExpr, TypeEnv, LangExpr]:
+        """`infer` on a dict it owns and updates in place: afterwards the
+        caller uses the output environment, never `env`."""
         # Dispatch by exact class, the forms most checked first; every form
         # is handled in this frame or in one method it calls.
         t = type(e)
@@ -341,11 +344,12 @@ class Checker:
             if path.sels:
                 self._note_drop(path.base, env[path.base], e.loc)
             # Use consumes the binding; duplication needs an explicit split.
-            return ty, _without(env, path.base), EPS
+            del env[path.base]
+            return ty, env, EPS
         if t is Send:
             msg = e.msg
             declared = self.program.payload_type(msg)
-            tp, env1, eff = self.infer(env, e.payload)
+            tp, env1, eff = self._infer(env, e.payload)
             if not types_equal(tp, declared):
                 raise TypeCheckError(
                     ErrorCode.TypeMismatch, e.loc,
@@ -355,13 +359,13 @@ class Checker:
             _, env2 = self.apply_send_path(env1, e.target, msg, e.loc)
             return UNIT, env2, eff
         if t is App:
-            tf, env1, eff1 = self.infer(env, e.fn)
+            tf, env1, eff1 = self._infer(env, e.fn)
             if not isinstance(tf, FunT):
                 raise TypeCheckError(
                     ErrorCode.TypeMismatch, e.loc,
                     f"applied expression is {type_to_text(tf)}, not a function",
                 )
-            ta, env2, eff2 = self.infer(env1, e.arg)
+            ta, env2, eff2 = self._infer(env1, e.arg)
             if not types_equal(ta, tf.param):
                 raise TypeCheckError(
                     ErrorCode.TypeMismatch, e.loc,
@@ -379,24 +383,24 @@ class Checker:
             spine = []
             while True:
                 if t is Let:
-                    tv, env, eff = self.infer(env, e.value)
-                    env = {**env, e.name: tv}
+                    tv, env, eff = self._infer(env, e.value)
+                    env[e.name] = tv
                     spine.append((e, eff))
                 elif t is Split:
-                    env = self._open_split(env, e)
+                    self._open_split(env, e)
                     spine.append((e, None))
                 else:
                     break
                 e = e.body
                 t = type(e)
-            tb, env, eff = self.infer(env, e)
+            tb, env, eff = self._infer(env, e)
             for head, head_eff in reversed(spine):
                 if type(head) is Let:
-                    env = self._drop(env, head.name, head.loc)
+                    self._drop(env, head.name, head.loc)
                     eff = lng.shuffle(head_eff, eff)
                 else:
-                    env = self._drop(env, head.name1, head.loc)
-                    env = self._drop(env, head.name2, head.loc)
+                    self._drop(env, head.name1, head.loc)
+                    self._drop(env, head.name2, head.loc)
             return tb, env, eff
         if t is UnitLit:
             return UNIT, env, EPS
@@ -405,11 +409,11 @@ class Checker:
         if t is BoolLit:
             return BOOL, env, EPS
         if t is Pair:
-            ta, env1, eff1 = self.infer(env, e.first)
-            tb, env2, eff2 = self.infer(env1, e.second)
+            ta, env1, eff1 = self._infer(env, e.first)
+            tb, env2, eff2 = self._infer(env1, e.second)
             return ProdT(ta, tb), env2, lng.shuffle(eff1, eff2)
         if t is Not:
-            tx, env1, eff = self.infer(env, e.expr)
+            tx, env1, eff = self._infer(env, e.expr)
             if not isinstance(tx, BoolT):
                 raise TypeCheckError(
                     ErrorCode.TypeMismatch, e.loc,
@@ -419,8 +423,8 @@ class Checker:
         if t is BinOp:
             op = e.op
             want: TypeExpr = BOOL if op in ("&&", "||") else NAT
-            ta, env1, eff1 = self.infer(env, e.left)
-            tb, env2, eff2 = self.infer(env1, e.right)
+            ta, env1, eff1 = self._infer(env, e.left)
+            tb, env2, eff2 = self._infer(env1, e.right)
             for tt in (ta, tb):
                 if not types_equal(tt, want):
                     raise TypeCheckError(
@@ -430,14 +434,15 @@ class Checker:
                     )
             return want, env2, lng.shuffle(eff1, eff2)
         if t is If:
-            tc, envc, effc = self.infer(env, e.cond)
+            tc, envc, effc = self._infer(env, e.cond)
             if not isinstance(tc, BoolT):
                 raise TypeCheckError(
                     ErrorCode.TypeMismatch, e.loc,
                     f"condition must be Bool, got {type_to_text(tc)}",
                 )
-            tt, envt, efft = self.infer(envc, e.then_branch)
-            tf, envf, efff = self.infer(envc, e.else_branch)
+            # Both arms start from envc, so the then-arm gets a copy.
+            tt, envt, efft = self._infer(dict(envc), e.then_branch)
+            tf, envf, efff = self._infer(envc, e.else_branch)
             if not types_equal(tt, tf):
                 raise TypeCheckError(
                     ErrorCode.TypeMismatch, e.loc,
@@ -474,7 +479,7 @@ class Checker:
                     "of times",
                 )
         body_env = {**env, e.self_name: fun_type, e.param: e.param_type}
-        tb, _, body_eff = self.infer(body_env, e.body)
+        tb, _, body_eff = self._infer(body_env, e.body)
         if not types_equal(tb, e.ret_type):
             raise TypeCheckError(
                 ErrorCode.TypeMismatch, e.loc,
@@ -514,7 +519,7 @@ class Checker:
         for c in e.cases:
             payload = self.program.payload_type(c.label)
             case_env = {**env, c.binder: payload}
-            tb, _, eff = self.infer(case_env, c.body)
+            tb, _, eff = self._infer(case_env, c.body)
             if not isinstance(tb, BehT):
                 raise TypeCheckError(
                     ErrorCode.TypeMismatch, e.loc,
@@ -541,7 +546,7 @@ class Checker:
         return BehT(e.annot), {}, EPS
 
     def check_spawn(self, env: TypeEnv, e: Spawn) -> tuple[TypeExpr, TypeEnv, LangExpr]:
-        tb, env1, eff = self.infer(env, e.expr)
+        tb, env1, eff = self._infer(env, e.expr)
         if not isinstance(tb, BehT):
             raise TypeCheckError(
                 ErrorCode.TypeMismatch, e.loc,
@@ -557,13 +562,15 @@ class Checker:
             )
         return ActorRefT(init), env1, eff
 
-    def _open_split(self, env: TypeEnv, e: Split) -> TypeEnv:
-        """The environment inside a split: the halves replace the path's base."""
+    def _open_split(self, env: TypeEnv, e: Split) -> None:
+        """Enter a split in `env`: the halves replace the path's base."""
         t = self._lookup_path(env, e.path, e.loc)
         split_judgment(t, e.type1, e.type2, e.loc)
         if e.path.sels:
             self._note_drop(e.path.base, env[e.path.base], e.loc)
-        return {**_without(env, e.path.base), e.name1: e.type1, e.name2: e.type2}
+        del env[e.path.base]
+        env[e.name1] = e.type1
+        env[e.name2] = e.type2
 
 
 def check_program(p: Program, warn_dropped: bool = False) -> TypedProgram:

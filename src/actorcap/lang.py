@@ -311,6 +311,8 @@ def cat(a: LangExpr, b: LangExpr) -> LangExpr:
 
 
 def shuffle(a: LangExpr, b: LangExpr) -> LangExpr:
+    if a is EPS or b is EPS:  # the unit: most effects and queues are eps
+        return b if a is EPS else a
     return _rebuild(Shuffle, [a, b])
 
 
@@ -367,31 +369,42 @@ def member(w, l: LangExpr) -> bool:
     return nullable(word_derivative(w, l))
 
 
-class _Words(set):
-    """A word set of the enumeration, refused past STATE_BUDGET words or 20
-    times that many symbols (`size`): a word may be as long as the length
-    bound, so its count alone does not bound memory."""
+class _Memo(dict):
+    """The word sets of one enumeration, by subterm, and the number of
+    symbols in the words of every set the enumeration has built."""
 
-    size = 0
+    symbols = 0
+
+
+class _Words(set):
+    """A word set of the enumeration, refused past STATE_BUDGET words.  Its
+    new words count against one budget of 20 times that many symbols,
+    shared by every set of the enumeration (`memo.symbols`): a word may be
+    as long as the length bound, so word counts alone do not bound memory,
+    and the memo keeps each set until the enumeration ends."""
+
+    def __init__(self, memo: _Memo):
+        self.memo = memo
 
     def add(self, w: Word) -> None:
         n = len(self)
         set.add(self, w)
         if len(self) > n:
-            self.size += len(w)
+            self.memo.symbols += len(w)
             if len(self) > STATE_BUDGET:
                 raise StateBudgetExceeded(f"{STATE_BUDGET} words")
-            if self.size > 20 * STATE_BUDGET:
+            if self.memo.symbols > 20 * STATE_BUDGET:
                 raise StateBudgetExceeded(f"{20 * STATE_BUDGET} symbols")
 
 
-def _words_upto(e: LangExpr, k: int, memo: dict) -> frozenset[Word]:
+def _words_upto(e: LangExpr, k: int, memo: _Memo) -> frozenset[Word]:
     # Bottom-up denotational evaluation of the length-bounded word set.
     # Deliberately free of derivatives and nullability: this is the
     # independent oracle the derivative engine is tested against.  Each
     # set is a `_Words`, bounded as it grows, so a refusal comes once one set
-    # passes its budget, before the whole set is built.  `memo` holds the
-    # sets of the subterms met so far, for one enumeration and one k.
+    # passes its word budget or all the sets built so far pass the symbol
+    # budget, before the set is complete.  `memo` holds the sets of the
+    # subterms met so far, for one enumeration and one k.
     out = memo.get(e)
     if out is not None:
         return out
@@ -403,7 +416,7 @@ def _words_upto(e: LangExpr, k: int, memo: dict) -> frozenset[Word]:
         case Sym(s):
             out = frozenset({(s,)}) if k >= 1 else frozenset()
         case Alt(a, b):
-            out = _Words()
+            out = _Words(memo)
             for w in _words_upto(a, k, memo) | _words_upto(b, k, memo):
                 out.add(w)
         case And(a, b):
@@ -412,7 +425,7 @@ def _words_upto(e: LangExpr, k: int, memo: dict) -> frozenset[Word]:
             right: dict[int, list[Word]] = {}  # b's words by their length
             for v in _words_upto(b, k, memo):
                 right.setdefault(len(v), []).append(v)
-            out = _Words()
+            out = _Words(memo)
             for u in _words_upto(a, k, memo):
                 for j, vs in right.items():
                     if len(u) + j <= k:
@@ -420,7 +433,8 @@ def _words_upto(e: LangExpr, k: int, memo: dict) -> frozenset[Word]:
                             out.add(u + v)
         case Star(a):
             pieces = [w for w in _words_upto(a, k, memo) if w]
-            out = _Words([()])
+            out = _Words(memo)
+            out.add(())
             frontier = [()]
             while frontier:
                 fresh = []
@@ -434,7 +448,7 @@ def _words_upto(e: LangExpr, k: int, memo: dict) -> frozenset[Word]:
                 frontier = fresh
         case Shuffle(a, b):
             out = _shuffle_upto(
-                _words_upto(a, k, memo), _words_upto(b, k, memo), k
+                _words_upto(a, k, memo), _words_upto(b, k, memo), k, memo
             )
         case _:
             raise TypeError(f"not a language expression: {e!r}")
@@ -466,7 +480,7 @@ def _prefix_tree(words) -> tuple[list[dict[MsgType, int]], list[int]]:
     return children, short
 
 
-def _shuffle_upto(left, right, k: int) -> frozenset[Word]:
+def _shuffle_upto(left, right, k: int, memo: _Memo) -> frozenset[Word]:
     """Each interleaving of a word of `left` with a word of `right`, up to
     length k, built once.
 
@@ -481,7 +495,7 @@ def _shuffle_upto(left, right, k: int) -> frozenset[Word]:
         return frozenset()
     lkids, lshort = _prefix_tree(left)
     rkids, rshort = _prefix_tree(right)
-    out = _Words()
+    out = _Words(memo)
     stack = [((), {(0, 0)})]
     while stack:
         w, pairs = stack.pop()
@@ -508,12 +522,13 @@ def enumerate_words(l: LangExpr, max_len: int) -> set[Word]:
     independently of the derivative engine, so the result can serve as an
     oracle for `member`, `includes` and `equiv`.  Raises StateBudgetExceeded
     when a word set it builds would hold more than `STATE_BUDGET` words, or
+    when the word sets it builds, those of subterms included, would hold
     more than 20 times that many symbols in all.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     try:
-        return set(_words_upto(l, max_len, {}))
+        return set(_words_upto(l, max_len, _Memo()))
     except StateBudgetExceeded as e:
         raise StateBudgetExceeded(
             f"enumeration exceeded {e} up to length {max_len}"

@@ -185,9 +185,9 @@ class TestEnvJoin:
 
 
 class TestEnvironmentNotMutated:
-    """Judgments copy the environment they are given and never write to it.
+    """The public entry points never write to the environment they are given.
 
-    Each judgment gets a read-only view, so any write in place would raise.
+    Each gets a read-only view, so any write in place would raise.
     """
 
     R_AB = {"r": ActorRefT(cat(sym("a"), sym("b")))}

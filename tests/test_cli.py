@@ -291,17 +291,17 @@ class TestAlg:
             f"{lang.STATE_BUDGET} words up to length {length}\n"
         )
 
-    def test_enumerate_symbol_budget_bounds_memory(self):
-        # <a>* up to 100,000 is 100,001 words, within the word budget, but
-        # their symbols number about 5e9.  The set is refused by the symbols
-        # it holds.  The child runs under a 1 GB address-space limit, so a
-        # set that outgrows memory fails here instead of the machine.
+    @staticmethod
+    def _enumerate_under_1gb(expr: str, length: int):
+        """`alg enumerate` in a child under a 1 GB address-space limit, so a
+        set that outgrows memory fails there instead of the machine.  Returns
+        the finished process and its time in seconds."""
         pytest.importorskip("resource")
         script = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             "from actorcap.cli import main\n"
-            "sys.exit(main(['alg', 'enumerate', '<a>*', '100000']))\n"
+            f"sys.exit(main(['alg', 'enumerate', {expr!r}, '{length}']))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         start = time.perf_counter()
@@ -309,11 +309,32 @@ class TestAlg:
             [sys.executable, "-c", script],
             capture_output=True, text=True, env=env, timeout=60,
         )
-        assert time.perf_counter() - start < 5
+        return proc, time.perf_counter() - start
+
+    def test_enumerate_symbol_budget_bounds_memory(self):
+        # <a>* up to 100,000 is 100,001 words, within the word budget, but
+        # their symbols number about 5e9.  The set is refused by the symbols
+        # it holds.
+        proc, seconds = self._enumerate_under_1gb("<a>*", 100000)
+        assert seconds < 5
         assert (proc.returncode, proc.stdout) == (5, "")
         assert proc.stderr == (
             "error: state budget exceeded: enumeration exceeded "
             f"{20 * lang.STATE_BUDGET} symbols up to length 100000\n"
+        )
+
+    def test_enumerate_symbol_budget_spans_the_enumeration(self):
+        # Each <ai>* up to 1,990 holds 1,981,045 symbols, just under the
+        # budget, and the memo keeps every star's set until the union is
+        # built: 70 of them would pass 1 GB.  The budget counts the symbols
+        # of every set, so the second star is refused.
+        stars = "|".join(f"<a{i}>*" for i in range(1, 71))
+        proc, seconds = self._enumerate_under_1gb(stars, 1990)
+        assert seconds < 5
+        assert (proc.returncode, proc.stdout) == (5, "")
+        assert proc.stderr == (
+            "error: state budget exceeded: enumeration exceeded "
+            f"{20 * lang.STATE_BUDGET} symbols up to length 1990\n"
         )
 
     def test_state_budget_during_run_exit_5(self, tmp_path, capsys,

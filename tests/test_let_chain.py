@@ -2,11 +2,13 @@
 
 The parser, the checker, the evaluator and the printer walk a chain's right
 spine of `let` and `split` heads in a loop, so its length is not bounded by
-the Python stack.
+the Python stack; checking a chain takes time linear in its length.
 """
 
+import math
 import pathlib
 import sys
+import time
 
 from actorcap.checker import check_program
 from actorcap.cli import main
@@ -23,6 +25,24 @@ SOURCE = gen.chain_program(N, "t")
 def test_checks():
     typed = check_program(parse_program(SOURCE))
     assert typed.warnings == []
+
+
+def test_checking_time_grows_linearly():
+    # The checker updates one environment in place along the chain; copying
+    # it at every binding made checking quadratic (exponent about 1.8).  The
+    # exponent is scale-free, and the best of five runs damps the noise of
+    # a shared machine.
+    def best(n):
+        program = parse_program(gen.chain_program(n, "t"))
+        runs = []
+        for _ in range(5):
+            start = time.perf_counter()
+            check_program(program)
+            runs.append(time.perf_counter() - start)
+        return min(runs)
+
+    exponent = math.log(best(6400) / best(800)) / math.log(8)
+    assert exponent < 1.4, exponent
 
 
 def test_cli_check_exits_0(tmp_path, capsys):
