@@ -48,6 +48,7 @@ from .syntax import (
     Let,
     Loc,
     NAT,
+    NO_POS,
     NatLit,
     NatT,
     Not,
@@ -64,6 +65,7 @@ from .syntax import (
     UnitLit,
     UnitT,
     Var,
+    locate,
     type_to_text,
 )
 
@@ -85,13 +87,13 @@ class TypeCheckError(Exception):
     def __init__(
         self,
         code: ErrorCode,
-        loc: Loc,
+        loc: Loc | int,
         detail: str,
         required_language: LangExpr | None = None,
         declared_language: LangExpr | None = None,
     ):
         self.code = code
-        self.loc = loc
+        self.loc = loc  # a position until `check_program` resolves it
         self.detail = detail
         self.required_language = required_language
         self.declared_language = declared_language
@@ -135,7 +137,7 @@ def _replace(t: TypeExpr, sels: tuple[int, ...], new: TypeExpr) -> TypeExpr:
 
 @dataclass(slots=True, unsafe_hash=True)
 class DroppedBinding:
-    loc: Loc
+    loc: Loc | int  # a position until `check_program` resolves it
     name: str
     type_text: str
 
@@ -191,7 +193,7 @@ def self_splittable(t: TypeExpr) -> bool:
     return False
 
 
-def split_judgment(t: TypeExpr, t1: TypeExpr, t2: TypeExpr, loc: Loc) -> None:
+def split_judgment(t: TypeExpr, t1: TypeExpr, t2: TypeExpr, loc: int) -> None:
     """Check t < t1 * t2: the two halves may not jointly exceed the whole."""
     match t:
         case ActorRefT(l):
@@ -235,14 +237,13 @@ def split_judgment(t: TypeExpr, t1: TypeExpr, t2: TypeExpr, loc: Loc) -> None:
     )
 
 
-def env_join(env_t: TypeEnv, env_f: TypeEnv, loc: Loc = None) -> TypeEnv:
+def env_join(env_t: TypeEnv, env_f: TypeEnv, loc: int = NO_POS) -> TypeEnv:
     """Join the two branch environments of a conditional.
 
     Bindings present on only one side are dropped.  Reference bindings join
     at the intersection of their protocols; anything else must agree up to
     language equivalence.
     """
-    loc = loc or Loc(0, 0)
     out = {}
     for name, ta in env_t.items():
         tb = env_f.get(name)
@@ -269,7 +270,7 @@ class Checker:
 
     # -- paths
 
-    def _lookup_path(self, env: TypeEnv, path: Path, loc: Loc) -> TypeExpr:
+    def _lookup_path(self, env: TypeEnv, path: Path, loc: int) -> TypeExpr:
         t = env.get(path.base)
         if t is None:
             raise TypeCheckError(
@@ -285,7 +286,7 @@ class Checker:
         return t
 
     def apply_send_path(
-        self, env: TypeEnv, path: Path, msg: MsgType, loc: Loc = None
+        self, env: TypeEnv, path: Path, msg: MsgType, loc: int = NO_POS
     ) -> tuple[LangExpr, TypeEnv]:
         """Consume one permitted send of `msg` through the reference at `path`.
 
@@ -293,7 +294,6 @@ class Checker:
         itself, which is returned with the residual; an empty derivative
         means the protocol does not allow sending `msg` now.
         """
-        loc = loc or Loc(0, 0)
         t = self._lookup_path(env, path, loc)
         if not isinstance(t, ActorRefT):
             raise TypeCheckError(
@@ -313,17 +313,16 @@ class Checker:
 
     # -- scope bookkeeping
 
-    def _drop(self, env: TypeEnv, name: str, loc: Loc) -> None:
+    def _drop(self, env: TypeEnv, name: str, loc: int) -> None:
         t = env.pop(name, None)
         if t is not None:
             self._note_drop(name, t, loc)
 
-    def _note_drop(self, name: str, t: TypeExpr, loc: Loc):
+    def _note_drop(self, name: str, t: TypeExpr, loc: int):
         if not self.warn_dropped:
             return
-        if isinstance(t, ActorRefT) and not lng.equiv(t.lang, EPS):
-            self.typed.warnings.append(DroppedBinding(loc, name, type_to_text(t)))
-        elif isinstance(t, BehT):
+        if isinstance(t, BehT) or (isinstance(t, ActorRefT)
+                                   and not lng.equiv(t.lang, EPS)):
             self.typed.warnings.append(DroppedBinding(loc, name, type_to_text(t)))
 
     # -- expressions
@@ -458,7 +457,7 @@ class Checker:
         if t is Spawn:
             return self.check_spawn(env, e)
         raise TypeCheckError(
-            ErrorCode.TypeMismatch, getattr(e, "loc", Loc(0, 0)),
+            ErrorCode.TypeMismatch, getattr(e, "loc", NO_POS),
             f"unhandled expression form {type(e).__name__}",
         )
 
@@ -580,20 +579,29 @@ def check_program(p: Program, warn_dropped: bool = False) -> TypedProgram:
     its protocol must allow the initial unit message.
     """
     checker = Checker(p, warn_dropped=warn_dropped)
-    t, _, eff = checker.infer({}, p.root)
-    if not isinstance(t, BehT):
-        raise TypeCheckError(
-            ErrorCode.TypeMismatch, p.root.loc,
-            f"root must be a behaviour, got {type_to_text(t)}",
-        )
-    if lng.is_empty(lng.derivative(UNIT_MSG, t.lang)):
-        raise TypeCheckError(
-            ErrorCode.RootMissingUnitCase, p.root.loc,
-            "the root protocol does not allow the initial unit message",
-            required_language=lng.Sym(UNIT_MSG),
-            declared_language=t.lang,
-        )
-    checker.typed.root_type = t
-    checker.typed.root_effect = eff
-    return checker.typed
+    try:
+        t, _, eff = checker.infer({}, p.root)
+        if not isinstance(t, BehT):
+            raise TypeCheckError(
+                ErrorCode.TypeMismatch, p.root.loc,
+                f"root must be a behaviour, got {type_to_text(t)}",
+            )
+        if lng.is_empty(lng.derivative(UNIT_MSG, t.lang)):
+            raise TypeCheckError(
+                ErrorCode.RootMissingUnitCase, p.root.loc,
+                "the root protocol does not allow the initial unit message",
+                required_language=lng.Sym(UNIT_MSG),
+                declared_language=t.lang,
+            )
+    except TypeCheckError as e:
+        raise TypeCheckError(e.code, *locate(p.source, [e.loc]), e.detail,
+                             e.required_language, e.declared_language) from None
+    typed = checker.typed
+    typed.root_type = t
+    typed.root_effect = eff
+    if typed.warnings:
+        locs = locate(p.source, [w.loc for w in typed.warnings])
+        typed.warnings = [DroppedBinding(loc, w.name, w.type_text)
+                          for w, loc in zip(typed.warnings, locs)]
+    return typed
 

@@ -171,20 +171,11 @@ def cmd_explore(args) -> int:
         base_trace=base,
     )
     if args.format == "json":
-        lines = [json.dumps({"schedules": report.schedules}, separators=(",", ":"))]
-        for label in sorted(report.outcomes):
-            lines.append(
-                json.dumps(
-                    {"outcome": label, "count": report.outcomes[label]},
-                    separators=(",", ":"),
-                )
-            )
-        lines.append(
-            json.dumps(
-                {"violations": sorted(report.violation_kinds)},
-                separators=(",", ":"),
-            )
-        )
+        objs = [{"schedules": report.schedules}]
+        objs += [{"outcome": label, "count": report.outcomes[label]}
+                 for label in sorted(report.outcomes)]
+        objs.append({"violations": sorted(report.violation_kinds)})
+        lines = [json.dumps(obj, separators=(",", ":")) for obj in objs]
     else:
         lines = [f"schedules explored: {report.schedules}"]
         for label in sorted(report.outcomes):

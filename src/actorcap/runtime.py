@@ -727,7 +727,7 @@ def explore(
     """
     base_events = list(base_trace.events) if base_trace is not None else []
     search = _Search(typed, max_depth, monitor)
-    search.go(config, base_events, 0)
+    search.go(config.copy(), base_events, 0)
     return search.report
 
 
@@ -779,10 +779,9 @@ class _Search:
             report.violation_kinds |= above
             if report.violation_witness is None:
                 label, suffix = below.first
-                branch = cfg.copy()
-                tr = Trace(events=list(events), outcome=label)
+                tr = Trace(events=events, outcome=label)
                 for choice in suffix:
-                    self.deliver(branch, choice, tr)
+                    self.deliver(cfg, choice, tr)
                 report.violation_witness = tr
 
     def go(self, cfg: Config, events: list[TraceEvent], depth: int,
@@ -790,7 +789,10 @@ class _Search:
         """The schedules below `cfg`.  `alone` says every state above it had
         one delivery enabled: then `cfg` is the only state at its depth in
         the whole search, its memo lookup cannot hit, and it is neither
-        fingerprinted nor memoised."""
+        fingerprinted nor memoised.  A state's only successor takes over
+        `cfg` and `events`, which no one reads afterwards, and a branching
+        state hands each child copies: a list a leaf records is never
+        extended afterwards."""
         enabled = enabled_deliveries(cfg)
         if not enabled:
             return self.record("quiescent", events)
@@ -808,15 +810,15 @@ class _Search:
                 f"{self.max_depth}"
             )
         below = _Below()
-        only_child = alone and len(enabled) == 1
+        sole = len(enabled) == 1
         for src, dst, _ in enabled:
-            branch = cfg.copy()
-            tr = Trace(events=list(events))
+            branch = cfg if sole else cfg.copy()
+            tr = Trace(events=events if sole else list(events))
             res = self.deliver(branch, (src, dst), tr)
             if isinstance(res, Stuck):
                 sub = self.record(f"stuck:{res.kind}", tr.events)
             else:
-                sub = self.go(branch, tr.events, depth + 1, only_child)
+                sub = self.go(branch, tr.events, depth + 1, alone and sole)
             below.add((src, dst), sub)
         if not alone:
             self.memo[key] = below

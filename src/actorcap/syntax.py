@@ -11,7 +11,7 @@ nothing assigns to a field once the record is built, and
 `tests/test_immutability.py` scans the source for such stores.  Types
 compare structurally.  Expression nodes and `Case`s compare and hash by
 identity, so two parses of one text are two trees; a pretty-printed
-program re-parses to a tree that differs only in its locations.
+program re-parses to a tree that differs only in its positions.
 
 Lexical syntax: blanks are space, tab, CR and LF, and `--` starts a
 comment that runs to the end of the line. Names start with a letter or `_`
@@ -20,23 +20,22 @@ are runs of decimal digits. `[...]` holds a protocol or a message name and
 may span lines. Any other character, a non-decimal digit such as `²`
 included, is a parse error (exit 4).
 
-`tokenize` reads each token's text with one match of one regular
-expression, blanks and comments before it included, and keeps the tokens
-as parallel lists of kinds, texts and start offsets. A token's kind comes
-from its text afterwards: keywords and punctuation by one table lookup,
-names and numbers by their first character, and only bracketed texts,
-text outside ASCII and bad characters by a slower test. A token's line
-and column are computed from a table of line starts only when it becomes
-a node's location or a parse error's. The parser parses each distinct
-`[...]` text of a program once.
+`tokenize` reads every token's text with one call of one regular
+expression, each match taking the blanks and comments before its token.
+Kinds come from the texts through a table made for the call: keywords and
+punctuation are listed, names and numbers are classified by their first
+character when first met, and only bracketed texts, text outside ASCII and
+bad characters by a slower test. A node's position is its first token's
+index; `locate` rescans the source for the lines and columns of reported
+positions only. The parser parses each distinct `[...]` text once.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import islice
 from typing import NamedTuple
 
 from .lang import (
@@ -61,6 +60,7 @@ class Loc(NamedTuple):
 
 
 NO_LOC = Loc(0, 0)
+NO_POS = -1
 
 
 class ParseError(Exception):
@@ -152,6 +152,9 @@ class Expr:
     time and stack however deep the tree; two parses of one text are two
     trees.  Nodes are immutable by convention: nothing assigns to a field
     once the node is built (`tests/test_immutability.py` checks the source).
+    A node's `loc` is the index of its first token (a binary operator's is
+    its operator's), `NO_POS` if built by hand; `locate` turns it into a
+    line and column only for a reported error or warning.
 
     Every node carries `free`, its free variables, computed once by its
     class's `__post_init__` from its children's; a literal has none.
@@ -169,25 +172,25 @@ class Expr:
 @dataclass(slots=True, eq=False)
 class NatLit(Expr):
     value: int
-    loc: Loc = NO_LOC
+    loc: int = NO_POS
 
 
 @dataclass(slots=True, eq=False)
 class BoolLit(Expr):
     value: bool
-    loc: Loc = NO_LOC
+    loc: int = NO_POS
 
 
 @dataclass(slots=True, eq=False)
 class UnitLit(Expr):
-    loc: Loc = NO_LOC
+    loc: int = NO_POS
 
 
 @dataclass(slots=True, eq=False)
 class Pair(Expr):
     first: Expr
     second: Expr
-    loc: Loc = NO_LOC
+    loc: int = NO_POS
 
     def __post_init__(self):
         self.free = self.first.free | self.second.free
@@ -198,7 +201,7 @@ class BinOp(Expr):
     op: str  # one of + - * / && ||
     left: Expr
     right: Expr
-    loc: Loc = NO_LOC
+    loc: int = NO_POS
 
     def __post_init__(self):
         self.free = self.left.free | self.right.free
@@ -207,7 +210,7 @@ class BinOp(Expr):
 @dataclass(slots=True, eq=False)
 class Not(Expr):
     expr: Expr
-    loc: Loc = NO_LOC
+    loc: int = NO_POS
 
     def __post_init__(self):
         self.free = self.expr.free
@@ -218,7 +221,7 @@ class If(Expr):
     cond: Expr
     then_branch: Expr
     else_branch: Expr
-    loc: Loc = NO_LOC
+    loc: int = NO_POS
 
     def __post_init__(self):
         self.free = self.cond.free | self.then_branch.free | self.else_branch.free
@@ -232,7 +235,7 @@ class Fun(Expr):
     ret_type: TypeExpr
     latent: LangExpr
     body: Expr
-    loc: Loc = NO_LOC
+    loc: int = NO_POS
 
     def __post_init__(self):
         self.free = self.body.free - {self.self_name, self.param}
@@ -242,7 +245,7 @@ class Fun(Expr):
 class App(Expr):
     fn: Expr
     arg: Expr
-    loc: Loc = NO_LOC
+    loc: int = NO_POS
 
     def __post_init__(self):
         self.free = self.fn.free | self.arg.free
@@ -251,7 +254,7 @@ class App(Expr):
 @dataclass(slots=True, eq=False)
 class SelfCap(Expr):
     lang: LangExpr
-    loc: Loc = NO_LOC
+    loc: int = NO_POS
 
 
 @dataclass(slots=True, eq=False)
@@ -265,7 +268,7 @@ class Case:
 class Beh(Expr):
     annot: LangExpr
     cases: tuple[Case, ...]
-    loc: Loc = NO_LOC
+    loc: int = NO_POS
 
     def __post_init__(self):
         out = _CLOSED
@@ -278,7 +281,7 @@ class Beh(Expr):
 class Spawn(Expr):
     init_cap: LangExpr | None  # None means the behaviour's full language
     expr: Expr
-    loc: Loc = NO_LOC
+    loc: int = NO_POS
 
     def __post_init__(self):
         self.free = self.expr.free
@@ -289,7 +292,7 @@ class Send(Expr):
     msg: MsgType
     target: Path
     payload: Expr
-    loc: Loc = NO_LOC
+    loc: int = NO_POS
 
     def __post_init__(self):
         self.free = frozenset({self.target.base}) | self.payload.free
@@ -303,7 +306,7 @@ class Split(Expr):
     name2: str
     type2: TypeExpr
     body: Expr
-    loc: Loc = NO_LOC
+    loc: int = NO_POS
 
     def __post_init__(self):
         self.free = frozenset({self.path.base}) | (self.body.free - {self.name1, self.name2})
@@ -314,7 +317,7 @@ class Let(Expr):
     name: str
     value: Expr
     body: Expr
-    loc: Loc = NO_LOC
+    loc: int = NO_POS
 
     def __post_init__(self):
         self.free = self.value.free | (self.body.free - {self.name})
@@ -323,7 +326,7 @@ class Let(Expr):
 @dataclass(slots=True, eq=False)
 class Var(Expr):
     path: Path
-    loc: Loc = NO_LOC
+    loc: int = NO_POS
 
     def __post_init__(self):
         self.free = frozenset({self.path.base})
@@ -333,13 +336,15 @@ class Var(Expr):
 class MsgDecl:
     name: str
     payload: TypeExpr
-    loc: Loc = field(compare=False, default=NO_LOC)
+    loc: int = field(compare=False, default=NO_POS)
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Program:
     msg_decls: tuple[MsgDecl, ...]
     root: Expr
+    # The text parsed, which `locate` reads; empty for a program built by hand.
+    source: str = field(default="", compare=False, repr=False)
 
     def payload_type(self, msg: MsgType) -> TypeExpr:
         if msg == UNIT_MSG:
@@ -389,19 +394,6 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
-def _other_kind(text: str) -> str:
-    """The kind of a token neither `_FIXED` nor `_FIRST` names: a bracketed
-    text, a name or number outside ASCII, or `BAD` (an unclosed `[`, a word
-    that starts with a non-decimal digit or another numeral, or a character
-    no token admits)."""
-    c = text[0]
-    if c == "[":
-        return "LANG" if len(text) > 1 else "BAD"
-    if c.isdecimal():
-        return "NAT"
-    return "NAME" if c.isalpha() else "BAD"
-
-
 def _indices(items: list, item):
     """The positions of `item` in `items`, in order, each found by `index`."""
     i = -1
@@ -413,61 +405,72 @@ def _indices(items: list, item):
         return
 
 
+class _Kinds(dict):
+    """Token kinds by text, made from `_FIXED` for one `tokenize` call.  A
+    text it does not list is classified when first met: by `_FIRST`, else as
+    a bracketed text, a name or number outside ASCII, or `BAD` (an unclosed
+    `[`, a word that starts with a non-decimal digit or another numeral, or
+    a character no token admits)."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> str:
+        c = text[0]
+        kind = _FIRST.get(c)
+        if kind is None:
+            if c == "[":
+                kind = "LANG" if len(text) > 1 else "BAD"
+            else:
+                kind = "NAT" if c.isdecimal() else "NAME" if c.isalpha() else "BAD"
+        self[text] = kind
+        return kind
+
+
+@dataclass(slots=True)
 class Tokens:
     """A source's tokens as parallel lists, ending with `EOF`.
 
     `kinds[i]` is `NAME`, `NAT`, `LANG`, `EOF`, or the keyword or
     punctuation text; `texts[i]` is the token's text (a `LANG` token's
-    without its brackets), and `starts[i]` its offset in the source.
+    without its brackets).  `locate` finds a token's line and column.
     """
 
-    __slots__ = ("kinds", "texts", "starts", "line_starts")
-
-    def __init__(self, src: str):
-        self.kinds: list[str] = []
-        self.texts: list[str] = []
-        self.starts: list[int] = []
-        # Offset of each line's first character; one past the end last.
-        self.line_starts = [0, *accumulate(len(line) + 1 for line in src.split("\n"))]
+    kinds: list[str]
+    texts: list[str]
+    src: str
 
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def loc(self, i: int) -> Loc:
-        start = self.starts[i]
-        line = bisect_right(self.line_starts, start)
-        # tuple.__new__ skips the Python frame of the NamedTuple's __new__.
-        return _new_tuple(Loc, (line, start - self.line_starts[line - 1] + 1))
 
-
-_new_tuple = tuple.__new__
+def locate(src: str, positions: Sequence[int]) -> list[Loc]:
+    """The line and column of each token of `src` that `positions` indexes
+    (`NO_LOC` for `NO_POS`), from one rescan of `src` up to the last one."""
+    matches = islice(_TOKEN.finditer(src), max(positions, default=NO_POS) + 1)
+    starts = [m.start(1) for m in matches]
+    return [NO_LOC if i < 0 else Loc(src.count("\n", 0, starts[i]) + 1,
+                                     starts[i] - src.rfind("\n", 0, starts[i]))
+            for i in positions]
 
 
 def tokenize(src: str) -> Tokens:
-    toks = Tokens(src)
-    texts, starts = toks.texts, toks.starts
-    add_text, add_start = texts.append, starts.append
-    for m in _TOKEN.finditer(src):
-        add_text(m[1])
-        add_start(m.start(1))
+    texts = _TOKEN.findall(src)
     if len(texts) > 1 and not texts[-2]:
         # After a tail of blanks or a comment, the end matches once more.
         texts.pop()
-        starts.pop()
-    toks.kinds = kinds = [_FIXED.get(t) or _FIRST.get(t[0]) or _other_kind(t)
-                          for t in texts]
+    kinds = list(map(_Kinds(_FIXED).__getitem__, texts))
     if "BAD" in kinds:
         i = kinds.index("BAD")
         text = texts[i]
-        if text == "[":
-            raise ParseError("unterminated '['", toks.loc(i))
-        raise ParseError(f"unexpected character {text[0]!r}", toks.loc(i))
+        message = ("unterminated '['" if text == "["
+                   else f"unexpected character {text[0]!r}")
+        raise ParseError(message, *locate(src, [i]))
     # Bracketed annotations (languages, or a message name for send) are
     # captured raw and may span lines; the consumer reads them. The token
     # starts at its `[`.
     for i in _indices(kinds, "LANG"):
         texts[i] = texts[i][1:-1]
-    return toks
+    return Tokens(kinds, texts, src)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +492,7 @@ class _Parser:
     def __init__(self, toks: Tokens):
         self.kinds = toks.kinds
         self.texts = toks.texts
-        self.loc = toks.loc
+        self.src = toks.src
         self.pos = 0
         self.alphabet: set[MsgType] = {UNIT_MSG}
         # Each distinct `[...]` text is parsed once per program.
@@ -514,6 +517,9 @@ class _Parser:
             raise ParseError(f"unexpected {found}", self.loc(i), frozenset({kind}))
         self.pos = i + 1
         return i
+
+    def loc(self, i: int) -> Loc:
+        return locate(self.src, [i])[0]
 
     def shown(self, i: int) -> str:
         """Token `i` as an error names it: its quoted text, or `end of input`."""
@@ -614,7 +620,7 @@ class _Parser:
         latent = self.lang_inline()
         self.expect("=>")
         body = self.expr()
-        return Fun(self_name, param, param_type, ret_type, latent, body, self.loc(i))
+        return Fun(self_name, param, param_type, ret_type, latent, body, i)
 
     def lang_inline(self) -> LangExpr:
         # A latent effect is written bare (commonly `eps`) or bracketed.
@@ -667,7 +673,7 @@ class _Parser:
             self.expect("in")
         body = self.expr()
         for node, fields, i in reversed(heads):
-            body = node(*fields, body, self.loc(i))
+            body = node(*fields, body, i)
         return body
 
     def if_expr(self) -> Expr:
@@ -677,7 +683,7 @@ class _Parser:
         then_branch = self.expr()
         self.expect("else")
         else_branch = self.expr()
-        return If(cond, then_branch, else_branch, self.loc(i))
+        return If(cond, then_branch, else_branch, i)
 
     def binary(self, min_lvl: int = _OR) -> Expr:
         """Left-associative binary operators of `_BINOP_LEVEL` at `min_lvl`
@@ -686,14 +692,14 @@ class _Parser:
         while (lvl := _BINOP_LEVEL.get(self.kinds[self.pos], _STMT)) >= min_lvl:
             i = self.pos
             self.pos = i + 1
-            e = BinOp(self.kinds[i], e, self.binary(lvl + 1), self.loc(i))
+            e = BinOp(self.kinds[i], e, self.binary(lvl + 1), i)
         return e
 
     def unary_expr(self) -> Expr:
         """`!` prefixes, then left-associative application."""
         i = self.pos
         if self.take("!"):
-            return Not(self.unary_expr(), self.loc(i))
+            return Not(self.unary_expr(), i)
         e = self.primary()
         while self.kinds[self.pos] in _PRIMARY_START:
             e = App(e, self.primary(), e.loc)
@@ -703,7 +709,7 @@ class _Parser:
         i = self.pos
         kind = self.kinds[i]
         if kind == "NAME":
-            return Var(self.path(), self.loc(i))
+            return Var(self.path(), i)
         if kind not in _PRIMARY_START:
             raise ParseError(
                 f"expected an expression, got {self.shown(i)}", self.loc(i),
@@ -712,31 +718,30 @@ class _Parser:
         if kind == "beh":
             return self.beh_expr()
         self.pos = i + 1
-        loc = self.loc(i)
         if kind == "NAT":
-            return NatLit(int(self.texts[i]), loc)
+            return NatLit(int(self.texts[i]), i)
         if kind == "true":
-            return BoolLit(True, loc)
+            return BoolLit(True, i)
         if kind == "false":
-            return BoolLit(False, loc)
+            return BoolLit(False, i)
         if kind == "(":
             if self.take(")"):
-                return UnitLit(loc)
+                return UnitLit(i)
             first = self.expr()
             if self.take(","):
                 second = self.expr()
                 self.expect(")")
-                return Pair(first, second, loc)
+                return Pair(first, second, i)
             self.expect(")")
             return first
         if kind == "self":
-            return SelfCap(self.lang_token(), loc)
+            return SelfCap(self.lang_token(), i)
         if kind == "spawn":
             init = self.lang_token() if self.at("LANG") else None
             self.expect("(")
             inner = self.expr()
             self.expect(")")
-            return Spawn(init, inner, loc)
+            return Spawn(init, inner, i)
         # send
         msg = self.msg_token()
         self.expect("(")
@@ -744,7 +749,7 @@ class _Parser:
         self.expect(",")
         payload = self.expr()
         self.expect(")")
-        return Send(msg, target, payload, loc)
+        return Send(msg, target, payload, i)
 
     def beh_expr(self) -> Expr:
         i = self.expect("beh")
@@ -756,7 +761,7 @@ class _Parser:
             while self.take("|"):
                 cases.append(self.case())
         self.expect("}")
-        return Beh(annot, tuple(cases), self.loc(i))
+        return Beh(annot, tuple(cases), i)
 
     def case(self) -> Case:
         i = self.pos
@@ -807,7 +812,7 @@ class _Parser:
             payload = self.type_expr()
             names.add(name)
             self.alphabet.add(name)
-            decls.append(MsgDecl(name, payload, self.loc(i)))
+            decls.append(MsgDecl(name, payload, i))
         root = self.expr()
         eof = self.pos
         if kinds[eof] != "EOF":
@@ -818,7 +823,7 @@ class _Parser:
                 + ", ".join(sorted(root.free)),
                 self.loc(eof),
             )
-        return Program(tuple(decls), root)
+        return Program(tuple(decls), root, self.src)
 
 
 def parse_program(text: str) -> Program:

@@ -20,6 +20,7 @@ from actorcap.syntax import (
     UnitLit,
     Var,
     _Parser,
+    locate,
     parse_program,
     pretty_print,
     tokenize,
@@ -166,12 +167,14 @@ class TestFreeVars:
 
 class TestLetChains:
     def test_chain_builds_nested_lets(self):
-        e = parse_expr("let x = let y = 1 in y in let z = x in z")
+        text = "let x = let y = 1 in y in let z = x in z"
+        e = parse_expr(text)
         assert same_tree(e, Let(
             "x", Let("y", NatLit(1), Var(Path("y"))),
             Let("z", Var(Path("x")), Var(Path("z"))),
         ))
-        assert (e.loc.col, e.body.loc.col) == (1, 27)
+        outer, inner = locate(text, [e.loc, e.body.loc])
+        assert (outer.col, inner.col) == (1, 27)
 
     def test_equality_and_hash_of_a_deep_chain_do_not_recurse(self):
         # Nodes compare by identity: two parses of one 5,000-let chain are

@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from actorcap.syntax import ParseError, tokenize
+from actorcap.syntax import ParseError, locate, tokenize
 
 from naive_tokenize import naive_tokenize
 from test_monitor import chain_source, fanin_source
@@ -21,7 +21,8 @@ CORPUS = sorted((pathlib.Path(__file__).parent.parent / "corpus").glob("*/*.acap
 
 def tokens(src: str) -> list[tuple[str, str, int, int]]:
     toks = tokenize(src)
-    return [(toks.kinds[i], toks.texts[i], *toks.loc(i)) for i in range(len(toks))]
+    locs = locate(src, range(len(toks)))
+    return [(kind, text, *loc) for kind, text, loc in zip(toks.kinds, toks.texts, locs)]
 
 
 def outcome(tokenizer, src: str):

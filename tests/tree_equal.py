@@ -2,13 +2,14 @@
 
 Expression nodes compare by identity, so a test that asks whether two
 parses agree calls `same_tree`.  It walks both trees on an explicit stack,
-so any depth works, and compares every dataclass field except `loc` and
-`free`; tuples compare item by item, and any other value with `==`.
+so any depth works, and compares every dataclass field except a node's
+position `loc`, its `free` variables and a program's `source` text; tuples
+compare item by item, and any other value with `==`.
 """
 
 from dataclasses import fields, is_dataclass
 
-IGNORED = frozenset({"loc", "free"})
+IGNORED = frozenset({"loc", "free", "source"})
 
 
 def same_tree(a, b) -> bool:
