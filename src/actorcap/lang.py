@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import islice
 
 # Derivative pairs one inclusion check may visit; words one enumerated set holds.
 STATE_BUDGET = 100_000
@@ -723,39 +724,39 @@ def _print(e: LangExpr, ctx: int) -> str:
     return f"({body})" if ctx > lvl else body
 
 
-# One match per token: blanks are a prefix of the match. A symbol is `<` and
-# the name after it, which may be empty; the `>` that closes it is a token of
-# its own, so blanks may come before it. Every other character is a token of
-# its own (an operator, a parenthesis, `0`, or one no rule admits), and the
-# empty match at the end of the text ends it.
-_LANG_TOKEN = re.compile(r"\s*(<(\w*)|eps(?!\w)|.|\Z)", re.DOTALL)
+# One match per token, its text the one group: blanks are a prefix of the
+# match. A symbol is `<` and the name after it, which may be empty; the `>`
+# that closes it is a token of its own, so blanks may come before it. Every
+# other character is a token of its own (an operator, a parenthesis, `0`, or
+# one no rule admits), and the empty match at the end of the text ends it.
+_LANG_TOKEN = re.compile(r"\s*(<\w*|eps(?!\w)|.|\Z)", re.DOTALL)
 
 _OP_CLASS = {op: cls for cls, (_, op) in _LEVEL.items()}
 _OP_LEVEL = {op: lvl for lvl, op in _LEVEL.values()}
 
 
 class _LangParser:
-    """Precedence climbing over the tokens of one text: `kinds[i]` is the
-    token's text (`<` for a symbol, empty at the end), `names[i]` a symbol's
-    name and `starts[i]` the token's offset, which errors report."""
+    """Precedence climbing over the tokens of one text: `toks[i]` is the
+    token's text (`<` and the name for a symbol, empty at the end).  An
+    error finds its token's offset by scanning the text again."""
 
     def __init__(self, text: str, alphabet):
-        self.kinds: list[str] = []
-        self.names: list[str | None] = []
-        self.starts: list[int] = []
-        for m in _LANG_TOKEN.finditer(text):
-            tok, name = m.group(1, 2)
-            self.kinds.append(tok if name is None else "<")
-            self.names.append(name)
-            self.starts.append(m.start(1))
-            if not tok:
-                break
+        self.text = text
+        self.toks = _LANG_TOKEN.findall(text)
+        if len(self.toks) > 1 and not self.toks[-2]:
+            # After a tail of blanks, the end matches once more.
+            self.toks.pop()
         self.alphabet = alphabet
         self.pos = 0
 
+    def error(self, message: str, i: int, shift: int = 0) -> LangParseError:
+        """`message` at the offset of token `i` plus `shift`."""
+        m = next(islice(_LANG_TOKEN.finditer(self.text), i, None))
+        return LangParseError(message, m.start(1) + shift)
+
     def expect(self, kind: str):
-        if self.kinds[self.pos] != kind:
-            raise LangParseError(f"expected {kind!r}", self.starts[self.pos])
+        if self.toks[self.pos] != kind:
+            raise self.error(f"expected {kind!r}", self.pos)
         self.pos += 1
 
     def binary(self, min_lvl: int = 1) -> LangExpr:
@@ -763,9 +764,9 @@ class _LangParser:
         of one operator, each parsed a level tighter, are collected and the
         chain is built once by its smart constructor."""
         e = self.post()
-        while _OP_LEVEL.get(op := self.kinds[self.pos], 0) >= min_lvl:
+        while _OP_LEVEL.get(op := self.toks[self.pos], 0) >= min_lvl:
             parts = [e]
-            while self.kinds[self.pos] == op:
+            while self.toks[self.pos] == op:
                 self.pos += 1
                 parts.append(self.binary(_OP_LEVEL[op] + 1))
             e = _rebuild(_OP_CLASS[op], parts)
@@ -773,36 +774,35 @@ class _LangParser:
 
     def post(self) -> LangExpr:
         e = self.atom()
-        while self.kinds[self.pos] == "*":
+        while self.toks[self.pos] == "*":
             self.pos += 1
             e = star(e)
         return e
 
     def atom(self) -> LangExpr:
         i = self.pos
-        kind = self.kinds[i]
-        if kind == "<":
-            name = self.names[i]
-            start = self.starts[i] + 1
+        tok = self.toks[i]
+        if tok[:1] == "<":
+            name = tok[1:]
             if not name:
-                raise LangParseError("expected a symbol name", start)
+                raise self.error("expected a symbol name", i, 1)
             self.pos = i + 1
             self.expect(">")
             if self.alphabet is not None and name not in self.alphabet:
-                raise LangParseError(f"undeclared symbol <{name}>", start)
+                raise self.error(f"undeclared symbol <{name}>", i, 1)
             return Sym(name)
-        if kind == "(":
+        if tok == "(":
             self.pos = i + 1
             e = self.binary()
             self.expect(")")
             return e
-        if kind == "0":
+        if tok == "0":
             self.pos = i + 1
             return EMPTY
-        if kind == "eps":
+        if tok == "eps":
             self.pos = i + 1
             return EPS
-        raise LangParseError("expected a language atom", self.starts[i])
+        raise self.error("expected a language atom", i)
 
 
 def parse_lang(text: str, alphabet=None) -> LangExpr:
@@ -812,6 +812,6 @@ def parse_lang(text: str, alphabet=None) -> LangExpr:
     """
     p = _LangParser(text, alphabet)
     e = p.binary()
-    if p.kinds[p.pos]:
-        raise LangParseError("trailing input", p.starts[p.pos])
+    if p.toks[p.pos]:
+        raise p.error("trailing input", p.pos)
     return e

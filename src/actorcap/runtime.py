@@ -11,11 +11,13 @@ interleave arbitrarily.
 A run with a fixed seed is a pure function of the initial configuration:
 the scheduler draws uniformly among enabled deliveries from a seeded PRNG,
 and traces replay byte for byte.  `explore` counts every delivery order up
-to a depth bound instead, classifying each schedule's outcome, but expands
-each distinct configuration once (`Config.fingerprint`): schedules that
-meet in one configuration share what follows it.  Its witnesses are the
-first schedules in depth-first order, and its cap counts the
-configurations it expands, not the schedules.
+to a depth bound instead, classifying each schedule's outcome, but walks
+the configurations level by level, one delivery deeper each time, and
+expands each distinct one of a level once (`Config.fingerprint`):
+schedules that meet in one configuration share what follows it.  Its witnesses are
+the first schedules in depth-first order, and its cap counts the
+configurations it expands, not the schedules.  The depth bound and the cap
+bound the search; it takes no Python stack per delivery.
 
 Stuckness is a first-class outcome: a delivery whose head message has no
 matching case in the target's installed behaviour reports
@@ -679,25 +681,6 @@ class ExplorationReport:
         return bool(self.violation_kinds)
 
 
-Suffix = tuple[tuple[int, int], ...]  # the deliveries chosen below a state
-
-
-@dataclass
-class _Below:
-    """The schedules below one state, as the memo keeps them."""
-
-    counts: dict[str, int] = field(default_factory=dict)  # per outcome class
-    first: tuple[str, Suffix] | None = None  # the first schedule's class and suffix
-
-    def add(self, choice: tuple[int, int], sub: "_Below"):
-        """Append the schedules that start with `choice`, then go as `sub`."""
-        for label, n in sub.counts.items():
-            self.counts[label] = self.counts.get(label, 0) + n
-        if self.first is None:
-            label, suffix = sub.first
-            self.first = (label, (choice,) + suffix)
-
-
 def explore(
     config: Config,
     *,
@@ -708,118 +691,112 @@ def explore(
 ) -> ExplorationReport:
     """Every delivery order up to `max_depth`, searched over configurations.
 
-    The search is depth-first, with branches on independent config copies
-    (tag tables included).  Each state with a delivery enabled below the
-    depth bound is keyed by its `Config.fingerprint()` and depth, and a
-    state met again is not expanded again: the memo adds its schedules per
-    outcome class.  (A state every ancestor of which had one delivery
-    enabled is the only one at its depth, so it is not keyed at all.)  Its
-    first visit already recorded every class and violation below it, so
-    only violations raised on the way to the state can be new; when one of
-    them is the first violation seen, the state's first schedule is
-    replayed from the current configuration as the witness.  So the report
-    is the one an enumeration of every schedule gives: `schedules` and
-    `outcomes` count schedules, each witness is the first schedule of its
-    class in depth-first order, and the violation witness is the first
-    schedule raising one.  `states` counts the configurations expanded,
-    and the search raises `lang.StateBudgetExceeded` once it would expand
-    more than `STATE_CAP`.
+    Level d holds one entry per distinct configuration d deliveries deep
+    with a delivery enabled, keyed by its `Config.fingerprint()`: the
+    configuration, its enabled deliveries, the number of schedules reaching
+    it, its first schedule (choice indices) with that schedule's events,
+    and the first schedule reaching it that raised a violation.  A
+    configuration reached again only adds its count and may lower that
+    violating schedule; quiescent, depth and stuck leaves are counted where
+    they are reached.  Each level is walked in the order its entries
+    arrived, and each entry's deliveries in `enabled_deliveries` order, so
+    an entry's first schedule is its first in depth-first order.  So the
+    report is the one an enumeration of every schedule gives: `schedules`
+    and `outcomes` count schedules, each witness is the first schedule of
+    its class in depth-first order (the classes come in that order), and
+    the violation witness, replayed from `config`, is the first schedule
+    raising one.
+
+    Branches run on independent config copies (tag tables included), but
+    an entry's last delivery takes over its configuration and events.  The
+    only entry of a level, with one delivery enabled, leads to at most one
+    entry, which is not fingerprinted.  `states` counts the entries, and
+    the search raises `lang.StateBudgetExceeded` once it would hold more
+    than `STATE_CAP`.  That cap and `max_depth` bound the search, which
+    takes no Python stack per level.
     """
-    base_events = list(base_trace.events) if base_trace is not None else []
-    search = _Search(typed, max_depth, monitor)
-    search.go(config.copy(), base_events, 0)
-    return search.report
+    report = ExplorationReport()
+    outcomes, kinds = report.outcomes, report.violation_kinds
+    firsts: dict[str, tuple[tuple[int, ...], list[TraceEvent]]] = {}
+    violating: tuple[tuple[int, ...], str] | None = None  # schedule, class
+
+    def leaf(label, count, path, events, vpath):
+        nonlocal violating
+        report.schedules += count
+        outcomes[label] = outcomes.get(label, 0) + count
+        if label not in firsts or path < firsts[label][0]:
+            firsts[label] = (path, events)
+        if vpath is not None and (violating is None or vpath < violating[0]):
+            violating = (vpath, label)
+
+    base = list(base_trace.events) if base_trace is not None else []
+    kinds.update(_violations(base))
+    root, vpath = config.copy(), () if kinds else None
+    enabled = enabled_deliveries(root)
+    if enabled and max_depth > 0:
+        level = {None: [root, enabled, 1, (), list(base), vpath]}
+    else:
+        level = {}
+        leaf("depth" if enabled else "quiescent", 1, (), list(base), vpath)
+    report.states = len(level)
+    depth = 0
+    while level:
+        depth += 1
+        nxt: dict = {}
+        for cfg, enabled, count, path, events, vpath in level.values():
+            lone = len(level) == 1 and len(enabled) == 1
+            last = len(enabled) - 1
+            for i, (src, dst, _) in enumerate(enabled):
+                branch = cfg if i == last else cfg.copy()
+                n = len(events)
+                tr = Trace(events=events if i == last else list(events))
+                res = deliver(branch, (src, dst), typed=typed, monitor=monitor,
+                              trace=tr)
+                here = path + (i,)
+                vhere = None if vpath is None else vpath + (i,)
+                if monitor:
+                    new = _violations(tr.events[n:])
+                    if new:
+                        kinds |= new
+                        vhere = here
+                if isinstance(res, Stuck):
+                    leaf(f"stuck:{res.kind}", count, here, tr.events, vhere)
+                    continue
+                after = enabled_deliveries(res)
+                if not after:
+                    leaf("quiescent", count, here, tr.events, vhere)
+                    continue
+                if depth >= max_depth:
+                    leaf("depth", count, here, tr.events, vhere)
+                    continue
+                key = None if lone else res.fingerprint()
+                entry = nxt.get(key)
+                if entry is not None:
+                    entry[2] += count
+                    if vhere is not None and (entry[5] is None or vhere < entry[5]):
+                        entry[5] = vhere
+                    continue
+                report.states += 1
+                if report.states > STATE_CAP:
+                    raise lng.StateBudgetExceeded(
+                        f"explore expanded more than {STATE_CAP} states at depth "
+                        f"{max_depth}"
+                    )
+                nxt[key] = [res, after, count, here, tr.events, vhere]
+        level = nxt
+
+    for label in sorted(outcomes, key=lambda label: firsts[label][0]):
+        outcomes[label] = outcomes.pop(label)
+        report.witnesses[label] = Trace(events=firsts[label][1], outcome=label)
+    if violating is not None:
+        path, label = violating
+        cfg, tr = config.copy(), Trace(events=base, outcome=label)
+        for i in path:
+            src, dst, _ = enabled_deliveries(cfg)[i]
+            deliver(cfg, (src, dst), typed=typed, monitor=monitor, trace=tr)
+        report.violation_witness = tr
+    return report
 
 
 def _violations(events: list[TraceEvent]) -> set[str]:
     return {e.violation for e in events if e.kind == "violation"}
-
-
-class _Search:
-    """One `explore`: the report so far and the memo of expanded states.
-
-    The memo holds one entry per expanded state, so its size, and the
-    search's time and memory, are what `STATE_CAP` bounds; schedules are
-    only counted.  A class rather than nested functions, which would hold
-    the memo in a reference cycle until the next cyclic collection.
-    """
-
-    def __init__(self, typed, max_depth: int, monitor: bool):
-        self.typed = typed
-        self.max_depth = max_depth
-        self.monitor = monitor
-        self.report = ExplorationReport()
-        self.memo: dict[tuple, _Below] = {}
-
-    def deliver(self, cfg: Config, choice: tuple[int, int], trace: Trace):
-        return deliver(cfg, choice, typed=self.typed, monitor=self.monitor,
-                       trace=trace)
-
-    def record(self, label: str, events: list[TraceEvent]) -> _Below:
-        report = self.report
-        report.schedules += 1
-        report.outcomes[label] = report.outcomes.get(label, 0) + 1
-        witness = Trace(events=events, outcome=label)
-        if label not in report.witnesses:
-            report.witnesses[label] = witness
-        viol_kinds = _violations(events)
-        if viol_kinds:
-            report.violation_kinds.update(viol_kinds)
-            if report.violation_witness is None:
-                report.violation_witness = witness
-        return _Below({label: 1}, (label, ()))
-
-    def reuse(self, cfg: Config, events: list[TraceEvent], below: _Below):
-        report = self.report
-        for label, n in below.counts.items():
-            report.schedules += n
-            report.outcomes[label] += n
-        above = _violations(events)
-        if above:
-            report.violation_kinds |= above
-            if report.violation_witness is None:
-                label, suffix = below.first
-                tr = Trace(events=events, outcome=label)
-                for choice in suffix:
-                    self.deliver(cfg, choice, tr)
-                report.violation_witness = tr
-
-    def go(self, cfg: Config, events: list[TraceEvent], depth: int,
-           alone: bool = True) -> _Below:
-        """The schedules below `cfg`.  `alone` says every state above it had
-        one delivery enabled: then `cfg` is the only state at its depth in
-        the whole search, its memo lookup cannot hit, and it is neither
-        fingerprinted nor memoised.  A state's only successor takes over
-        `cfg` and `events`, which no one reads afterwards, and a branching
-        state hands each child copies: a list a leaf records is never
-        extended afterwards."""
-        enabled = enabled_deliveries(cfg)
-        if not enabled:
-            return self.record("quiescent", events)
-        if depth >= self.max_depth:
-            return self.record("depth", events)
-        if not alone:
-            key = (cfg.fingerprint(), depth)
-            if key in self.memo:
-                self.reuse(cfg, events, self.memo[key])
-                return self.memo[key]
-        self.report.states += 1
-        if self.report.states > STATE_CAP:
-            raise lng.StateBudgetExceeded(
-                f"explore expanded more than {STATE_CAP} states at depth "
-                f"{self.max_depth}"
-            )
-        below = _Below()
-        sole = len(enabled) == 1
-        for src, dst, _ in enabled:
-            branch = cfg if sole else cfg.copy()
-            tr = Trace(events=events if sole else list(events))
-            res = self.deliver(branch, (src, dst), tr)
-            if isinstance(res, Stuck):
-                sub = self.record(f"stuck:{res.kind}", tr.events)
-            else:
-                sub = self.go(branch, tr.events, depth + 1, alone and sole)
-            below.add((src, dst), sub)
-        if not alone:
-            self.memo[key] = below
-        return below

@@ -47,6 +47,47 @@ beh[<Unit>]{
 }
 """
 
+# Actor 2 has no case for <q>, so every schedule gets stuck.  Delivering
+# <p> first comes first in depth-first order, so the first stuck schedule
+# is the longer of the two: <p> then <q>, not <q> alone.
+LONG_FIRST = """
+msg p : Unit
+msg q : Unit
+
+beh[<Unit>]{
+  Unit(m) =>
+    let b = spawn(beh[<p>]{ p(x) => beh[eps]{ } })
+    in let c = spawn(beh[<q>]{ p(x) => beh[eps]{ } })
+    in let u = send[p](b, ())
+    in let v = send[q](c, ())
+    in beh[eps]{ }
+}
+"""
+
+# Actor 2 takes <x> then <y>, and then has actor 1 take <z>; <y> first
+# leaves it without a case for <x>.  Actor 3 sends it <y> once given <p>.
+# The first quiescent schedule (five deliveries) comes before the only
+# stuck one (four) in depth-first order.
+CLASSES_BY_ORDER = """
+msg p : ActorRef[<y>]
+msg x : Unit
+msg y : Unit
+msg z : Unit
+
+beh[<Unit>]{
+  Unit(m) =>
+    let d = spawn(beh[<z>]{ z(w) => beh[eps]{ } })
+    in let b = spawn(beh[<p>]{ p(r) => let u = send[y](r, ()) in beh[eps]{ } })
+    in let c = spawn(beh[<x>.<y>]{
+         x(w) => beh[<y>]{ y(w2) => let u = send[z](d, ()) in beh[eps]{ } }
+       | y(w) => beh[eps]{ } })
+    in let u = send[p](b, c)
+    in let v = send[x](c, ())
+    in beh[eps]{ }
+}
+"""
+
+
 
 def _setup(source: str, monitor: bool, checked: bool = True):
     program = parse_program(source)
@@ -93,6 +134,40 @@ def test_violation_on_the_way_to_a_known_state(monitor):
     report = _same_as_naive(CONVERGING, 8, monitor, checked=False)
     assert bool(report.violation_kinds) == monitor
 
+
+@pytest.mark.parametrize("monitor", [True, False], ids=["mon", "nomon"])
+def test_first_schedule_of_a_class_may_be_longer(monitor):
+    report = _same_as_naive(LONG_FIRST, 8, monitor, checked=False)
+    assert [e.msg for e in report.witnesses["stuck:UnhandledMessage"].events
+            if e.kind == "deliver"] == ["Unit", "p", "q"]
+
+
+@pytest.mark.parametrize("monitor", [True, False], ids=["mon", "nomon"])
+def test_classes_in_order_of_their_first_schedules(monitor):
+    report = _same_as_naive(CLASSES_BY_ORDER, 8, monitor, checked=False)
+    assert list(report.outcomes) == ["quiescent", "stuck:UnhandledMessage"]
+    lengths = [sum(e.kind == "deliver" for e in w.events)
+               for w in report.witnesses.values()]
+    assert lengths == [5, 4]
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-monitor"]], ids=["mon", "nomon"])
+def test_deep_chain_takes_no_stack_per_delivery(tmp_path, capsys, flags):
+    # 1,500 deliveries in a row, with 200 Python frames to spare: the
+    # search must not nest a frame per delivery.
+    program = tmp_path / "chain.acap"
+    program.write_text(gen.chain_program(1500, "t"))
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 200)
+    try:
+        code = main(["explore", str(program), "--depth", "2000", *flags])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert capsys.readouterr().out == "schedules explored: 1\n  quiescent: 1\n"
+    assert code == 0
 
 def test_fanin_3x3_depth_10_expands_few_states(monkeypatch):
     deliveries = 0

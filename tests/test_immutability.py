@@ -22,7 +22,7 @@ import pathlib
 import actorcap
 
 PACKAGE = pathlib.Path(actorcap.__file__).parent
-STATE = frozenset({"Config", "Trace", "TypedProgram", "ExplorationReport", "_Below"})
+STATE = frozenset({"Config", "Trace", "TypedProgram", "ExplorationReport"})
 INTERNING = ("lang.py", "LangExpr", "__new__")
 
 
