@@ -36,10 +36,17 @@ mirroring what the checker guarantees statically:
   a queued payload.  After a quiet turn, one whose payload and the
   receiver's old and new behaviours reach no reference and that sends,
   spawns and creates none, no tag and no live reference has changed, and
-  no queue but the receiver's inbound one: the turn builds no summary,
-  conservation has no target, and the global check takes the combined live
-  tags from the last check (`Config.check_memo`, kept until the next
-  delivery takes it out) instead of summarizing them again.
+  no queue but the receiver's inbound one: conservation has no target, so
+  the turn builds no summary and skips it, and the global check takes the
+  combined live tags from the last check (`Config.check_memo`, kept until
+  the next delivery takes it out) instead of summarizing them again.
+
+`runtime.deliver` checks the first two on every turn, and in a run the
+third after every delivery too.  The third depends only on the
+configuration a delivery leaves, so a search (`runtime.explore`) runs it
+once per distinct configuration it keeps and once per delivery that ends
+a schedule.  A delivery into a configuration already checked needs none:
+the first schedule into it, earlier in depth-first order, ran it.
 
 Violations never affect execution; they are reported as trace events.
 Checked programs raise none of them, and programs run with checking

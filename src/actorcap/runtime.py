@@ -14,10 +14,14 @@ and traces replay byte for byte.  `explore` counts every delivery order up
 to a depth bound instead, classifying each schedule's outcome, but walks
 the configurations level by level, one delivery deeper each time, and
 expands each distinct one of a level once (`Config.fingerprint`):
-schedules that meet in one configuration share what follows it.  Its witnesses are
-the first schedules in depth-first order, and its cap counts the
-configurations it expands, not the schedules.  The depth bound and the cap
-bound the search; it takes no Python stack per delivery.
+schedules that meet in one configuration share what follows it, and so
+does the monitor's global check, which a search runs once per distinct
+configuration, not once per delivery.  A fingerprint is built from value
+shapes, computed once per value while the search holds it, so values that
+configurations share are not walked again.  Its witnesses are the first
+schedules in depth-first order, and its cap counts the configurations it
+expands, not the schedules.  The depth bound and the cap bound the search;
+it takes no Python stack per delivery.
 
 Stuckness is a first-class outcome: a delivery whose head message has no
 matching case in the target's installed behaviour reports
@@ -29,6 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import weakref
 from dataclasses import dataclass, field
 
 from . import monitor as mon
@@ -65,7 +70,6 @@ from .values import (
     PairV,
     RefValue,
     UNIT_V,
-    UnitV,
     Value,
 )
 
@@ -192,10 +196,12 @@ class Config:
     queues but without the table counts it from them.  `check_memo` is the
     combined live tags toward each actor that the last global check
     summarized, which the check after a quiet turn reuses.  Every
-    `deliver` takes it out first, and only a completed global check puts
-    a new one back, so after an unmonitored or stuck delivery, and in a
-    configuration built by hand, there is none and the next check is a
-    full one.  `copy` shares it: it is replaced, never updated in place.
+    `deliver` takes it out first.  A completed global check puts a new one
+    back, and a quiet turn whose check is left to `explore` puts the old
+    one back, since it changed no tag and no live reference.  So after an
+    unmonitored or stuck delivery, and in a configuration built by hand,
+    there is none and the next check is a full one.  `copy` shares it: it
+    is replaced, never updated in place.
     """
 
     store: dict[int, BehValue] = field(default_factory=dict)
@@ -245,61 +251,184 @@ class Config:
         return Config(dict(self.store), queues, self.next_id, dict(self.tags),
                       dict(self.residuals), dict(self.inflight), self.check_memo)
 
-    def fingerprint(self) -> tuple:
+    def fingerprint(self, shapes: "_Shapes | None" = None) -> tuple:
         """A canonical, hashable key: configurations with equal keys have
         the same future under every delivery order.
 
-        The walk goes over the store by actor id, each environment by name
-        and the queues by key.  A reference becomes the number of its first
-        occurrence in the walk, paired there with its remaining tag, so
-        aliasing counts and dead `tags` entries do not; a pair, closure or
-        behaviour met again is its number too, so shared structure is walked
-        once.  AST nodes count by identity.  A queue adds its key and
-        length, then each message's name followed by the walk of its
-        payload; a walk's length follows from its own items, so a name
-        always sits at a known position and cannot be read as a marker
-        such as "pair".
+        The key lists the store by actor id, each actor followed by its
+        behaviour's shape (`_Shapes`), then each nonempty queue by key: its
+        key and length, then each message's name followed by its payload's
+        shape.  A shape writes a reference as its index in the value's own
+        `refs`, so one numbering of all these roots' `refs`, in that order,
+        ends the key: a reference met before is its number, a new one the
+        pair of its target and remaining tag (a queue's key and length pair
+        two ints, so the two cannot be confused).  So aliasing counts, and
+        dead `tags` entries and allocation order do not.  Sharing a value
+        that reaches no reference cannot be observed and does not count
+        either: one such pair held under two names has the key of two equal
+        pairs.  AST nodes count by identity.  `explore` passes its
+        `shapes`, which keep each value's shape while the search holds the
+        value; without them the shapes are computed afresh, and the key is
+        the same.
         """
-        key: list = [self.next_id, len(self.store)]
-        numbers: dict[int, int] = {}  # id of a walked value -> its number
-        tags = self.tags
-
-        def walk(root: Value):
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                if isinstance(v, (Num, BoolV, UnitV)):
-                    key.append(v)
-                    continue
-                n = numbers.get(id(v))
-                if n is not None:
-                    key.append(n)
-                    continue
-                numbers[id(v)] = len(numbers)
-                if isinstance(v, RefValue):
-                    key.append(("ref", v.target, tags.get(v, v.tag)))
-                elif isinstance(v, PairV):
-                    key.append("pair")
-                    stack.append(v.second)
-                    stack.append(v.first)
-                else:
-                    names = sorted(v.env)
-                    if isinstance(v, Closure):
-                        key.append(("fun", id(v.fun), *names))
-                    else:
-                        key.append(("beh", id(v.node), id(v.cases), v.annot, *names))
-                    stack.extend(v.env[name] for name in reversed(names))
-
-        for actor in sorted(self.store):
-            key.append(actor)
-            walk(self.store[actor])
-        for k in sorted(k for k, q in self.queues.items() if q):
-            q = self.queues[k]
-            key.append((k, len(q)))
+        shapes = _Shapes() if shapes is None else shapes
+        known, of = shapes.current, shapes.of
+        store, queues, tags = self.store, self.queues, self.tags
+        key: list = [self.next_id, len(store)]
+        append = key.append
+        roots: list[Value] = []
+        for actor in sorted(store):
+            v = store[actor]
+            append(actor)
+            append(known.get(id(v)) or of(v))
+            roots.append(v)
+        for k in sorted(k for k, q in queues.items() if q):
+            q = queues[k]
+            append((k, len(q)))
             for value, msg in q:
-                key.append(msg)
-                walk(value)
+                append(msg)
+                append(known.get(id(value)) or of(value))
+                roots.append(value)
+        numbers: dict[RefValue, int] = {}
+        for root in roots:
+            for ref in root.refs:
+                n = numbers.get(ref)
+                if n is None:
+                    numbers[ref] = len(numbers)
+                    append((ref.target, tags.get(ref, ref.tag)))
+                else:
+                    append(n)
         return tuple(key)
+
+
+def _atom(v: Value):
+    """The shape part of a number, a boolean or unit."""
+    t = type(v)
+    if t is Num:
+        return ("nat", v.value)
+    if t is BoolV:
+        return ("bool", v.value)
+    return "unit"
+
+
+class _Shape:
+    """One value shape, interned: equal shapes are one object, so a shape
+    hashes and compares by identity.
+
+    `parts` is the value's structure with each reference written as its
+    index in the value's own `refs`, the only `int` part: a reference is
+    `(0,)`; a number, boolean or unit its `_atom`; a pair "pair" and its
+    two parts; a closure or behaviour a header (its node, a behaviour's
+    cases and annotation, and its environment's names, sorted) and one
+    part per name.  A part that is a pair, closure or behaviour is its
+    shape, paired with the indices of its own references in the outer
+    `refs` unless they are the same.  So a value shared within a value is
+    one object however often it is met, and a shape costs its value's
+    parts, not its size.  The table (`_SHAPES`) holds a shape while
+    something else does, and no value.
+    """
+
+    __slots__ = ("parts", "__weakref__")
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
+
+    def __repr__(self) -> str:
+        return f"_Shape{self.parts!r}"
+
+
+_SHAPES: weakref.WeakValueDictionary[tuple, _Shape] = weakref.WeakValueDictionary()
+
+
+def _interned(parts: tuple) -> _Shape:
+    shape = _SHAPES.get(parts)
+    if shape is None:
+        shape = _SHAPES[parts] = _Shape(parts)
+    return shape
+
+
+class _Shapes:
+    """Value shapes (`_Shape`), each computed once while a search holds
+    its value.
+
+    `current` maps a value's identity to its shape, and `held` keeps the
+    value alive so that its identity is not reused.  They are two
+    generations: `next_level` makes them `previous` and `held_before`,
+    dropping the older ones, so a search that calls it once per level holds
+    the values of its two live levels only.  Values are immutable, so a
+    shape never goes stale.  A shape is built in a loop, so a deep value
+    takes no Python stack.
+    """
+
+    __slots__ = ("current", "held", "previous", "held_before")
+
+    def __init__(self):
+        self.current: dict[int, _Shape] = {}
+        self.held: list[Value] = []
+        self.previous: dict[int, _Shape] = {}
+        self.held_before: list[Value] = []
+
+    def next_level(self):
+        self.previous, self.current = self.current, {}
+        self.held_before, self.held = self.held, []
+
+    def of(self, root: Value) -> _Shape:
+        current, previous, held = self.current, self.previous, self.held
+        shape = previous.get(id(root))
+        if shape is not None:  # kept from the level before
+            current[id(root)] = shape
+            held.append(root)
+            return shape
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            if id(v) in current:
+                stack.pop()
+                continue
+            shape = previous.get(id(v))
+            if shape is None:
+                t = type(v)
+                if t is PairV:
+                    head, parts = "pair", (v.first, v.second)
+                elif t is Closure or t is BehValue:
+                    names = tuple(sorted(v.env))
+                    parts = [v.env[name] for name in names]
+                    if t is Closure:
+                        head = ("fun", id(v.fun), names)
+                    else:
+                        head = ("beh", id(v.node), id(v.cases), v.annot, names)
+                else:
+                    head, parts = 0 if t is RefValue else _atom(v), ()
+                pending = [p for p in parts
+                           if type(p) in _COMPOUND and id(p) not in current]
+                if pending:
+                    stack += pending
+                    continue
+                shape = _interned(self._parts(v, head, parts))
+            current[id(v)] = shape
+            held.append(v)
+            stack.pop()
+        return current[id(root)]
+
+    def _parts(self, v: Value, head, parts) -> tuple:
+        """The parts of `v`'s shape, its own parts' shapes being known."""
+        refs = v.refs
+        index = {ref: i for i, ref in enumerate(refs)} if refs else None
+        out = [head]
+        for p in parts:
+            tp = type(p)
+            if tp is RefValue:
+                out.append(index[p])
+            elif tp not in _COMPOUND:
+                out.append(_atom(p))
+            elif not p.refs or p.refs is refs:
+                out.append(self.current[id(p)])
+            else:
+                out.append((self.current[id(p)], tuple([index[r] for r in p.refs])))
+        return tuple(out)
+
+
+_COMPOUND = (PairV, Closure, BehValue)
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +666,7 @@ def deliver(
     typed=None,
     monitor: bool = True,
     trace: Trace | None = None,
+    global_check: bool = True,
 ) -> Config | Stuck:
     """Deliver the head message of the chosen queue, in place.
 
@@ -544,6 +674,13 @@ def deliver(
     spawned actors and appends the turn's outgoing messages per destination.
     Returns the (mutated) config, or a Stuck outcome that leaves the config
     unchanged beyond the popped message.
+
+    Monitored, the turn's own checks always run: send permission, effect
+    conformance and conservation, which a quiet turn gives no target.  The
+    global check of the configuration the turn leaves runs too, unless
+    `global_check` is false: `explore` runs it once per distinct
+    configuration instead.  A quiet turn then leaves the last check's
+    summary in `Config.check_memo` for it.
     """
     trace = trace if trace is not None else Trace()
     src, dst = choice
@@ -562,7 +699,6 @@ def deliver(
             f"actor {dst} has no case for <{msg}>",
         )
     if monitor:
-        pre_existing = set(config.store)
         # Values that reach no reference hold no capability.
         reached = behv.refs or payload.refs
         pre = mon.summarize([behv, payload], config.tags) if reached else {}
@@ -599,22 +735,26 @@ def deliver(
         # A quiet turn started from values that reach no reference, sent,
         # spawned and created none, and installed a behaviour that reaches
         # none: it changed no tag and no live reference, so it holds and
-        # transfers nothing, and the global check reuses the last summary.
+        # transfers nothing, conservation has no target, and the global
+        # check reuses the last summary.
         quiet = not (reached or ev.outq or ev.spawned or ev.observed is not EPS
                      or result.refs)
-        post = transferred = {}
         if not quiet:
             post = mon.summarize([result, *ev.spawned.values()], config.tags)
             transferred = mon.summarize([value for value, _, _ in ev.outq], config.tags)
-        sent: dict[int, list[MsgType]] = {}
-        for _, m, target in ev.outq:
-            sent.setdefault(target, []).append(m)
-        for viol in mon.conservation(
-            dst, pre, sent, ev.observed, post, transferred, pre_existing
-        ):
-            trace.violation(viol, dst, viol.actor)
-        for viol in mon.global_invariant(config, memo if quiet else None):
-            trace.violation(viol, None, viol.actor)
+            sent: dict[int, list[MsgType]] = {}
+            for _, m, target in ev.outq:
+                sent.setdefault(target, []).append(m)
+            pre_existing = config.store.keys() - ev.spawned.keys()
+            for viol in mon.conservation(
+                dst, pre, sent, ev.observed, post, transferred, pre_existing
+            ):
+                trace.violation(viol, dst, viol.actor)
+        if global_check:
+            for viol in mon.global_invariant(config, memo if quiet else None):
+                trace.violation(viol, None, viol.actor)
+        elif quiet:
+            config.check_memo = memo
     return config
 
 
@@ -707,6 +847,19 @@ def explore(
     the violation witness, replayed from `config`, is the first schedule
     raising one.
 
+    Monitored, every delivery runs the turn's own checks (send permission,
+    conservation, effect conformance), but the global check depends only
+    on the configuration a delivery leaves, so `deliver` leaves it to the
+    search (`global_check=False`), which runs it once for each new entry
+    and each leaf, where `deliver` would have.  A delivery into a known
+    configuration needs no check: its entry's first schedule came earlier
+    in depth-first order and ran it, so if the check raised a violation,
+    that schedule is already the entry's first violating one and the kinds
+    are recorded.  So the events of every schedule the report keeps are
+    those `deliver` would have traced.  The fingerprints come from value
+    shapes that the search keeps for its two live levels (`_Shapes`), so
+    a value shared between configurations is not walked again.
+
     Branches run on independent config copies (tag tables included), but
     an entry's last delivery takes over its configuration and events.  The
     only entry of a level, with one delivery enabled, leads to at most one
@@ -739,9 +892,11 @@ def explore(
         level = {}
         leaf("depth" if enabled else "quiescent", 1, (), list(base), vpath)
     report.states = len(level)
+    shapes = _Shapes()
     depth = 0
     while level:
         depth += 1
+        shapes.next_level()
         nxt: dict = {}
         for cfg, enabled, count, path, events, vpath in level.values():
             lone = len(level) == 1 and len(enabled) == 1
@@ -751,30 +906,36 @@ def explore(
                 n = len(events)
                 tr = Trace(events=events if i == last else list(events))
                 res = deliver(branch, (src, dst), typed=typed, monitor=monitor,
-                              trace=tr)
+                              trace=tr, global_check=False)
                 here = path + (i,)
                 vhere = None if vpath is None else vpath + (i,)
+                entry = None
+                if not isinstance(res, Stuck):
+                    after = enabled_deliveries(res)
+                    if after and depth < max_depth:
+                        key = None if lone else res.fingerprint(shapes)
+                        entry = nxt.get(key)
+                    if monitor and entry is None:
+                        for viol in mon.global_invariant(res, res.check_memo):
+                            tr.violation(viol, None, viol.actor)
                 if monitor:
                     new = _violations(tr.events[n:])
                     if new:
                         kinds |= new
                         vhere = here
+                if entry is not None:
+                    entry[2] += count
+                    if vhere is not None and (entry[5] is None or vhere < entry[5]):
+                        entry[5] = vhere
+                    continue
                 if isinstance(res, Stuck):
                     leaf(f"stuck:{res.kind}", count, here, tr.events, vhere)
                     continue
-                after = enabled_deliveries(res)
                 if not after:
                     leaf("quiescent", count, here, tr.events, vhere)
                     continue
                 if depth >= max_depth:
                     leaf("depth", count, here, tr.events, vhere)
-                    continue
-                key = None if lone else res.fingerprint()
-                entry = nxt.get(key)
-                if entry is not None:
-                    entry[2] += count
-                    if vhere is not None and (entry[5] is None or vhere < entry[5]):
-                        entry[5] = vhere
                     continue
                 report.states += 1
                 if report.states > STATE_CAP:

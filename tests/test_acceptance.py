@@ -239,8 +239,14 @@ def test_criterion_7_determinism(capsys):
 
 
 def test_criterion_8_trace_conservation(monkeypatch):
-    calls = {"n": 0, "violations": []}
+    # Every turn is checked, or is quiet: its payload and the receiver's old
+    # and new behaviours reach no reference and it sends, spawns and
+    # creates none, so conservation has no target and `deliver` skips it.
+    from actorcap import runtime
+
+    calls = {"n": 0, "violations": [], "quiet": 0, "unchecked": []}
     original = mon.conservation
+    original_deliver = runtime.deliver
 
     def spying_conservation(*args, **kwargs):
         calls["n"] += 1
@@ -248,7 +254,22 @@ def test_criterion_8_trace_conservation(monkeypatch):
         calls["violations"].extend(out)
         return out
 
+    def spying_deliver(config, choice, **kwargs):
+        before, held = calls["n"], config.queues[choice][0][0].refs
+        held += config.store[choice[1]].refs
+        trace = kwargs["trace"]
+        start = len(trace.events)
+        res = original_deliver(config, choice, **kwargs)
+        if calls["n"] == before and not isinstance(res, runtime.Stuck):
+            kinds = {e.kind for e in trace.events[start:]} - {"violation"}
+            if held or config.store[choice[1]].refs or kinds != {"deliver"}:
+                calls["unchecked"].append(choice)
+            else:
+                calls["quiet"] += 1
+        return res
+
     monkeypatch.setattr(mon, "conservation", spying_conservation)
+    monkeypatch.setattr(runtime, "deliver", spying_deliver)
     from actorcap.runtime import run
 
     deliveries = 0
@@ -260,7 +281,7 @@ def test_criterion_8_trace_conservation(monkeypatch):
         trace, outcome = run(config, typed=typed, seed=8, monitor=True, trace=tr)
         assert not outcome.startswith("stuck"), path.name
         deliveries += sum(1 for e in trace.events if e.kind == "deliver")
-    checked_turns = calls["n"]
+    checked_turns, quiet_turns = calls["n"], calls["quiet"]
     positive_violations = list(calls["violations"])
 
     # Sensitivity: a handler that conjures and drops a capability is caught,
@@ -275,7 +296,8 @@ def test_criterion_8_trace_conservation(monkeypatch):
 
     ok = (
         deliveries > 0
-        and checked_turns >= deliveries
+        and checked_turns + quiet_turns >= deliveries
+        and not calls["unchecked"]
         and not positive_violations
         and caught_bad_turn
     )
@@ -283,6 +305,7 @@ def test_criterion_8_trace_conservation(monkeypatch):
         8,
         "trace conservation",
         ok,
-        f"{checked_turns} turns checked over {deliveries} deliveries, "
-        f"{len(positive_violations)} violations on positives",
+        f"{checked_turns} turns checked and {quiet_turns} quiet over "
+        f"{deliveries} deliveries, {len(positive_violations)} violations on "
+        f"positives",
     )

@@ -6,18 +6,19 @@ the same order, the same witnesses byte for byte.  The fan-in programs
 come from the benchmark's generators, imported read-only.
 """
 
+import gc
 import pathlib
 import sys
 
 import pytest
 
-from actorcap import runtime
+from actorcap import monitor, runtime
 from actorcap.checker import check_program
 from actorcap.cli import main
 from actorcap.lang import EPS, MsgType, StateBudgetExceeded, sym
-from actorcap.runtime import Config, Trace, explore, init_config
+from actorcap.runtime import Config, Stuck, Trace, explore, init_config
 from actorcap.syntax import Beh, parse_program
-from actorcap.values import BehValue, Num, PairV, RefValue
+from actorcap.values import UNIT_V, BehValue, Num, PairV, RefValue
 
 from naive_explore import naive_explore
 
@@ -187,6 +188,87 @@ def test_fanin_3x3_depth_10_expands_few_states(monkeypatch):
     assert deliveries <= 300  # the plain enumeration makes 18,901
 
 
+def test_global_check_once_per_state(monkeypatch):
+    # Monitored, the global check runs once in `init_config`, then once for
+    # each configuration the search keeps (the lone successors among them)
+    # and for each delivery that ends a schedule; an edge into a known
+    # configuration needs none.  Checked per edge, as `deliver` alone
+    # does, this search makes 146 checks.
+    checks = leaf_edges = 0
+    real_check, real_deliver = monitor.global_invariant, runtime.deliver
+
+    def counted_check(*args, **kwargs):
+        nonlocal checks
+        checks += 1
+        return real_check(*args, **kwargs)
+
+    def counted_deliver(config, choice, **kwargs):
+        nonlocal leaf_edges
+        res = real_deliver(config, choice, **kwargs)
+        depth = sum(e.kind == "deliver" for e in kwargs["trace"].events)
+        if (isinstance(res, Stuck) or depth == 12
+                or not runtime.enabled_deliveries(res)):
+            leaf_edges += 1
+        return res
+
+    monkeypatch.setattr(monitor, "global_invariant", counted_check)
+    monkeypatch.setattr(runtime, "deliver", counted_deliver)
+    config, kw = _setup(gen.fanin_program(3, 2, "t"), monitor=True)
+    report = explore(config, max_depth=12, **kw)
+    assert (report.states, report.schedules) == (64, 1680)
+    assert checks <= report.states + leaf_edges + 1
+    assert leaf_edges == 3  # the three deliveries into the quiescent end
+
+
+SEARCHES = [
+    *[(f"{p.parent.name}/{p.stem}", p.read_text(), 8, p.parent.name == "positive")
+      for p in CORPUS],
+    *[(f"fanin-{k}x{m}-d{d}", gen.fanin_program(k, m, "t"), d, True)
+      for k, m, d in [(3, 2, 12), (2, 3, 12), (3, 3, 6)]],
+]
+
+
+@pytest.mark.parametrize("monitor", [True, False], ids=["mon", "nomon"])
+@pytest.mark.parametrize("name,source,depth,checked", SEARCHES,
+                         ids=[s[0] for s in SEARCHES])
+def test_memoised_fingerprints_are_fresh(monkeypatch, name, source, depth,
+                                         checked, monitor):
+    # Every key the search builds from its kept shapes equals the key
+    # computed afresh for the same configuration, at that moment.
+    keys = 0
+    real = Config.fingerprint
+
+    def compared(self, shapes=None):
+        nonlocal keys
+        key = real(self, shapes)
+        if shapes is not None:
+            keys += 1
+            assert key == real(self), name
+        return key
+
+    monkeypatch.setattr(Config, "fingerprint", compared)
+    config, kw = _setup(source, monitor, checked)
+    report = explore(config, max_depth=depth, **kw)
+    if name.startswith("fanin"):
+        assert 0 < report.states <= keys
+
+
+def test_explore_leaves_no_garbage_cycle():
+    # A cycle would outlive the search until a collection, and the shape
+    # table holds a shape only while the search does.
+    config, kw = _setup(gen.fanin_program(3, 2, "t"), monitor=True)
+    shapes = len(runtime._SHAPES)
+    gc.collect()
+    gc.disable()
+    try:
+        report = explore(config, max_depth=12, **kw)
+        del report
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(runtime._SHAPES) == shapes
+
+
 def test_cli_fanin_3x3_depth_10(tmp_path, capsys):
     program = tmp_path / "fanin.acap"
     program.write_text(gen.fanin_program(3, 3, "t"))
@@ -273,6 +355,34 @@ class TestFingerprint:
             return cfg
 
         assert build(0).fingerprint() == build(1).fingerprint()
+
+    def test_sharing_without_references_does_not_count(self):
+        # Nothing can tell one pair under two names from two equal pairs.
+        p = PairV(Num(1), Num(2))
+        one = _holding(x=p, y=p)
+        two = _holding(x=p, y=PairV(Num(1), Num(2)))
+        assert one.fingerprint() == two.fingerprint()
+
+    def test_sharing_a_reference_counts_through_pairs(self):
+        r = RefValue(1, sym(A))
+        p = PairV(r, Num(1))
+        shared = _holding(x=p, y=p)
+        assert shared.fingerprint() == _holding(x=p, y=PairV(r, Num(1))).fingerprint()
+        other = _holding(x=p, y=PairV(RefValue(1, sym(A)), Num(1)))
+        assert shared.fingerprint() != other.fingerprint()
+
+    def test_shared_structure_costs_its_parts(self):
+        # 2**60 leaves as a tree, 61 values as shared; and 20,000 nested
+        # pairs take no Python stack.
+        doubled, chain = Num(1), UNIT_V
+        for _ in range(60):
+            doubled = PairV(doubled, doubled)
+        for i in range(20_000):
+            chain = PairV(Num(i), chain)
+        cfg = _holding(x=doubled)
+        cfg.append((0, 1), chain, A)
+        assert cfg.fingerprint() == cfg.fingerprint()
+        assert cfg.fingerprint() != _holding(x=PairV(doubled, Num(1))).fingerprint()
 
     def test_next_id_counts(self):
         a, b = _holding(), _holding()
