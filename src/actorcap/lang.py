@@ -22,20 +22,26 @@ process.
 
 Expressions are hash-consed (see `LangExpr`): every constructor, raw or
 smart, returns the one interned node for its operands, so equality is
-identity, and so is hashing.  No result depends on the order of a set of
-nodes, which follows their addresses: every order comes from the
+identity, and so is hashing.  A node that exists costs one dict lookup; a
+new one computes its facts from its operands' by its class's rule, so it
+costs only what is new about it.  No result depends on the order of a set
+of nodes, which follows their addresses: every order comes from the
 structural order key (`_order`) or from symbol names.  Expressions are
 canonical by construction: they come from the smart constructors (`alt`,
 `cat`, `shuffle`, `conj`, `star`) or from `parse_lang`, which builds
 through them, and every operation here builds its results the same way.
 In canonical form chains are right-nested, unions are flattened, sorted
 and deduplicated, unit and annihilator laws are applied, and the
-commutative operators have sorted operands.  The node classes are for
-matching, printing, interning and pickling; a tree built from them by hand
-is still decided correctly, just not canonicalised.  Canonical form keeps
-the sets of derivatives small, so it decides how fast inclusion runs, not
-whether it ends: partial derivatives are finitely many even without these
-identities.
+commutative operators have sorted operands.  The general path to that
+form (`_SMART`) flattens the operands' chains and builds the whole chain
+once; `_rebuild` takes it for any number of parts but two, which it hands
+to `alt`, `cat`, `shuffle` or `conj`.  The first three build a pair that
+needs no flattening at once, with the same result on canonical operands.
+The node classes are for matching, printing, interning and pickling; a
+tree built from them by hand is still decided correctly, just not
+canonicalised.  Canonical form keeps the sets of derivatives small, so it
+decides how fast inclusion runs, not whether it ends: partial derivatives
+are finitely many even without these identities.
 
 All operations are pure.  The node table and the two process-wide memo
 tables (the `lru_cache`s of `derivative` and `partial_derivatives`) are
@@ -49,6 +55,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import islice
+from operator import attrgetter
 
 # Derivative pairs one inclusion check may visit; words one enumerated set holds.
 STATE_BUDGET = 100_000
@@ -86,10 +93,22 @@ class LangExpr:
     structurally equal expressions are one object, and `==` and `hash` are
     those of `object`: identity.  Set order is then a matter of memory
     addresses, so nothing is read in it; where an order matters it comes
-    from `_order`.  A new node computes the four facts of `_facts` once,
-    from its operands': the structural order key, nullability, its symbols
-    (a sorted tuple) and whether the language is known to hold a word.  The
-    operand of a `Sym` is a message name, and the other operands are nodes.
+    from `_order`.  The operand of a `Sym` is a message name, and the other
+    operands are nodes.
+
+    A hit costs one tuple and one dict lookup.  A miss makes the node and
+    stores its operands and four facts, which its class's `_facts` rule
+    computes once from the operands' own facts: the structural order key
+    (the class's rank, Empty 0, Eps 1, Sym 2, Star 3, Cat 4, Shuffle 5,
+    And 6, Alt 7, then the operands' keys or the name of a `Sym`),
+    nullability, its symbols (a sorted tuple) and whether the language is
+    known to hold a word.  That last is exact without `&`; an `&` node is
+    known nonempty only when it is nullable, so False there means
+    "unknown".  So a node costs what is new about it, and no rule
+    recurses, whatever the depth.  Only the symbols grow with the node:
+    its tuple is the larger operand's when the other brings no new symbol,
+    and a copy with the new ones inserted otherwise (`_union`), so a chain
+    of n distinct symbols holds n tuples of up to n names.
     """
 
     __slots__ = ("_order", "_nullable", "_symbols", "_nonempty")
@@ -100,13 +119,22 @@ class LangExpr:
         node = _NODES.get(key)
         if node is not None:
             return node
-        if len(operands) != len(cls.__match_args__):
-            raise TypeError(f"{cls.__name__} takes {len(cls.__match_args__)} operands")
+        names = cls.__match_args__
+        if len(operands) != len(names):
+            raise TypeError(f"{cls.__name__} takes {len(names)} operands")
+        order, null, syms, full = cls._facts(*operands)
         node = object.__new__(cls)
-        for name, value in zip(cls.__match_args__, operands):
-            object.__setattr__(node, name, value)
-        for name, value in zip(LangExpr.__slots__, _facts(node)):
-            object.__setattr__(node, name, value)
+        store = object.__setattr__
+        store(node, "_order", order)
+        store(node, "_nullable", null)
+        store(node, "_symbols", syms)
+        store(node, "_nonempty", full)
+        match operands:  # no class has more than two
+            case (x,):
+                store(node, names[0], x)
+            case (l, r):
+                store(node, names[0], l)
+                store(node, names[1], r)
         # setdefault keeps one node per key even if two callers race here.
         return _NODES.setdefault(key, node)
 
@@ -135,82 +163,105 @@ _NODES: dict[tuple, LangExpr] = {}
 class Empty(LangExpr):
     __slots__ = ()
 
+    @staticmethod
+    def _facts():
+        return (0,), False, (), False
+
 
 class Eps(LangExpr):
     __slots__ = ()
+
+    @staticmethod
+    def _facts():
+        return (1,), True, (), True
 
 
 class Sym(LangExpr):
     __slots__ = __match_args__ = ("sym",)
     sym: MsgType
 
-
-class _Binary(LangExpr):
-    # Subclasses set _rank, their place in the structural order (_facts).
-    __slots__ = __match_args__ = ("left", "right")
-    left: LangExpr
-    right: LangExpr
+    @staticmethod
+    def _facts(s):
+        return (2, s), False, (s,), True
 
 
 class Star(LangExpr):
     __slots__ = __match_args__ = ("inner",)
     inner: LangExpr
 
+    @staticmethod
+    def _facts(i):
+        return (3, i._order), True, i._symbols, True
+
+
+class _Binary(LangExpr):
+    __slots__ = __match_args__ = ("left", "right")
+    left: LangExpr
+    right: LangExpr
+
 
 class Cat(_Binary):
     __slots__ = ()
-    _rank = 4
 
-
-class Alt(_Binary):
-    __slots__ = ()
-    _rank = 7
+    @staticmethod
+    def _facts(l, r):
+        null, full = l._nullable and r._nullable, l._nonempty and r._nonempty
+        return (4, l._order, r._order), null, _union(l._symbols, r._symbols), full
 
 
 class Shuffle(_Binary):
     __slots__ = ()
-    _rank = 5
+
+    @staticmethod
+    def _facts(l, r):
+        null, full = l._nullable and r._nullable, l._nonempty and r._nonempty
+        return (5, l._order, r._order), null, _union(l._symbols, r._symbols), full
 
 
 class And(_Binary):
     __slots__ = ()
-    _rank = 6
+
+    @staticmethod
+    def _facts(l, r):
+        null = l._nullable and r._nullable
+        return (6, l._order, r._order), null, _union(l._symbols, r._symbols), null
+
+
+class Alt(_Binary):
+    __slots__ = ()
+
+    @staticmethod
+    def _facts(l, r):
+        null, full = l._nullable or r._nullable, l._nonempty or r._nonempty
+        return (7, l._order, r._order), null, _union(l._symbols, r._symbols), full
 
 
 def _union(a: tuple, b: tuple) -> tuple:
-    # The sorted symbols of both, sharing a side's tuple if it has them all.
-    both = tuple(sorted({*a, *b}))
-    return a if both == a else b if both == b else both
+    """The sorted symbols of both sorted tuples.
 
-
-def _facts(e: LangExpr):
-    """Order key, nullability, symbols and non-emptiness of a new node.
-
-    All four come from the operands' facts, so a node of any depth costs
-    no recursion.  Non-emptiness is exact without `&`; an `&` node is known
-    nonempty only when it is nullable, so False there means "unknown".
+    The longer tuple is returned itself when it holds the shorter's
+    symbols, and a few new symbols are inserted into it by binary search,
+    so a node whose operand adds one symbol to a long chain copies the
+    chain's tuple once instead of sorting it.  Two tuples of similar
+    length are merged by one sort.
     """
-    match e:
-        case Empty():
-            return (0,), False, (), False
-        case Eps():
-            return (1,), True, (), True
-        case Sym(s):
-            return (2, s), False, (s,), True
-        case Star(i):
-            return (3, i._order), True, i._symbols, True
-        case Alt(l, r):
-            null = l._nullable or r._nullable
-            full = l._nonempty or r._nonempty
-        case Cat(l, r) | Shuffle(l, r):
-            null = l._nullable and r._nullable
-            full = l._nonempty and r._nonempty
-        case And(l, r):
-            null = full = l._nullable and r._nullable
-        case _:
-            raise TypeError(f"not a language expression: {e!r}")
-    order = (e._rank, l._order, r._order)
-    return order, null, _union(l._symbols, r._symbols), full
+    if len(a) > len(b):
+        a, b = b, a
+    n = len(b)
+    if len(a) * n.bit_length() > n:
+        both = tuple(sorted({*a, *b}))
+        return b if len(both) == n else both
+    for s in a:
+        lo, hi = 0, len(b)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if b[mid] < s:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == len(b) or b[lo] != s:
+            b = b[:lo] + (s,) + b[lo:]
+    return b
 
 
 EMPTY = Empty()
@@ -221,9 +272,8 @@ def sym(name: MsgType) -> Sym:
     return Sym(name)
 
 
-def _key(e: LangExpr):
-    """Total structural order used to sort operands of commutative nodes."""
-    return e._order
+# Total structural order used to sort operands of commutative nodes.
+_key = attrgetter("_order")
 
 
 def _chain(cls, e: LangExpr) -> list[LangExpr]:
@@ -249,15 +299,16 @@ def _fold_right(cls, items: list[LangExpr]) -> LangExpr:
 
 
 def _alt(items: list[LangExpr]) -> LangExpr:
-    kept = {x for x in items if x != EMPTY}
+    kept = set(items)
+    kept.discard(EMPTY)
     if not kept:
         return EMPTY
     return _fold_right(Alt, sorted(kept, key=_key))
 
 
 def _cat(items: list[LangExpr]) -> LangExpr:
-    items = [x for x in items if x != EPS]
-    if any(x == EMPTY for x in items):
+    items = [x for x in items if x is not EPS]
+    if EMPTY in items:
         return EMPTY
     if not items:
         return EPS
@@ -265,8 +316,8 @@ def _cat(items: list[LangExpr]) -> LangExpr:
 
 
 def _shuffle(items: list[LangExpr]) -> LangExpr:
-    items = [x for x in items if x != EPS]
-    if any(x == EMPTY for x in items):
+    items = [x for x in items if x is not EPS]
+    if EMPTY in items:
         return EMPTY
     if not items:
         return EPS
@@ -290,6 +341,8 @@ _UNIT = {Alt: EMPTY, Cat: EPS, Shuffle: EPS}
 
 def _rebuild(cls, parts: list[LangExpr] | tuple[LangExpr, ...]) -> LangExpr:
     """The smart constructor of `cls` over the chains of all `parts`."""
+    if len(parts) == 2:
+        return _PAIR[cls](*parts)
     # A unit of the class adds nothing to the chain, and a lone canonical
     # part is already the result: so a derivative step that leaves eps
     # before a long chain returns the chain instead of rebuilding it, and
@@ -303,22 +356,53 @@ def _rebuild(cls, parts: list[LangExpr] | tuple[LangExpr, ...]) -> LangExpr:
     return _SMART[cls]([x for p in parts for x in _chain(cls, p)])
 
 
+# The two-operand constructors, which `_rebuild` takes for two parts,
+# answer the unit and annihilator laws, and build the node at once when
+# no operand is a chain of their class: for the commutative ones one
+# `_order` comparison sorts the pair.  Otherwise they take the smart
+# constructor, the general path, whose canonical forms these are.
+
+
 def alt(a: LangExpr, b: LangExpr) -> LangExpr:
-    return _rebuild(Alt, [a, b])
+    if a is EMPTY:
+        return b
+    if b is EMPTY:
+        return a
+    if type(a) is not Alt and type(b) is not Alt:
+        if a is b:
+            return a
+        return Alt(a, b) if a._order < b._order else Alt(b, a)
+    return _alt([*_chain(Alt, a), *_chain(Alt, b)])
 
 
 def cat(a: LangExpr, b: LangExpr) -> LangExpr:
-    return _rebuild(Cat, [a, b])
+    if a is EPS:
+        return b
+    if b is EPS:
+        return a
+    if type(a) is not Cat:
+        # Chains nest to the right, so a canonical chain `b` stays whole.
+        return EMPTY if a is EMPTY or b is EMPTY else Cat(a, b)
+    return _cat([*_chain(Cat, a), *_chain(Cat, b)])
 
 
 def shuffle(a: LangExpr, b: LangExpr) -> LangExpr:
-    if a is EPS or b is EPS:  # the unit: most effects and queues are eps
-        return b if a is EPS else a
-    return _rebuild(Shuffle, [a, b])
+    if a is EPS:  # the unit: most effects and queues are eps
+        return b
+    if b is EPS:
+        return a
+    if type(a) is not Shuffle and type(b) is not Shuffle:
+        if a is EMPTY or b is EMPTY:
+            return EMPTY
+        return Shuffle(a, b) if a._order <= b._order else Shuffle(b, a)
+    return _shuffle([*_chain(Shuffle, a), *_chain(Shuffle, b)])
 
 
 def conj(a: LangExpr, b: LangExpr) -> LangExpr:
-    return _rebuild(And, [a, b])
+    return _conj([*_chain(And, a), *_chain(And, b)])
+
+
+_PAIR = {Alt: alt, Cat: cat, Shuffle: shuffle, And: conj}
 
 
 def star(a: LangExpr) -> LangExpr:

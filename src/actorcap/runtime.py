@@ -35,6 +35,7 @@ import json
 import random
 import weakref
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import monitor as mon
 from . import lang as lng
@@ -655,7 +656,7 @@ def enabled_deliveries(config: Config) -> list[tuple[int, int, MsgType]]:
         for (src, dst), q in config.queues.items()
         if q
     ]
-    out.sort(key=lambda t: (t[1], t[0]))
+    out.sort(key=itemgetter(1, 0))
     return out
 
 

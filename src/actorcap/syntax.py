@@ -495,7 +495,8 @@ class _Parser:
         self.src = toks.src
         self.pos = 0
         self.alphabet: set[MsgType] = {UNIT_MSG}
-        # Each distinct `[...]` text is parsed once per program.
+        # Each distinct `[...]` text is parsed and checked once per program:
+        # the declaration pre-scan completes the alphabet before any is.
         self.langs: dict[str, LangExpr] = {}
 
     def at(self, kind: str) -> bool:
@@ -536,13 +537,14 @@ class _Parser:
         l = self.langs.get(text)
         if l is None:
             try:
-                l = self.langs[text] = parse_lang(text)
+                l = parse_lang(text)
             except LangParseError as e:
                 raise ParseError(f"bad language: {e}", self.loc(i)) from None
-        undeclared = symbols(l) - self.alphabet
-        if undeclared:
-            names = ", ".join(sorted(undeclared))
-            raise ParseError(f"undeclared message symbol(s): {names}", self.loc(i))
+            undeclared = symbols(l) - self.alphabet
+            if undeclared:
+                names = ", ".join(sorted(undeclared))
+                raise ParseError(f"undeclared message symbol(s): {names}", self.loc(i))
+            self.langs[text] = l
         return l
 
     def msg_token(self) -> MsgType:
