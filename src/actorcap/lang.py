@@ -32,11 +32,10 @@ canonical by construction: they come from the smart constructors (`alt`,
 through them, and every operation here builds its results the same way.
 In canonical form chains are right-nested, unions are flattened, sorted
 and deduplicated, unit and annihilator laws are applied, and the
-commutative operators have sorted operands.  The general path to that
-form (`_SMART`) flattens the operands' chains and builds the whole chain
-once; `_rebuild` takes it for any number of parts but two, which it hands
-to `alt`, `cat`, `shuffle` or `conj`.  The first three build a pair that
-needs no flattening at once, with the same result on canonical operands.
+commutative operators have sorted operands.  Each of `alt`, `cat`,
+`shuffle` and `conj` takes two or more operands, flattens their chains
+and builds the whole chain once; given two operands, the first three
+build a pair that needs no flattening at once, with the same result.
 The node classes are for matching, printing, interning and pickling; a
 tree built from them by hand is still decided correctly, just not
 canonicalised.  Canonical form keeps the sets of derivatives small, so it
@@ -293,21 +292,42 @@ def _fold_right(cls, items: list[LangExpr]) -> LangExpr:
     return acc
 
 
-# The smart constructors take the operands of a whole same-class chain at
-# once.  Each is associative in that list, so `_rebuild` can flatten any
-# nesting of the class into one list and build the chain once.
+# One smart constructor per operator, for two or more operands.  Two
+# operands take a fast path: the unit and annihilator laws, then a pair
+# built at once when no operand is a chain of the class (for the
+# commutative classes one `_order` comparison sorts it).  Every other case
+# flattens the operands' chains into one list and builds the whole chain
+# once; each operator is associative, so the result is the same however
+# its operands were nested.
 
 
-def _alt(items: list[LangExpr]) -> LangExpr:
-    kept = set(items)
+def alt(a: LangExpr, b: LangExpr, *more: LangExpr) -> LangExpr:
+    if not more:
+        if a is EMPTY:
+            return b
+        if b is EMPTY:
+            return a
+        if type(a) is not Alt and type(b) is not Alt:
+            if a is b:
+                return a
+            return Alt(a, b) if a._order < b._order else Alt(b, a)
+    kept = {x for p in (a, b, *more) for x in _chain(Alt, p)}
     kept.discard(EMPTY)
     if not kept:
         return EMPTY
     return _fold_right(Alt, sorted(kept, key=_key))
 
 
-def _cat(items: list[LangExpr]) -> LangExpr:
-    items = [x for x in items if x is not EPS]
+def cat(a: LangExpr, b: LangExpr, *more: LangExpr) -> LangExpr:
+    if not more:
+        if a is EPS:
+            return b
+        if b is EPS:
+            return a
+        if type(a) is not Cat:
+            # Chains nest to the right, so a canonical chain `b` stays whole.
+            return EMPTY if a is EMPTY or b is EMPTY else Cat(a, b)
+    items = [x for p in (a, b, *more) for x in _chain(Cat, p) if x is not EPS]
     if EMPTY in items:
         return EMPTY
     if not items:
@@ -315,8 +335,17 @@ def _cat(items: list[LangExpr]) -> LangExpr:
     return _fold_right(Cat, items)
 
 
-def _shuffle(items: list[LangExpr]) -> LangExpr:
-    items = [x for x in items if x is not EPS]
+def shuffle(a: LangExpr, b: LangExpr, *more: LangExpr) -> LangExpr:
+    if not more:
+        if a is EPS:  # the unit: most effects and queues are eps
+            return b
+        if b is EPS:
+            return a
+        if type(a) is not Shuffle and type(b) is not Shuffle:
+            if a is EMPTY or b is EMPTY:
+                return EMPTY
+            return Shuffle(a, b) if a._order <= b._order else Shuffle(b, a)
+    items = [x for p in (a, b, *more) for x in _chain(Shuffle, p) if x is not EPS]
     if EMPTY in items:
         return EMPTY
     if not items:
@@ -326,83 +355,13 @@ def _shuffle(items: list[LangExpr]) -> LangExpr:
     return _fold_right(Shuffle, sorted(items, key=_key))
 
 
-def _conj(items: list[LangExpr]) -> LangExpr:
-    kept = set(items)
+def conj(a: LangExpr, b: LangExpr, *more: LangExpr) -> LangExpr:
+    kept = {x for p in (a, b, *more) for x in _chain(And, p)}
     if EMPTY in kept:
         return EMPTY
     if EPS in kept:
         return EPS if all(nullable(x) for x in kept) else EMPTY
     return _fold_right(And, sorted(kept, key=_key))
-
-
-_SMART = {Alt: _alt, Cat: _cat, Shuffle: _shuffle, And: _conj}
-_UNIT = {Alt: EMPTY, Cat: EPS, Shuffle: EPS}
-
-
-def _rebuild(cls, parts: list[LangExpr] | tuple[LangExpr, ...]) -> LangExpr:
-    """The smart constructor of `cls` over the chains of all `parts`."""
-    if len(parts) == 2:
-        return _PAIR[cls](*parts)
-    # A unit of the class adds nothing to the chain, and a lone canonical
-    # part is already the result: so a derivative step that leaves eps
-    # before a long chain returns the chain instead of rebuilding it, and
-    # parts that are all the unit make the unit.
-    unit = _UNIT.get(cls)
-    rest = [p for p in parts if p is not unit]
-    if len(rest) == 1:
-        return rest[0]
-    if not rest:
-        return unit
-    return _SMART[cls]([x for p in parts for x in _chain(cls, p)])
-
-
-# The two-operand constructors, which `_rebuild` takes for two parts,
-# answer the unit and annihilator laws, and build the node at once when
-# no operand is a chain of their class: for the commutative ones one
-# `_order` comparison sorts the pair.  Otherwise they take the smart
-# constructor, the general path, whose canonical forms these are.
-
-
-def alt(a: LangExpr, b: LangExpr) -> LangExpr:
-    if a is EMPTY:
-        return b
-    if b is EMPTY:
-        return a
-    if type(a) is not Alt and type(b) is not Alt:
-        if a is b:
-            return a
-        return Alt(a, b) if a._order < b._order else Alt(b, a)
-    return _alt([*_chain(Alt, a), *_chain(Alt, b)])
-
-
-def cat(a: LangExpr, b: LangExpr) -> LangExpr:
-    if a is EPS:
-        return b
-    if b is EPS:
-        return a
-    if type(a) is not Cat:
-        # Chains nest to the right, so a canonical chain `b` stays whole.
-        return EMPTY if a is EMPTY or b is EMPTY else Cat(a, b)
-    return _cat([*_chain(Cat, a), *_chain(Cat, b)])
-
-
-def shuffle(a: LangExpr, b: LangExpr) -> LangExpr:
-    if a is EPS:  # the unit: most effects and queues are eps
-        return b
-    if b is EPS:
-        return a
-    if type(a) is not Shuffle and type(b) is not Shuffle:
-        if a is EMPTY or b is EMPTY:
-            return EMPTY
-        return Shuffle(a, b) if a._order <= b._order else Shuffle(b, a)
-    return _shuffle([*_chain(Shuffle, a), *_chain(Shuffle, b)])
-
-
-def conj(a: LangExpr, b: LangExpr) -> LangExpr:
-    return _conj([*_chain(And, a), *_chain(And, b)])
-
-
-_PAIR = {Alt: alt, Cat: cat, Shuffle: shuffle, And: conj}
 
 
 def star(a: LangExpr) -> LangExpr:
@@ -428,7 +387,10 @@ def derivative(s: MsgType, l: LangExpr) -> LangExpr:
 
     The canonical union of the partial derivatives.
     """
-    return _rebuild(Alt, partial_derivatives(s, l))
+    terms = partial_derivatives(s, l)
+    if len(terms) > 1:
+        return alt(*terms)
+    return terms[0] if terms else EMPTY
 
 
 def first_unhandled(l: LangExpr, handled) -> MsgType | None:
@@ -815,7 +777,7 @@ def _print(e: LangExpr, ctx: int) -> str:
 # one no rule admits), and the empty match at the end of the text ends it.
 _LANG_TOKEN = re.compile(r"\s*(<\w*|eps(?!\w)|.|\Z)", re.DOTALL)
 
-_OP_CLASS = {op: cls for cls, (_, op) in _LEVEL.items()}
+_OP_BUILD = {"|": alt, "&": conj, "#": shuffle, ".": cat}
 _OP_LEVEL = {op: lvl for lvl, op in _LEVEL.values()}
 
 
@@ -846,14 +808,14 @@ class _LangParser:
     def binary(self, min_lvl: int = 1) -> LangExpr:
         """The operators of `_LEVEL` at `min_lvl` or tighter: the operands
         of one operator, each parsed a level tighter, are collected and the
-        chain is built once by its smart constructor."""
+        chain is built by one call of its smart constructor."""
         e = self.post()
         while _OP_LEVEL.get(op := self.toks[self.pos], 0) >= min_lvl:
             parts = [e]
             while self.toks[self.pos] == op:
                 self.pos += 1
                 parts.append(self.binary(_OP_LEVEL[op] + 1))
-            e = _rebuild(_OP_CLASS[op], parts)
+            e = _OP_BUILD[op](*parts)
         return e
 
     def post(self) -> LangExpr:

@@ -323,7 +323,7 @@ class TestInterning:
         orders = [t._order for t in terms]
         assert orders == sorted(orders) and len(set(terms)) == len(terms)
         assert EMPTY not in terms
-        assert derivative(A, e) is lang._rebuild(Alt, list(terms))
+        assert derivative(A, e) is lang.alt(*terms)
 
     def test_iteration_order_ignores_allocation_history(self):
         # Nodes hash by address, so set order follows unrelated allocations;

@@ -1,16 +1,19 @@
-"""Building language nodes: the two-operand constructors, the facts each new
+"""Building language nodes: the smart constructors, the facts each new
 node computes, and how construction time grows along a chain.
 
-`alt`, `cat` and `shuffle` build a pair of operands that are not chains of
-their class at once, and the smart constructor over both operands' chains
-takes every other case; both must make that constructor's canonical form.
-A new node computes its four facts from its operands' (`LangExpr._facts`),
-which must agree with a recursion over the whole tree.
+`alt`, `cat`, `shuffle` and `conj` take two or more operands.  Given two,
+the first three build a pair that is not a chain of their class at once;
+every other case flattens the operands' chains and builds the whole chain.
+Both paths must make the tests' own canonical form (`reference_normalize`)
+of the raw node over the same operands.  A new node computes its four
+facts from its operands' (`LangExpr._facts`), which must agree with a
+recursion over the whole tree.
 """
 
 import math
 import random
 import time
+from functools import reduce
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -46,7 +49,7 @@ def canonical(seed: int):
 
 
 def chain_of(cls, seeds):
-    return lang._rebuild(cls, [canonical(s) for s in seeds])
+    return dict(CONSTRUCTORS)[cls](*[canonical(s) for s in seeds])
 
 
 seeds = st.integers(0, 2**16)
@@ -65,10 +68,24 @@ operands = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(operands, operands)
-def test_two_operand_constructors_build_the_smart_chain(a, b):
+def test_two_operands_build_the_canonical_form(a, b):
     for cls, build in CONSTRUCTORS:
-        chains = [*lang._chain(cls, a), *lang._chain(cls, b)]
-        assert build(a, b) is lang._SMART[cls](chains), (cls.__name__, str(a), str(b))
+        want = reference_normalize(cls(a, b))
+        assert build(a, b) is want, (cls.__name__, str(a), str(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(operands, min_size=3, max_size=4), st.booleans())
+def test_more_operands_build_the_canonical_form(parts, nest_left):
+    # However the raw node nests the operands, one call over all of them
+    # makes its canonical form.
+    for cls, build in CONSTRUCTORS:
+        if nest_left:
+            raw = reduce(cls, parts)
+        else:
+            raw = reduce(lambda right, p: cls(p, right), reversed(parts))
+        want = reference_normalize(raw)
+        assert build(*parts) is want, (cls.__name__, [str(p) for p in parts])
 
 
 _RANK = {Empty: 0, Eps: 1, Sym: 2, Star: 3, Cat: 4, Shuffle: 5, And: 6, Alt: 7}
