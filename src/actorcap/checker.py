@@ -58,6 +58,7 @@ from .syntax import (
     Program,
     SelfCap,
     Send,
+    SourceError,
     Spawn,
     Split,
     TypeExpr,
@@ -83,21 +84,26 @@ class ErrorCode(enum.Enum):
     JoinFailure = "JoinFailure"
 
 
-class TypeCheckError(Exception):
+class TypeCheckError(SourceError):
+    """A rejected expression, at the index of its first token (`pos`).
+
+    `check_program` gives it the program's text, so `loc` reads as a line
+    and column; raised by a `Checker` method alone, `loc` is `pos`.
+    """
+
     def __init__(
         self,
         code: ErrorCode,
-        loc: Loc | int,
+        pos: int,
         detail: str,
         required_language: LangExpr | None = None,
         declared_language: LangExpr | None = None,
     ):
         self.code = code
-        self.loc = loc  # a position until `check_program` resolves it
+        self.pos = pos
         self.detail = detail
         self.required_language = required_language
         self.declared_language = declared_language
-        super().__init__(self.render())
 
     def render(self) -> str:
         msg = f"{self.code.value} @ {self.loc} - {self.detail}"
@@ -576,7 +582,9 @@ def check_program(p: Program, warn_dropped: bool = False) -> TypedProgram:
     """Accept a program or raise TypeCheckError.
 
     The root must check to a behaviour type under the empty environment, and
-    its protocol must allow the initial unit message.
+    its protocol must allow the initial unit message.  The error raised is
+    the one the checker raised, given the program's source: its line and
+    column are found only if its position or text is read.
     """
     checker = Checker(p, warn_dropped=warn_dropped)
     try:
@@ -594,8 +602,8 @@ def check_program(p: Program, warn_dropped: bool = False) -> TypedProgram:
                 declared_language=t.lang,
             )
     except TypeCheckError as e:
-        raise TypeCheckError(e.code, *locate(p.source, [e.loc]), e.detail,
-                             e.required_language, e.declared_language) from None
+        e.set_source(p.source)
+        raise
     typed = checker.typed
     typed.root_type = t
     typed.root_effect = eff

@@ -26,8 +26,10 @@ Kinds come from the texts through a table made for the call: keywords and
 punctuation are listed, names and numbers are classified by their first
 character when first met, and only bracketed texts, text outside ASCII and
 bad characters by a slower test. A node's position is its first token's
-index; `locate` rescans the source for the lines and columns of reported
-positions only. The parser parses each distinct `[...]` text once.
+index; `locate` rescans the source for the lines and columns of positions
+that are read. An error (`SourceError`) keeps its token index when raised
+and is located, once, when its position or text is first read. The parser
+parses each distinct `[...]` text once.
 """
 
 from __future__ import annotations
@@ -63,15 +65,47 @@ NO_LOC = Loc(0, 0)
 NO_POS = -1
 
 
-class ParseError(Exception):
-    def __init__(self, message: str, loc: Loc, expected: frozenset[str] = frozenset()):
-        detail = f"parse error @ {loc} - {message}"
-        if expected:
-            detail += " (expected " + ", ".join(sorted(expected)) + ")"
-        super().__init__(detail)
+class SourceError(Exception):
+    """An error at a token of a source text, located and worded when read.
+
+    `pos` is the token's index in `source`, or a `Loc` already resolved.
+    `loc` is `pos` until `source` is set, then one `locate` call on first
+    read, kept.  Only `render` and `str` build the text.
+    """
+
+    source: str | None = None
+    _loc: Loc | None = None
+
+    def set_source(self, source: str) -> None:
+        """Name the text `pos` indexes, so `loc` reads as a line and column."""
+        self.source = source
+
+    @property
+    def loc(self) -> Loc | int:
+        if self.source is None:
+            return self.pos
+        if self._loc is None:
+            self._loc = locate(self.source, [self.pos])[0]
+        return self._loc
+
+    def __str__(self) -> str:
+        return self.render()
+
+
+class ParseError(SourceError):
+    def __init__(self, message: str, pos: Loc | int, source: str | None = None,
+                 expected: frozenset[str] = frozenset()):
+        super().__init__(message, pos)  # `args`, and so `repr`, leave out the source
         self.message = message
-        self.loc = loc
+        self.pos = pos
+        self.source = source
         self.expected = expected
+
+    def render(self) -> str:
+        detail = f"parse error @ {self.loc} - {self.message}"
+        if self.expected:
+            detail += " (expected " + ", ".join(sorted(self.expected)) + ")"
+        return detail
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +498,7 @@ def tokenize(src: str) -> Tokens:
         text = texts[i]
         message = ("unterminated '['" if text == "["
                    else f"unexpected character {text[0]!r}")
-        raise ParseError(message, *locate(src, [i]))
+        raise ParseError(message, i, src)
     # Bracketed annotations (languages, or a message name for send) are
     # captured raw and may span lines; the consumer reads them. The token
     # starts at its `[`.
@@ -515,12 +549,9 @@ class _Parser:
             found = self.shown(i)
             if self.kinds[i] != "EOF":
                 found = f"{self.kinds[i]} {found}"
-            raise ParseError(f"unexpected {found}", self.loc(i), frozenset({kind}))
+            raise ParseError(f"unexpected {found}", i, self.src, frozenset({kind}))
         self.pos = i + 1
         return i
-
-    def loc(self, i: int) -> Loc:
-        return locate(self.src, [i])[0]
 
     def shown(self, i: int) -> str:
         """Token `i` as an error names it: its quoted text, or `end of input`."""
@@ -539,11 +570,11 @@ class _Parser:
             try:
                 l = parse_lang(text)
             except LangParseError as e:
-                raise ParseError(f"bad language: {e}", self.loc(i)) from None
+                raise ParseError(f"bad language: {e}", i, self.src) from None
             undeclared = symbols(l) - self.alphabet
             if undeclared:
                 names = ", ".join(sorted(undeclared))
-                raise ParseError(f"undeclared message symbol(s): {names}", self.loc(i))
+                raise ParseError(f"undeclared message symbol(s): {names}", i, self.src)
             self.langs[text] = l
         return l
 
@@ -552,9 +583,9 @@ class _Parser:
         text = self.texts[i]
         name = text.strip()
         if not name.isidentifier():
-            raise ParseError(f"expected a message name, got {text!r}", self.loc(i))
+            raise ParseError(f"expected a message name, got {text!r}", i, self.src)
         if name not in self.alphabet:
-            raise ParseError(f"undeclared message symbol(s): {name}", self.loc(i))
+            raise ParseError(f"undeclared message symbol(s): {name}", i, self.src)
         return name
 
     # -- types
@@ -592,7 +623,7 @@ class _Parser:
             self.expect(")")
             return inner
         raise ParseError(
-            f"expected a type, got {self.shown(i)}", self.loc(i),
+            f"expected a type, got {self.shown(i)}", i, self.src,
             frozenset({"Bool", "Nat", "Unit", "ActorRef", "Beh", "("}),
         )
 
@@ -637,7 +668,7 @@ class _Parser:
             self.pos = i + 1
             return EMPTY
         raise ParseError(
-            "expected a latent effect (eps, 0 or [language])", self.loc(i),
+            "expected a latent effect (eps, 0 or [language])", i, self.src,
             frozenset({"eps", "0", "["}),
         )
 
@@ -667,7 +698,7 @@ class _Parser:
                 if n1 == n2:
                     raise ParseError(
                         f"split names must be distinct, got {n1!r} twice",
-                        self.loc(i),
+                        i, self.src,
                     )
                 heads.append((Split, (path, n1, t1, n2, t2), i))
             else:
@@ -714,7 +745,7 @@ class _Parser:
             return Var(self.path(), i)
         if kind not in _PRIMARY_START:
             raise ParseError(
-                f"expected an expression, got {self.shown(i)}", self.loc(i),
+                f"expected an expression, got {self.shown(i)}", i, self.src,
                 _PRIMARY_START,
             )
         if kind == "beh":
@@ -771,7 +802,7 @@ class _Parser:
             self.expect("NAME")
         label = self.texts[i]
         if label not in self.alphabet:
-            raise ParseError(f"undeclared message symbol(s): {label}", self.loc(i))
+            raise ParseError(f"undeclared message symbol(s): {label}", i, self.src)
         self.expect("(")
         binder = self.name()
         self.expect(")")
@@ -788,7 +819,7 @@ class _Parser:
             text = self.texts[i]
             if text not in ("1", "2"):
                 raise ParseError(
-                    f"path selector must be 1 or 2, got {text}", self.loc(i)
+                    f"path selector must be 1 or 2, got {text}", i, self.src
                 )
             sels.append(int(text))
             self.pos = i + 1
@@ -809,7 +840,7 @@ class _Parser:
             i = self.expect("msg")
             name = self.name()
             if name == "Unit" or name in names:
-                raise ParseError(f"duplicate message declaration {name!r}", self.loc(i))
+                raise ParseError(f"duplicate message declaration {name!r}", i, self.src)
             self.expect(":")
             payload = self.type_expr()
             names.add(name)
@@ -818,12 +849,12 @@ class _Parser:
         root = self.expr()
         eof = self.pos
         if kinds[eof] != "EOF":
-            raise ParseError(f"trailing input {texts[eof]!r}", self.loc(eof))
+            raise ParseError(f"trailing input {texts[eof]!r}", eof, self.src)
         if root.free:
             raise ParseError(
                 "root expression is not closed; unbound: "
                 + ", ".join(sorted(root.free)),
-                self.loc(eof),
+                eof, self.src,
             )
         return Program(tuple(decls), root, self.src)
 

@@ -1,20 +1,22 @@
-"""Node positions: token indices, turned into lines and columns on report.
+"""Node positions: token indices, turned into lines and columns when read.
 
 The parser gives each node the index of its first token (a binary
-operator's is its operator's, an application's its function's), and only a
-reported error or warning is located.  The oracle scanner
-(`naive_tokenize`) steps line and column one character at a time, so it
-says where each indexed token is.
+operator's is its operator's, an application's its function's). An error
+is located once, when its position or text is first read, and warnings
+when they are reported. The oracle scanner (`naive_tokenize`) steps line
+and column one character at a time, so it says where each indexed token
+is.
 """
 
 import pathlib
+import re
 import sys
 
 import pytest
 
 from actorcap import syntax
 from actorcap.checker import Checker, ErrorCode, TypeCheckError, check_program, env_join
-from actorcap.cli import EXIT_TYPE_ERROR, main
+from actorcap.cli import EXIT_PARSE_ERROR, EXIT_TYPE_ERROR, main
 from actorcap.runtime import Trace, init_config, run
 from actorcap.syntax import (
     NAT,
@@ -52,6 +54,7 @@ from naive_tokenize import naive_tokenize
 ROOT = pathlib.Path(__file__).parent.parent
 CORPUS = sorted((ROOT / "corpus").glob("*/*.acap"))
 POSITIVE = sorted((ROOT / "corpus" / "positive").glob("*.acap"))
+NEGATIVE = sorted((ROOT / "corpus" / "negative").glob("*.acap"))
 sys.path.insert(0, str(ROOT / "bench"))
 import gen  # noqa: E402  (the benchmark's program generators)
 
@@ -145,14 +148,57 @@ def test_a_correct_program_resolves_no_position(resolved, capsys):
     assert resolved == []
 
 
-def test_the_spy_sees_reported_positions(resolved):
-    src = (ROOT / "corpus" / "negative" / "self_split.acap").read_text()
-    with pytest.raises(TypeCheckError):
+def test_the_spy_sees_reported_positions(resolved, tmp_path, capsys):
+    # Raising locates nothing; the first read of the position or the text,
+    # whichever it is, locates once, and later reads reuse it.
+    negative = (ROOT / "corpus" / "negative" / "self_split.acap").read_text()
+    reads = {
+        "str": str,
+        "loc": lambda e: e.loc,
+        "render": lambda e: e.render(),
+        "to_json_obj": lambda e: e.to_json_obj(),
+    }
+    parse_reads = {k: v for k, v in reads.items() if k != "to_json_obj"}
+    cases = [
+        (TypeCheckError, lambda: check_program(parse_program(negative)), reads),
+        # One error from the tokenizer, one from the parser.
+        (ParseError, lambda: parse_program("beh[<Unit>]{ Unit(m) => ? }"), parse_reads),
+        (ParseError, lambda: parse_program("beh[<Unit>]{ Unit(m) => }"), parse_reads),
+    ]
+    for error, reject, error_reads in cases:
+        for name, first in error_reads.items():
+            with pytest.raises(error) as e:
+                reject()
+            assert resolved == [], name
+            first(e.value)
+            for read in error_reads.values():
+                read(e.value)
+                read(e.value)
+            assert len(resolved) == 1, name
+            resolved.clear()
+    # A JSON report reads the line and the column apart.
+    for name, src, code in [
+        ("type.acap", "if true then 1 else false", EXIT_TYPE_ERROR),
+        ("parse.acap", "beh[<Unit>]{ Unit(m) => ? }", EXIT_PARSE_ERROR),
+    ]:
+        path = tmp_path / name
+        path.write_text(src)
+        assert main(["check", str(path), "--format", "json"]) == code
+        assert '"span":{"line":1,"col":' in capsys.readouterr().out
+        assert len(resolved) == 1, name
+        resolved.clear()
+
+
+@pytest.mark.parametrize("path", NEGATIVE, ids=[p.stem for p in NEGATIVE])
+def test_a_rejected_program_is_located_only_when_read(path, resolved, capsys):
+    src = path.read_text()
+    expected = re.search(r"-- expect: (\w+)", src).group(1)
+    with pytest.raises(TypeCheckError) as e:
         check_program(parse_program(src))
-    assert len(resolved) == 1
-    with pytest.raises(ParseError):
-        parse_program("beh[<Unit>]{ Unit(m) => ? }")
-    assert len(resolved) == 2
+    assert e.value.code.value == expected
+    assert resolved == []
+    assert main(["check", str(path)]) == EXIT_TYPE_ERROR
+    assert capsys.readouterr().err == str(e.value) + "\n"
 
 
 def test_warnings_are_resolved_in_one_pass(resolved):
