@@ -30,12 +30,11 @@ structural order key (`_order`) or from symbol names.  Expressions are
 canonical by construction: they come from the smart constructors (`alt`,
 `cat`, `shuffle`, `conj`, `star`) or from `parse_lang`, which builds
 through them, and every operation here builds its results the same way.
-In canonical form chains are right-nested, unions are flattened, sorted
-and deduplicated, unit and annihilator laws are applied, and the
-commutative operators have sorted operands.  Each of `alt`, `cat`,
-`shuffle` and `conj` takes two or more operands, flattens their chains
-and builds the whole chain once; given two operands, the first three
-build a pair that needs no flattening at once, with the same result.
+In canonical form an `|`, `#` or `&` is one node over all of its operands,
+sorted, and for `|` and `&` deduplicated; a `.` chain is right-nested, so
+a derivative shares its tail; the unit and annihilator laws are applied.
+Each of `alt`, `cat`, `shuffle` and `conj` takes two or more operands and
+builds one node or chain over them, however they were grouped.
 The node classes are for matching, printing, interning and pickling; a
 tree built from them by hand is still decided correctly, just not
 canonicalised.  Canonical form keeps the sets of derivatives small, so it
@@ -52,8 +51,9 @@ search's set of pairs live for one call only.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, product
 from operator import attrgetter
 
 # Derivative pairs one inclusion check may visit; words one enumerated set holds.
@@ -92,22 +92,24 @@ class LangExpr:
     structurally equal expressions are one object, and `==` and `hash` are
     those of `object`: identity.  Set order is then a matter of memory
     addresses, so nothing is read in it; where an order matters it comes
-    from `_order`.  The operand of a `Sym` is a message name, and the other
-    operands are nodes.
+    from `_order`.  The operand of a `Sym` is a message name, that of an
+    `|`, `#` or `&` node a tuple of nodes, and the other operands are nodes.
 
     A hit costs one tuple and one dict lookup.  A miss makes the node and
     stores its operands and four facts, which its class's `_facts` rule
     computes once from the operands' own facts: the structural order key
     (the class's rank, Empty 0, Eps 1, Sym 2, Star 3, Cat 4, Shuffle 5,
-    And 6, Alt 7, then the operands' keys or the name of a `Sym`),
-    nullability, its symbols (a sorted tuple) and whether the language is
-    known to hold a word.  That last is exact without `&`; an `&` node is
-    known nonempty only when it is nullable, so False there means
-    "unknown".  So a node costs what is new about it, and no rule
-    recurses, whatever the depth.  Only the symbols grow with the node:
-    its tuple is the larger operand's when the other brings no new symbol,
-    and a copy with the new ones inserted otherwise (`_union`), so a chain
-    of n distinct symbols holds n tuples of up to n names.
+    And 6, Alt 7, then the operands' keys or the name of a `Sym`; a flat
+    node's is that of the right-nested pairs it stands for), nullability,
+    its symbols (a sorted tuple) and whether the language is known to hold
+    a word.  That last is exact without `&`; an `&` node is known nonempty
+    only when it is nullable, so False there means "unknown".  So a node
+    costs what is new about it, and no rule recurses, whatever the depth.
+    A flat node holds one tuple of its operands' symbols, or its widest
+    operand's.  A `.` node's is the larger operand's when the other brings
+    no new symbol, and a copy with the new ones inserted otherwise
+    (`_union`), so a `.` chain of n distinct symbols holds n tuples of up
+    to n names.
     """
 
     __slots__ = ("_order", "_nullable", "_symbols", "_nonempty")
@@ -128,12 +130,8 @@ class LangExpr:
         store(node, "_nullable", null)
         store(node, "_symbols", syms)
         store(node, "_nonempty", full)
-        match operands:  # no class has more than two
-            case (x,):
-                store(node, names[0], x)
-            case (l, r):
-                store(node, names[0], l)
-                store(node, names[1], r)
+        for name, x in zip(names, operands):
+            store(node, name, x)
         # setdefault keeps one node per key even if two callers race here.
         return _NODES.setdefault(key, node)
 
@@ -146,7 +144,7 @@ class LangExpr:
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def __repr__(self) -> str:
-        ops = [getattr(self, f) for f in self.__match_args__]
+        ops = self.__reduce__()[1]
         if not ops:
             return type(self).__name__
         shown = (x if isinstance(x, str) else repr(x) for x in ops)
@@ -193,14 +191,10 @@ class Star(LangExpr):
         return (3, i._order), True, i._symbols, True
 
 
-class _Binary(LangExpr):
+class Cat(LangExpr):
     __slots__ = __match_args__ = ("left", "right")
     left: LangExpr
     right: LangExpr
-
-
-class Cat(_Binary):
-    __slots__ = ()
 
     @staticmethod
     def _facts(l, r):
@@ -208,31 +202,48 @@ class Cat(_Binary):
         return (4, l._order, r._order), null, _union(l._symbols, r._symbols), full
 
 
-class Shuffle(_Binary):
+class _Nary(LangExpr):
+    """An `|`, `#` or `&` node over all of its operands, `items`, however
+    many; the raw constructor takes two or more: `Alt(a, b, *more)`."""
+
+    __slots__ = __match_args__ = ("items",)
+    items: tuple[LangExpr, ...]
+
+    def __new__(cls, a, b, *more):
+        return LangExpr.__new__(cls, (a, b, *more))
+
+    def __reduce__(self):
+        return type(self), self.items
+
+    @classmethod
+    def _facts(cls, items):
+        # The order key is that of the right-nested pairs the node stands
+        # for, (rank, o1, (rank, o2, ... on)), so sorts are those of pairs.
+        rank, join = cls._rule
+        *init, order = [x._order for x in items]
+        for o in reversed(init):
+            order = (rank, o, order)
+        null = join([x._nullable for x in items])
+        full = null if cls is And else join([x._nonempty for x in items])
+        wide = max((x._symbols for x in items), key=len)
+        syms = {s for x in items for s in x._symbols}
+        syms = wide if len(syms) == len(wide) else tuple(sorted(syms))
+        return order, null, syms, full
+
+
+class Shuffle(_Nary):
     __slots__ = ()
-
-    @staticmethod
-    def _facts(l, r):
-        null, full = l._nullable and r._nullable, l._nonempty and r._nonempty
-        return (5, l._order, r._order), null, _union(l._symbols, r._symbols), full
+    _rule = (5, all)
 
 
-class And(_Binary):
+class And(_Nary):
     __slots__ = ()
-
-    @staticmethod
-    def _facts(l, r):
-        null = l._nullable and r._nullable
-        return (6, l._order, r._order), null, _union(l._symbols, r._symbols), null
+    _rule = (6, all)
 
 
-class Alt(_Binary):
+class Alt(_Nary):
     __slots__ = ()
-
-    @staticmethod
-    def _facts(l, r):
-        null, full = l._nullable or r._nullable, l._nonempty or r._nonempty
-        return (7, l._order, r._order), null, _union(l._symbols, r._symbols), full
+    _rule = (7, any)
 
 
 def _union(a: tuple, b: tuple) -> tuple:
@@ -240,7 +251,7 @@ def _union(a: tuple, b: tuple) -> tuple:
 
     The longer tuple is returned itself when it holds the shorter's
     symbols, and a few new symbols are inserted into it by binary search,
-    so a node whose operand adds one symbol to a long chain copies the
+    so a `.` node whose head adds one symbol to a long chain copies the
     chain's tuple once instead of sorting it.  Two tuples of similar
     length are merged by one sort.
     """
@@ -251,13 +262,7 @@ def _union(a: tuple, b: tuple) -> tuple:
         both = tuple(sorted({*a, *b}))
         return b if len(both) == n else both
     for s in a:
-        lo, hi = 0, len(b)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if b[mid] < s:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect_left(b, s)
         if lo == len(b) or b[lo] != s:
             b = b[:lo] + (s,) + b[lo:]
     return b
@@ -276,7 +281,7 @@ _key = attrgetter("_order")
 
 
 def _chain(cls, e: LangExpr) -> list[LangExpr]:
-    """The operands of a `cls` chain: canonical chains are right-nested."""
+    """The operands of a `.` chain (`cls` is `Cat`), along its right spine."""
     items: list[LangExpr] = []
     while isinstance(e, cls):
         items.append(e.left)
@@ -285,37 +290,27 @@ def _chain(cls, e: LangExpr) -> list[LangExpr]:
     return items
 
 
-def _fold_right(cls, items: list[LangExpr]) -> LangExpr:
-    acc = items[-1]
-    for x in reversed(items[:-1]):
-        acc = cls(x, acc)
-    return acc
+def _operands(cls, parts) -> list[LangExpr]:
+    """`parts`, each `cls` node among them replaced by its operands."""
+    return [x for p in parts for x in (p.items if type(p) is cls else (p,))]
 
 
-# One smart constructor per operator, for two or more operands.  Two
-# operands take a fast path: the unit and annihilator laws, then a pair
-# built at once when no operand is a chain of the class (for the
-# commutative classes one `_order` comparison sorts it).  Every other case
-# flattens the operands' chains into one list and builds the whole chain
-# once; each operator is associative, so the result is the same however
-# its operands were nested.
+def _build(cls, items, unit: LangExpr) -> LangExpr:
+    """One `cls` node over the sorted `items`, the one item, or `unit`."""
+    if len(items) > 1:
+        return LangExpr.__new__(cls, tuple(sorted(items, key=_key)))
+    return next(iter(items), unit)
+
+
+# One smart constructor per operator, for two or more operands: flatten the
+# class's nodes among them, apply the unit and annihilator laws, and build
+# one node (a right-nested chain for `.`), however the operands were grouped.
 
 
 def alt(a: LangExpr, b: LangExpr, *more: LangExpr) -> LangExpr:
-    if not more:
-        if a is EMPTY:
-            return b
-        if b is EMPTY:
-            return a
-        if type(a) is not Alt and type(b) is not Alt:
-            if a is b:
-                return a
-            return Alt(a, b) if a._order < b._order else Alt(b, a)
-    kept = {x for p in (a, b, *more) for x in _chain(Alt, p)}
+    kept = set(_operands(Alt, (a, b, *more)))
     kept.discard(EMPTY)
-    if not kept:
-        return EMPTY
-    return _fold_right(Alt, sorted(kept, key=_key))
+    return _build(Alt, kept, EMPTY)
 
 
 def cat(a: LangExpr, b: LangExpr, *more: LangExpr) -> LangExpr:
@@ -332,7 +327,10 @@ def cat(a: LangExpr, b: LangExpr, *more: LangExpr) -> LangExpr:
         return EMPTY
     if not items:
         return EPS
-    return _fold_right(Cat, items)
+    acc = items.pop()
+    for x in reversed(items):
+        acc = Cat(x, acc)
+    return acc
 
 
 def shuffle(a: LangExpr, b: LangExpr, *more: LangExpr) -> LangExpr:
@@ -341,27 +339,18 @@ def shuffle(a: LangExpr, b: LangExpr, *more: LangExpr) -> LangExpr:
             return b
         if b is EPS:
             return a
-        if type(a) is not Shuffle and type(b) is not Shuffle:
-            if a is EMPTY or b is EMPTY:
-                return EMPTY
-            return Shuffle(a, b) if a._order <= b._order else Shuffle(b, a)
-    items = [x for p in (a, b, *more) for x in _chain(Shuffle, p) if x is not EPS]
-    if EMPTY in items:
-        return EMPTY
-    if not items:
-        return EPS
-    # Commutative and associative, so a sorted chain is canonical.  No
-    # deduplication: L # L is genuinely larger than L.
-    return _fold_right(Shuffle, sorted(items, key=_key))
+    # No deduplication: L # L is genuinely larger than L.
+    items = [x for x in _operands(Shuffle, (a, b, *more)) if x is not EPS]
+    return EMPTY if EMPTY in items else _build(Shuffle, items, EPS)
 
 
 def conj(a: LangExpr, b: LangExpr, *more: LangExpr) -> LangExpr:
-    kept = {x for p in (a, b, *more) for x in _chain(And, p)}
+    kept = set(_operands(And, (a, b, *more)))
     if EMPTY in kept:
         return EMPTY
     if EPS in kept:
         return EPS if all(nullable(x) for x in kept) else EMPTY
-    return _fold_right(And, sorted(kept, key=_key))
+    return _build(And, kept, EMPTY)
 
 
 def star(a: LangExpr) -> LangExpr:
@@ -462,12 +451,13 @@ def _words_upto(e: LangExpr, k: int, memo: _Memo) -> frozenset[Word]:
             out = frozenset({()})
         case Sym(s):
             out = frozenset({(s,)}) if k >= 1 else frozenset()
-        case Alt(a, b):
+        case Alt(items):
             out = _Words(memo)
-            for w in _words_upto(a, k, memo) | _words_upto(b, k, memo):
-                out.add(w)
-        case And(a, b):
-            out = _words_upto(a, k, memo) & _words_upto(b, k, memo)
+            for x in items:
+                for w in _words_upto(x, k, memo):
+                    out.add(w)
+        case And(items):
+            out = frozenset.intersection(*[_words_upto(x, k, memo) for x in items])
         case Cat(a, b):
             right: dict[int, list[Word]] = {}  # b's words by their length
             for v in _words_upto(b, k, memo):
@@ -493,10 +483,11 @@ def _words_upto(e: LangExpr, k: int, memo: _Memo) -> frozenset[Word]:
                                 out.add(w)
                                 fresh.append(w)
                 frontier = fresh
-        case Shuffle(a, b):
-            out = _shuffle_upto(
-                _words_upto(a, k, memo), _words_upto(b, k, memo), k, memo
-            )
+        case Shuffle(items):
+            # Folded from the right, as the sets of a right-nested chain.
+            out = _words_upto(items[-1], k, memo)
+            for x in reversed(items[:-1]):
+                out = _shuffle_upto(_words_upto(x, k, memo), out, k, memo)
         case _:
             raise TypeError(f"not a language expression: {e!r}")
     memo[e] = out = frozenset(out)
@@ -596,23 +587,30 @@ def partial_derivatives(s: MsgType, e: LangExpr) -> tuple[LangExpr, ...]:
             return ()
         case Sym(t):
             return (EPS,) if t == s else ()
-        case Alt(a, b):
-            out = {*partial_derivatives(s, a), *partial_derivatives(s, b)}
-        case Cat(a, b):
-            out = {cat(da, b) for da in partial_derivatives(s, a)}
-            if nullable(a):
-                out.update(partial_derivatives(s, b))
+        case Alt(items):
+            out = set().union(*[partial_derivatives(s, x) for x in items])
+        case Cat():
+            # Walk the nullable heads in a loop; each term shares its tail.
+            out, tail = set(), e
+            while type(tail) is Cat:
+                a, tail = tail.left, tail.right
+                out.update(cat(da, tail) for da in partial_derivatives(s, a))
+                if not a._nullable:
+                    break
+            else:
+                out.update(partial_derivatives(s, tail))
         case Star(a):
             out = {cat(da, e) for da in partial_derivatives(s, a)}
-        case Shuffle(a, b):
-            out = {shuffle(da, b) for da in partial_derivatives(s, a)}
-            out.update(shuffle(a, db) for db in partial_derivatives(s, b))
-        case And(a, b):
+        case Shuffle(items):
+            # A step of the shuffle is a step of one operand.
             out = {
-                conj(da, db)
-                for da in partial_derivatives(s, a)
-                for db in partial_derivatives(s, b)
+                shuffle(*items[:i], dx, *items[i + 1 :])
+                for i, x in enumerate(items)
+                for dx in partial_derivatives(s, x)
             }
+        case And(items):
+            steps = product(*[partial_derivatives(s, x) for x in items])
+            out = {conj(*ds) for ds in steps}
         case _:
             raise TypeError(f"not a language expression: {e!r}")
     out.discard(EMPTY)
@@ -620,7 +618,7 @@ def partial_derivatives(s: MsgType, e: LangExpr) -> tuple[LangExpr, ...]:
 
 
 def _terms(e: LangExpr) -> frozenset[LangExpr]:
-    return frozenset(_chain(Alt, e)) - {EMPTY}
+    return frozenset(_operands(Alt, (e,))) - {EMPTY}
 
 
 def is_empty(l: LangExpr) -> bool:
@@ -760,12 +758,13 @@ def _print(e: LangExpr, ctx: int) -> str:
             return f"<{s}>"
         case Star(i):
             return _print(i, 5) + "*"
-        case _Binary():
-            lvl, op = _LEVEL[type(e)]
+        case Cat():  # a chain prints flat, its right spine walked in a loop
+            *lefts, last = _chain(Cat, e)
+        case _Nary(items):
+            *lefts, last = items
         case _:
             raise TypeError(f"not a language expression: {e!r}")
-    # Keep chains flat in print, walking the right spine without recursion.
-    *lefts, last = _chain(type(e), e)
+    lvl, op = _LEVEL[type(e)]
     body = op.join([*(_print(x, lvl + 1) for x in lefts), _print(last, lvl)])
     return f"({body})" if ctx > lvl else body
 

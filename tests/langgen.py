@@ -30,15 +30,12 @@ def random_expr(rng: random.Random, depth: int = 4) -> LangExpr:
             return EPS
         return Sym(rng.choice(ALPHABET))
     op = rng.randrange(5)
-    if op == 0:
-        return Cat(random_expr(rng, depth - 1), random_expr(rng, depth - 1))
-    if op == 1:
-        return Alt(random_expr(rng, depth - 1), random_expr(rng, depth - 1))
     if op == 2:
         return Star(random_expr(rng, depth - 1))
-    if op == 3:
-        return Shuffle(random_expr(rng, depth - 1), random_expr(rng, depth - 1))
-    return And(random_expr(rng, depth - 1), random_expr(rng, depth - 1))
+    cls = (Cat, Alt, None, Shuffle, And)[op]
+    # Raw `|`, `#` and `&` nodes sometimes take three operands at once.
+    n = 3 if cls is not Cat and rng.random() < 0.25 else 2
+    return cls(*[random_expr(rng, depth - 1) for _ in range(n)])
 
 
 def random_word(rng: random.Random, max_len: int) -> tuple[MsgType, ...]:
@@ -61,25 +58,30 @@ def reference_normalize(e: LangExpr) -> LangExpr:
             if a is EMPTY or a is EPS:
                 return EPS
             return a if isinstance(a, Star) else Star(a)
-        case Cat(a, b) | Alt(a, b) | Shuffle(a, b) | And(a, b):
+        case Cat() | Alt() | Shuffle() | And():
             cls = type(e)
-            parts = [reference_normalize(a), reference_normalize(b)]
-            return canonical_chain(cls, [x for p in parts for x in spine(cls, p)])
+            raw = (e.left, e.right) if cls is Cat else e.items
+            parts = [reference_normalize(x) for x in raw]
+            return canonical_chain(cls, [x for p in parts for x in operands(cls, p)])
     return e
 
 
-def spine(cls, e: LangExpr) -> list[LangExpr]:
-    """The operands along the right spine of a `cls` chain."""
+def operands(cls, e: LangExpr) -> list[LangExpr]:
+    """The operands of a canonical `cls` node: those along the right spine
+    of a `.` chain, the flat operand tuple of the other classes."""
+    if cls is not Cat:
+        return list(e.items) if type(e) is cls else [e]
     items = []
-    while type(e) is cls:
+    while type(e) is Cat:
         items.append(e.left)
         e = e.right
     return items + [e]
 
 
 def canonical_chain(cls, items: list[LangExpr]) -> LangExpr:
-    """The canonical `cls` chain over canonical operands that are not
-    chains of `cls` themselves."""
+    """The canonical `cls` node over canonical operands that are not `cls`
+    nodes themselves: a right-nested chain for `.`, one node over the
+    sorted operands for the others."""
     if cls is And:
         if EMPTY in items:
             return EMPTY
@@ -94,8 +96,10 @@ def canonical_chain(cls, items: list[LangExpr]) -> LangExpr:
             return EMPTY
     if cls in (Alt, And):  # idempotent
         items = list(dict.fromkeys(items))
-    if cls is not Cat:  # commutative
-        items.sort(key=lambda x: x._order)
+    if len(items) == 1:
+        return items[0]
+    if cls is not Cat:  # commutative, and one flat node
+        return cls(*sorted(items, key=lambda x: x._order))
     acc = items[-1]
     for x in reversed(items[:-1]):
         acc = cls(x, acc)

@@ -14,6 +14,7 @@ import pytest
 import actorcap
 
 from actorcap import lang
+from actorcap.checker import check_program
 from actorcap.lang import (
     Alt,
     And,
@@ -46,6 +47,7 @@ from actorcap.lang import (
     symbols,
     word_derivative,
 )
+from actorcap.syntax import parse_program
 
 A, B, C = MsgType("a"), MsgType("b"), MsgType("c")
 NOP, ACT = MsgType("nop"), MsgType("act")
@@ -378,6 +380,48 @@ class TestDeepChains:
     def test_left_nested_raw_trees_print_as_before(self):
         assert lang_to_text(Cat(Cat(Sym(A), Sym(B)), Sym(C))) == "(<a>.<b>).<c>"
         assert lang_to_text(Alt(Sym(A), Alt(Sym(B), EPS))) == "<a>|<b>|eps"
+
+
+class TestWideNodes:
+    """An `|`, `#` or `&` node holds all of its operands in one tuple, and
+    the nullable heads of a `.` chain are walked in a loop, so deriving a
+    wide expression takes no Python stack per operand: these run at the
+    default recursion limit."""
+
+    N = 3000
+    NAMES = [f"a{i}" for i in range(N)]
+
+    def test_alt_derivative(self):
+        e = alt(*map(sym, self.NAMES))
+        assert derivative("a1500", e) is EPS
+        assert derivative("b", e) is EMPTY
+        assert type(e) is Alt and len(e.items) == self.N
+
+    def test_shuffle_derivative(self):
+        e = shuffle(*map(sym, self.NAMES))
+        rest = shuffle(*[sym(n) for n in self.NAMES if n != "a1500"])
+        assert derivative("a1500", e) is rest
+        assert derivative("a1500", rest) is EMPTY
+
+    def test_nullable_cat_chain(self):
+        e = parse_lang(".".join(f"<{n}>*" for n in self.NAMES))
+        assert nullable(e)
+        assert derivative("a2999", e) is star(sym("a2999"))
+        tail = parse_lang(".".join(f"<{n}>*" for n in self.NAMES[1500:]))
+        assert derivative("a1500", e) is tail
+        assert derivative("b", e) is EMPTY
+
+    def test_600_case_server_checks(self):
+        names = self.NAMES[:600]
+        server = "(" + "|".join(f"<{n}>" for n in names) + ")*"
+        src = (
+            "".join(f"msg {n} : Unit " for n in names)
+            + "beh[<Unit>]{ Unit(m) => let s = spawn("
+            + f"(fun k(z: Nat): Beh[{server}] ! eps => beh[{server}]{{ "
+            + " | ".join(f"{n}(x) => k z" for n in names)
+            + " }) 0) in beh[eps]{ } }"
+        )
+        check_program(parse_program(src))
 
 
 class TestTextSyntax:
