@@ -40,6 +40,16 @@ mirroring what the checker guarantees statically:
   the turn builds no summary and skips it, and the global check takes the
   combined live tags from the last check (`Config.check_memo`, kept until
   the next delivery takes it out) instead of summarizing them again.
+  After a clean check the next one visits only the actors the delivery
+  touched: after a quiet turn the receiver alone, otherwise the receiver,
+  the actors the turn sent to or spawned, and every actor whose combined
+  live tags are no longer the node the last check summarized.  Every
+  other actor kept its behaviour, queues and tags, so its verdict, clean,
+  stands.  Every actor is visited in the first check, in the check after
+  one that reported a violation, and in the check after an unmonitored or
+  stuck delivery or of a configuration built by hand, which have no memo;
+  so the violations are a full check's, in the same order and with the
+  same text.
 
 `runtime.deliver` checks the first two on every turn, and in a run the
 third after every delivery too.  The third depends only on the
@@ -55,6 +65,7 @@ disabled typically trip one before (or instead of) getting stuck.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -228,8 +239,9 @@ def delivered(config, queue: tuple[int, int], msg: MsgType) -> None:
     """
     entry = config.residuals.pop(queue[1], None)
     if entry is not None and entry.queue == queue and entry.folded > 1:
-        config.residuals[queue[1]] = entry._replace(
-            annot=lng.derivative(msg, entry.annot), folded=entry.folded - 1
+        config.residuals[queue[1]] = Residual(
+            lng.derivative(msg, entry.annot), queue, entry.folded - 1,
+            entry.last, entry.residual,
         )
 
 
@@ -255,9 +267,15 @@ def _queue_residual(config, actor: int, annot: LangExpr, queue, q) -> LangExpr:
     return residual
 
 
-def global_invariant(
-    config, summary: dict[int, LangExpr] | None = None
-) -> list[Violation]:
+def carried(memo: tuple, quiet: bool, touched: tuple[int, ...]) -> tuple:
+    """The check memo `memo` carried past a turn that touched the actors
+    `touched`: its summary stays current only if the turn was quiet, and
+    a clean mark lists the actors touched since."""
+    summary, current, seen = memo
+    return summary, current and quiet, None if seen is None else seen + touched
+
+
+def global_invariant(config, memo: tuple | None = None) -> list[Violation]:
     """Check global consistency at a quiescent point (between deliveries).
 
     For every actor, every FIFO-consistent interleaving of the messages in
@@ -270,20 +288,30 @@ def global_invariant(
     queue); the combined tags must lie within it.  With none or several,
     the actor's entry is dropped, and the interleavings followed by the
     combined tags, `cat(shuffle(q1, ..., qk), combined)`, must lie within
-    the protocol.  A report names the first interleaving, in `fifo_merges`
-    order, whose residual fails, found one delivery at a time only when
-    the check fails (`_first_failing_merge`).
+    the protocol.  An actor's inbound queues are found by bisecting the
+    ready index (`Config.ready`).  A report names the first interleaving,
+    in `fifo_merges` order, whose residual fails, found one delivery at a
+    time only when the check fails (`_first_failing_merge`).
 
-    With `summary`, the check after a quiet turn (`runtime.deliver`),
-    which changed no tag and no live reference: the combined tags are the
-    last check's, so they are taken as they are, not summarized again.
-    Either way a completed check leaves them in `config.check_memo`.
+    `memo` is the `Config.check_memo` of the last check, carried past the
+    deliveries since (`carried`): `(summary, current, touched)`.
+    While `current`, every turn since was quiet, so no tag and no live
+    reference changed, and `summary`, the combined tags that check
+    summarized, is taken as it is.  `touched` is None unless that check
+    was clean; then it lists the actors the turns since touched (each
+    receiver, and after a turn that was not quiet its send targets and the
+    actors it spawned), and only those are visited, with every actor whose
+    combined tags are no longer the node `summary` held.  No other actor's
+    behaviour, queues or combined tags changed, so its verdict, clean,
+    stands, and the violations are the full check's in the same order.
+    Without a memo, or after a check that reported a violation, every
+    actor is visited.  A completed check leaves `(summary, True, ())` in
+    `config.check_memo` if it was clean, and `(summary, True, None)` if
+    not.
     """
-    inbound: dict[int, list] = {}  # receiver -> its nonempty queues' keys
-    for key, q in config.queues.items():
-        if q:
-            inbound.setdefault(key[1], []).append(key)
-    if summary is None:
+    if memo is not None and memo[1]:
+        summary = memo[0]
+    else:
         # The behaviours' references come with them, and the payloads' are
         # counted as messages enter and leave the queues.
         live = iter_refs(config.store.values())
@@ -293,9 +321,22 @@ def global_invariant(
         for ref in config.tags.keys() - live.keys():
             del config.tags[ref]
         summary = summarize(live, config.tags)
+    store, ready = config.store, config.ready
+    if memo is None or memo[2] is None:
+        actors = sorted(store)
+    else:
+        touched = set(memo[2])
+        if not memo[1]:
+            old = memo[0]
+            touched.update(old.keys() - summary.keys())
+            for actor, combined in summary.items():
+                if old.get(actor) is not combined:
+                    touched.add(actor)
+        actors = sorted(store.keys() & touched)
 
     violations: list[Violation] = []
-    for actor, behv in sorted(config.store.items()):
+    for actor in actors:
+        behv = store[actor]
         s = lng.first_unhandled(behv.annot, {c.label for c in behv.cases})
         if s is not None:
             violations.append(
@@ -308,17 +349,21 @@ def global_invariant(
                 )
             )
         combined = summary.get(actor, EPS)
-        keys = sorted(inbound.get(actor, ()))
-        if len(keys) == 1:
+        # The actor's inbound queues are ready[lo:hi], by sender.
+        lo = bisect_left(ready, (actor,))
+        hi = bisect_left(ready, (actor + 1,), lo)
+        if hi - lo == 1:
             # One order, whose residual the actor's entry keeps: no merges
             # are left after it.
-            q = config.queues[keys[0]]
-            start = _queue_residual(config, actor, behv.annot, keys[0], q)
+            key = (ready[lo][1], actor)
+            q = config.queues[key]
+            start = _queue_residual(config, actor, behv.annot, key, q)
             seqs = []
         else:
             config.residuals.pop(actor, None)
             q, start = (), behv.annot
-            seqs = [[m for _, m in config.queues[k]] for k in keys]
+            seqs = [[m for _, m in config.queues[(src, actor)]]
+                    for _, src in ready[lo:hi]]
         if not _holds(seqs, combined, start):
             # The witness, with the single queue, is spelled out only here.
             residual, rest = _first_failing_merge(seqs, combined, start)
@@ -333,7 +378,7 @@ def global_invariant(
                     f"{word!r})",
                 )
             )
-    config.check_memo = summary
+    config.check_memo = (summary, True, None if violations else ())
     return violations
 
 

@@ -10,18 +10,21 @@ interleave arbitrarily.
 
 A run with a fixed seed is a pure function of the initial configuration:
 the scheduler draws uniformly among enabled deliveries from a seeded PRNG,
-and traces replay byte for byte.  `explore` counts every delivery order up
-to a depth bound instead, classifying each schedule's outcome, but walks
-the configurations level by level, one delivery deeper each time, and
-expands each distinct one of a level once (`Config.fingerprint`):
-schedules that meet in one configuration share what follows it, and so
-does the monitor's global check, which a search runs once per distinct
-configuration, not once per delivery.  A fingerprint is built from value
-shapes, computed once per value while the search holds it, so values that
-configurations share are not walked again.  Its witnesses are the first
-schedules in depth-first order, and its cap counts the configurations it
-expands, not the schedules.  The depth bound and the cap bound the search;
-it takes no Python stack per delivery.
+and traces replay byte for byte.  It draws an index into the sorted keys
+of the nonempty queues (`Config.ready`), which enqueueing and delivering
+keep sorted, so a step sorts nothing.  `explore` counts every delivery
+order up to a depth bound instead, classifying each schedule's outcome,
+but walks the configurations level by level, one delivery deeper each
+time, and expands each distinct one of a level once
+(`Config.fingerprint`): schedules that meet in one configuration share
+what follows it, and so does the monitor's global check, which a search
+runs once per distinct configuration, not once per delivery.  A
+fingerprint is built from value shapes, computed once per value while the
+search holds it, so values that configurations share are not walked
+again.  Its witnesses are the first schedules in depth-first order, and
+its cap counts the configurations it expands, not the schedules.  The
+depth bound and the cap bound the search; it takes no Python stack per
+delivery.
 
 Stuckness is a first-class outcome: a delivery whose head message has no
 matching case in the target's installed behaviour reports
@@ -34,8 +37,8 @@ import itertools
 import json
 import random
 import weakref
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from . import monitor as mon
 from . import lang as lng
@@ -140,8 +143,18 @@ class Trace:
     events: list[TraceEvent] = field(default_factory=list)
     outcome: str | None = None
 
-    def emit(self, kind: str, **kw) -> TraceEvent:
-        ev = TraceEvent(step=len(self.events), kind=kind, **kw)
+    def emit(
+        self,
+        kind: str,
+        *,
+        src: int | None = None,
+        dst: int | None = None,
+        msg: str | None = None,
+        lang: str | None = None,
+        violation: str | None = None,
+        detail: str | None = None,
+    ) -> TraceEvent:
+        ev = TraceEvent(len(self.events), kind, src, dst, msg, lang, violation, detail)
         self.events.append(ev)
         return ev
 
@@ -184,25 +197,35 @@ class Config:
     reference reachable from several places, say under two names or inside
     a closure, is one capability with one remaining tag.  The monitor's
     global check drops the entries of references nothing reaches any more.
-    Three tables are derived state that save the global check work, so
-    `copy` carries them, while `fingerprint` and `==` ignore them.
-    `residuals` is the monitor's table of per-actor residuals after their
-    single inbound queue (`monitor.Residual`); an actor with none or
-    several has no entry, since one inclusion checks it from its protocol.
-    `inflight` maps each reference to the number of queued messages whose
-    payload reaches it (`Value.refs`, set when the payload is built), so
-    the references in flight are its keys.  Queues
-    change only through `append` and `pop_head`, which keep `inflight`
-    counted on every delivery, monitored or not; a configuration built with
-    queues but without the table counts it from them.  `check_memo` is the
-    combined live tags toward each actor that the last global check
-    summarized, which the check after a quiet turn reuses.  Every
-    `deliver` takes it out first.  A completed global check puts a new one
-    back, and a quiet turn whose check is left to `explore` puts the old
-    one back, since it changed no tag and no live reference.  So after an
-    unmonitored or stuck delivery, and in a configuration built by hand,
-    there is none and the next check is a full one.  `copy` shares it: it
-    is replaced, never updated in place.
+    Four tables are derived state that save the global check and the
+    scheduler work, so `copy` carries them, while `fingerprint` and `==`
+    ignore them.  `residuals` is the monitor's table of per-actor residuals
+    after their single inbound queue (`monitor.Residual`); an actor with
+    none or several has no entry, since one inclusion checks it from its
+    protocol.  `inflight` maps each reference to the number of queued
+    messages whose payload reaches it (`Value.refs`, set when the payload
+    is built), so the references in flight are its keys.  `ready` is the
+    ready index: the `(receiver, sender)` keys of the nonempty queues,
+    sorted, which the scheduler draws on and the global check bisects for
+    an actor's inbound queues.  Queues change only through `append` and
+    `pop_head`, which keep `inflight` counted and `ready` sorted on every
+    delivery, monitored or not; a configuration built with queues but
+    without the tables builds them from the queues.
+
+    `check_memo` is what the last global check left for the next one:
+    `(summary, current, touched)` (`monitor.global_invariant`).  `summary`
+    is the combined live tags toward each actor that it summarized, which
+    the check after quiet turns reuses while `current` holds.  `touched`
+    is the clean mark: `()` after a clean check, None after one that
+    reported a violation.  Every `deliver` takes the memo out first and,
+    monitored and not stuck, puts it back carried past its turn: `current`
+    only if the turn was quiet, and a clean mark extended by the actors the
+    turn touched.  The check that follows visits only those, or every
+    actor if the mark is None.  A completed check puts a new memo in its
+    place; a delivery whose check is left to `explore` leaves the carried
+    one for it.  So after an unmonitored or stuck delivery, and in a
+    configuration built by hand, there is none and the next check is a
+    full one.  `copy` shares it: it is replaced, never updated in place.
     """
 
     store: dict[int, BehValue] = field(default_factory=dict)
@@ -213,7 +236,8 @@ class Config:
     tags: dict[RefValue, LangExpr] = field(default_factory=dict)
     residuals: dict[int, mon.Residual] = field(default_factory=dict, compare=False)
     inflight: dict[RefValue, int] = field(default=None, compare=False)
-    check_memo: dict[int, LangExpr] | None = field(default=None, compare=False)
+    check_memo: tuple | None = field(default=None, compare=False)
+    ready: list[tuple[int, int]] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.inflight is None:
@@ -221,6 +245,10 @@ class Config:
             for q in self.queues.values():
                 for value, _ in q:
                     self._count(value, 1)
+        if self.ready is None:
+            self.ready = sorted(
+                (dst, src) for (src, dst), q in self.queues.items() if q
+            )
 
     def _count(self, value: Value, delta: int):
         inflight = self.inflight
@@ -233,7 +261,10 @@ class Config:
 
     def append(self, key: tuple[int, int], value: Value, msg: MsgType):
         """Enqueue `msg` with its payload at the tail of queue `key`."""
-        self.queues.setdefault(key, []).append((value, msg))
+        q = self.queues.setdefault(key, [])
+        if not q:
+            insort(self.ready, (key[1], key[0]))
+        q.append((value, msg))
         self._count(value, 1)
 
     def pop_head(self, key: tuple[int, int]) -> tuple[Value, MsgType]:
@@ -243,6 +274,8 @@ class Config:
         value, msg = q.pop(0)
         if not q:
             del self.queues[key]
+            ready = self.ready
+            del ready[bisect_left(ready, (key[1], key[0]))]
         self._count(value, -1)
         return value, msg
 
@@ -250,7 +283,8 @@ class Config:
         """An independent branch: fresh containers, shared values."""
         queues = {k: list(q) for k, q in self.queues.items()}
         return Config(dict(self.store), queues, self.next_id, dict(self.tags),
-                      dict(self.residuals), dict(self.inflight), self.check_memo)
+                      dict(self.residuals), dict(self.inflight), self.check_memo,
+                      list(self.ready))
 
     def fingerprint(self, shapes: "_Shapes | None" = None) -> tuple:
         """A canonical, hashable key: configurations with equal keys have
@@ -651,13 +685,8 @@ def enabled_deliveries(config: Config) -> list[tuple[int, int, MsgType]]:
 
     Heads without a matching case are included, so stuckness is observable.
     """
-    out = [
-        (src, dst, q[0][1])
-        for (src, dst), q in config.queues.items()
-        if q
-    ]
-    out.sort(key=itemgetter(1, 0))
-    return out
+    queues = config.queues
+    return [(src, dst, queues[(src, dst)][0][1]) for dst, src in config.ready]
 
 
 def deliver(
@@ -680,8 +709,10 @@ def deliver(
     conformance and conservation, which a quiet turn gives no target.  The
     global check of the configuration the turn leaves runs too, unless
     `global_check` is false: `explore` runs it once per distinct
-    configuration instead.  A quiet turn then leaves the last check's
-    summary in `Config.check_memo` for it.
+    configuration instead.  Either way it gets the last check's memo
+    carried past the turn (`Config.check_memo`): after a clean check it
+    visits only the actors the turn touched, the receiver and, unless the
+    turn was quiet, the actors it sent to or spawned.
     """
     trace = trace if trace is not None else Trace()
     src, dst = choice
@@ -751,10 +782,16 @@ def deliver(
                 dst, pre, sent, ev.observed, post, transferred, pre_existing
             ):
                 trace.violation(viol, dst, viol.actor)
+        if memo is not None:
+            if quiet:
+                memo = mon.carried(memo, True, (dst,))
+            else:
+                touched = (dst, *ev.spawned, *[t for _, _, t in ev.outq])
+                memo = mon.carried(memo, False, touched)
         if global_check:
-            for viol in mon.global_invariant(config, memo if quiet else None):
+            for viol in mon.global_invariant(config, memo):
                 trace.violation(viol, None, viol.actor)
-        elif quiet:
+        else:
             config.check_memo = memo
     return config
 
@@ -788,14 +825,14 @@ def run(
         if strict and (hit := new_violation()):
             outcome = f"violation:{hit.violation}"
             break
-        enabled = enabled_deliveries(config)
-        if not enabled:
+        ready = config.ready
+        if not ready:
             outcome = "quiescent"
             break
         if n >= max_deliveries:
             outcome = "budget"
             break
-        src, dst, _ = enabled[rng.randrange(len(enabled))]
+        dst, src = ready[rng.randrange(len(ready))]
         res = deliver(config, (src, dst), typed=typed, monitor=monitor, trace=trace)
         if isinstance(res, Stuck):
             outcome = f"stuck:{res.kind}"

@@ -375,18 +375,28 @@ class MsgDecl:
 
 @dataclass(slots=True, unsafe_hash=True)
 class Program:
+    """Message declarations and a root expression.
+
+    `payloads` maps each message name to its payload type, built once with
+    the program as `free` is for nodes: the first declaration of a name
+    counts, and `Unit` carries `Unit`.  It is not an `__init__` argument,
+    and equality, hashing and repr leave it out.
+    """
+
     msg_decls: tuple[MsgDecl, ...]
     root: Expr
     # The text parsed, which `locate` reads; empty for a program built by hand.
     source: str = field(default="", compare=False, repr=False)
+    payloads: dict[MsgType, TypeExpr] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        payloads = {d.name: d.payload for d in reversed(self.msg_decls)}
+        payloads[UNIT_MSG] = UNIT
+        self.payloads = payloads
 
     def payload_type(self, msg: MsgType) -> TypeExpr:
-        if msg == UNIT_MSG:
-            return UNIT
-        for d in self.msg_decls:
-            if d.name == msg:
-                return d.payload
-        raise KeyError(msg)
+        """The payload type declared for `msg`; KeyError if none is."""
+        return self.payloads[msg]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import pathlib
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actorcap import lang as lng
 from actorcap import runtime
@@ -140,6 +142,49 @@ class TestEnabledDeliveries:
             }
         )
         assert enabled_deliveries(cfg) == [(1, 0, B), (2, 0, A), (0, 1, A)]
+
+
+def ready_of(cfg: Config) -> list[tuple[int, int]]:
+    """The ready index a configuration's queues define."""
+    return sorted((d, s) for (s, d), q in cfg.queues.items() if q)
+
+
+QUEUE_KEYS = st.tuples(st.integers(0, 3), st.integers(0, 3))
+# A configuration built by hand, empty queues allowed, then steps: append to
+# a queue, pop a nonempty one, or copy, each on one of the branches so far.
+READY_STEPS = st.lists(
+    st.tuples(st.sampled_from(["append", "pop", "copy"]), st.integers(0, 7),
+              QUEUE_KEYS, st.sampled_from([A, B])),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(QUEUE_KEYS, st.lists(st.sampled_from([A, B]), max_size=2)),
+       READY_STEPS)
+def test_ready_index_follows_the_queues(queues, steps):
+    cfg = Config(queues={k: [(UNIT_V, m) for m in q] for k, q in queues.items()})
+    branches = [cfg]
+    for op, which, key, msg in steps:
+        cfg = branches[which % len(branches)]
+        if op == "append":
+            cfg.append(key, UNIT_V, msg)
+        elif op == "pop":
+            if cfg.ready:
+                dst, src = cfg.ready[which % len(cfg.ready)]
+                cfg.pop_head((src, dst))
+        else:
+            branches.append(cfg.copy())
+        for branch in branches:
+            assert branch.ready == ready_of(branch)
+            by_hand = Config(queues={k: list(q) for k, q in branch.queues.items()})
+            assert by_hand.ready == branch.ready
+            assert enabled_deliveries(branch) == [
+                (s, d, q[0][1])
+                for (s, d), q in sorted(branch.queues.items(),
+                                        key=lambda kq: kq[0][::-1])
+                if q
+            ]
 
 
 def two_case_receiver():
